@@ -2,7 +2,9 @@
 
 Blocks: grid, eos, viscosity, gravitation, time, case, conjugate, minimizer,
 plus a top-level seed.  Unknown presets, missing blocks and out-of-range
-values raise ConfigError naming the offending field path.
+values raise ConfigError naming the offending field path.  The optional
+conjugate block (tol, max_iter) is accepted and ignored: the K^(-1) and
+pressure solves are exact.
 """
 
 from __future__ import annotations
@@ -121,10 +123,8 @@ def parse_config(raw: dict) -> RunConfig:
                      params=cb.get("parameters", {}))
 
     conj_b = raw.get("conjugate", {})
-    conjugate = ConjugateSolve(tol=float(conj_b.get("tol", 1e-10)),
-                               max_iter=int(conj_b.get("max_iter", 50_000)))
-    if conjugate.tol <= 0:
-        raise ConfigError("conjugate.tol must be positive")
+    conjugate = ConjugateSolve(tol=_get(conj_b, "conjugate", "tol", float, 1e-10),
+                               max_iter=_get(conj_b, "conjugate", "max_iter", int, 50_000))
 
     min_b = raw.get("minimizer", {})
     minimizer = MinimizeConfig(

@@ -13,7 +13,8 @@ is symmetric positive semidefinite in the discrete calculus with
 <K(u), u> = 2 phi(u) exactly.  On the torus K annihilates constants (and the
 stencil checkerboards), so conjugation works on mean-free representatives:
 phi_star(f) is finite only for zero-mean f and is evaluated as the
-dissipation of K^(-1) f, computed matrix-free by conjugate gradient.
+dissipation of K^(-1) f.  K is a Fourier multiplier on the periodic grid, so
+K^(-1) is the exact per-wavenumber inverse of its 3x3 symbol.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import fields as fd
 from .fields import ScalarField, SymTensorField, VectorField, XX, YY, ZZ
-from .solvers import conjugate_gradient
 
 
 class NonZeroMeanError(ValueError):
@@ -42,11 +42,14 @@ class Viscosity:
 
 @dataclass(frozen=True)
 class ConjugateSolve:
-    """Settings for the K^(-1) conjugate-gradient solves."""
+    """Settings of the former iterative K^(-1) solve, accepted and ignored.
+
+    The solve is exact, so neither field changes a result; the class stays so
+    that callers and configs with a ``conjugate`` block keep working.
+    """
 
     tol: float = 1e-10
     max_iter: int = 50_000
-    mean_projection: bool = True  # always on; kept explicit in the contract
 
 
 def w_density(d: SymTensorField, mu: float) -> ScalarField:
@@ -86,23 +89,27 @@ def _check_zero_mean(f: VectorField, cfg: ConjugateSolve):
 
 
 def solve_k(f: VectorField, mu: float, cfg: ConjugateSolve) -> VectorField:
-    """Mean-free v with K(v) = f, by conjugate gradient on the mean-free subspace.
+    """Mean-free v with K(v) = f, exact per wavenumber; cfg is ignored.
 
-    The right-hand side is first projected onto the range of the discrete K
-    (strips component means and the checkerboard stencil modes).
+    With the central-difference symbol i*s, the in-plane block of K is
+    mu (|s|^2 I + s s^T / 3), whose inverse is (I - s s^T / (4|s|^2)) / (mu |s|^2);
+    the out-of-plane component is inverted by 1 / (mu |s|^2).  The stencil
+    null modes of f (means and checkerboards) are dropped, which projects f
+    onto the range of K.
     """
+    if not np.isfinite(f.data).all():
+        raise FloatingPointError("viscous conjugate solve: non-finite right-hand side")
     _check_zero_mean(f, cfg)
-    rhs = fd.remove_stencil_null(f)
     grid = f.grid
-
-    def matvec(flat: np.ndarray) -> np.ndarray:
-        v = VectorField(grid, flat.reshape(3, grid.nx, grid.ny))
-        return apply_k(v, mu).data.ravel()
-
-    sol = conjugate_gradient(matvec, rhs.data.ravel(), tol=cfg.tol,
-                             max_iter=cfg.max_iter, label="viscous conjugate solve")
-    v = VectorField(grid, sol.reshape(3, grid.nx, grid.ny))
-    return fd.remove_mean(v)
+    sym = fd.spectral_symbols(grid)
+    fh = np.fft.rfft2(f.data)
+    inv_mu_s2 = sym.inv_s2 / mu
+    s_dot_f = (sym.sx * fh[0] + sym.sy * fh[1]) * (0.25 * sym.inv_s2)
+    uh = np.empty_like(fh)
+    uh[0] = (fh[0] - sym.sx * s_dot_f) * inv_mu_s2
+    uh[1] = (fh[1] - sym.sy * s_dot_f) * inv_mu_s2
+    uh[2] = fh[2] * inv_mu_s2
+    return VectorField(grid, np.fft.irfft2(uh, s=grid.shape))
 
 
 def phi_star(f: VectorField, mu: float, cfg: ConjugateSolve) -> float:

@@ -5,7 +5,8 @@ grid metadata lives in a ``grid.json`` sidecar.  A path archive is a
 directory holding the sidecar, one velocity (and density) CSV per slice,
 optional per-interval pressure CSVs, and a ``manifest.json`` tying them
 together.  Floats are written with 17 significant digits so a round trip is
-bit exact and runs are reproducible.
+bit exact and runs are reproducible.  Loading rejects non-finite values and
+non-positive densities with ArchiveError.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
             count += 1
     if count != grid.nx * grid.ny:
         raise ArchiveError(f"{path}: {count} rows for a {grid.nx}x{grid.ny} grid")
+    if not np.isfinite(data).all():
+        raise ArchiveError(f"{path}: non-finite value")
     return data
 
 
@@ -154,9 +157,14 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
         v = load_vector(os.path.join(directory, entry["v"]), grid)
         if "rho" in entry:
             rho = load_scalar(os.path.join(directory, entry["rho"]), grid)
+            if (rho.data <= 0).any():
+                raise ArchiveError(f"{directory}: {entry['rho']} has a non-positive density")
         else:
             rho = ScalarField.full(grid, eos.rho0)
-        states.append(FluidState(float(entry["t"]), v, rho, eos))
+        t = float(entry["t"])
+        if not np.isfinite(t):
+            raise ArchiveError(f"{directory}: non-finite slice time {entry['t']!r}")
+        states.append(FluidState(t, v, rho, eos))
     path = Path(states)
     if "pressures" in manifest:
         path.pressures = [load_scalar(os.path.join(directory, n), grid)

@@ -8,11 +8,14 @@ products, deviatoric 1/3 factors) apply verbatim with d/dz == 0.
 Derivatives are second-order central differences with periodic wrap,
 quadrature is the periodic midpoint rule.  With this pairing the discrete
 gradient is exactly minus the adjoint of the discrete divergence, which the
-conjugation and projection machinery downstream relies on.
+conjugation and projection machinery downstream relies on.  On the periodic
+grid each central difference is a Fourier multiplier (see spectral_symbols),
+so the elliptic solves downstream are exact per-wavenumber inverses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,9 +381,37 @@ def remove_stencil_null(v: VectorField) -> VectorField:
     return VectorField(v.grid, data)
 
 
-def remove_stencil_null_scalar(s: ScalarField) -> ScalarField:
-    data = s.data.copy()
-    n = s.grid.nx * s.grid.ny
-    for pat in _null_patterns(s.grid):
-        data -= ((data * pat).sum() / n) * pat
-    return ScalarField(s.grid, data)
+# --- Fourier symbols of the central differences ----------------------------
+
+@dataclass(frozen=True)
+class SpectralSymbols:
+    """Central-difference symbols in numpy.fft.rfft2 layout (nx, ny//2 + 1).
+
+    On mode (mx, my) the x-difference multiplies by i*sx and the y-difference
+    by i*sy.  inv_s2 is 1/|s|^2, set to 0 on the stencil null modes (the
+    constant and the checkerboards), so it inverts -laplacian on the range.
+    The arrays are read-only: one instance is shared per grid.
+    """
+
+    sx: np.ndarray      # (nx, 1)
+    sy: np.ndarray      # (1, ny//2 + 1)
+    inv_s2: np.ndarray  # (nx, ny//2 + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def spectral_symbols(grid: Grid2P) -> SpectralSymbols:
+    """The grid's symbols, computed once per grid (Grid2P is frozen and hashable)."""
+    mx = np.arange(grid.nx)
+    my = np.arange(grid.ny // 2 + 1)
+    # null rows of each direction: the constant (m = 0) and, on even sizes,
+    # the checkerboard (2m = n), picked by index since sin(pi) is only ~1e-16
+    null_x = (mx == 0) | (2 * mx == grid.nx)
+    null_y = (my == 0) | (2 * my == grid.ny)
+    sx = np.where(null_x, 0.0, np.sin(2.0 * np.pi * mx / grid.nx) / grid.dx)[:, None]
+    sy = np.where(null_y, 0.0, np.sin(2.0 * np.pi * my / grid.ny) / grid.dy)[None, :]
+    null = null_x[:, None] & null_y[None, :]
+    s2 = np.where(null, 1.0, sx**2 + sy**2)
+    inv_s2 = np.where(null, 0.0, 1.0 / s2)
+    for a in (sx, sy, inv_s2):
+        a.flags.writeable = False
+    return SpectralSymbols(sx, sy, inv_s2)

@@ -7,7 +7,6 @@ from sbenflow.dissipation import (ConjugateSolve, NonZeroMeanError, Viscosity, a
 from sbenflow.fields import Grid2P, SymTensorField, VectorField, XX, YY, ZZ, XY
 from sbenflow.oracle import taylor_green_analytic
 from sbenflow.sampling import random_vector
-from sbenflow.solvers import SolverConvergenceError
 
 from conftest import TWO_PI
 
@@ -144,10 +143,12 @@ class TestSolveK:
         with pytest.raises(NonZeroMeanError, match="outside range"):
             solve_k(f, MU, CFG)
 
-    def test_non_convergence_reported(self, grid32, rng):
-        f = fd.remove_mean(random_vector(grid32, rng, kmax=7))
-        with pytest.raises(SolverConvergenceError):
-            solve_k(f, MU, ConjugateSolve(tol=1e-14, max_iter=2))
+    def test_non_finite_rhs_rejected(self, grid32, rng):
+        for bad in (np.nan, np.inf):
+            f = fd.remove_mean(random_vector(grid32, rng, kmax=7))
+            f.data[1, 3, 5] = bad
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                solve_k(f, MU, CFG)
 
 
 class TestPhiStar:

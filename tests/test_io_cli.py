@@ -4,13 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from sbenflow import checks
 from sbenflow.balance import BarotropicPowerEos, IncompressibleEos
 from sbenflow.cli import main
 from sbenflow.config import ConfigError, load_config, parse_config
+from sbenflow.dissipation import ConjugateSolve
 from sbenflow.fieldio import (ArchiveError, load_grid, load_path_archive, load_scalar,
                               load_vector, save_grid, save_path_archive, save_scalar,
                               save_vector)
-from sbenflow.fields import Grid2P
+from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.sampling import random_scalar, random_vector
 from sbenflow.sben import compressible_path, incompressible_path
 
@@ -225,11 +227,44 @@ class TestCli:
         rc = main(["reference", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 3
 
-    def test_sloppy_conjugate_tolerance_fails_invariants(self, tmp_path):
-        # a 1e-3 solve cannot satisfy the 1e-8 conjugacy identities
+    def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
+        # the conjugate block is accepted and ignored ...
         cfg = _write_config(tmp_path, overrides={"conjugate.tol": 1e-3})
-        rc = main(["check", "--config", cfg])
-        assert rc == 4
+        assert load_config(cfg).conjugate == ConjugateSolve(tol=1e-3, max_iter=50000)
+        assert load_config(_write_config(tmp_path, drop="conjugate")).conjugate == ConjugateSolve()
+        # ... and a solve off by 1e-3 cannot satisfy the 1e-8 conjugacy identities
+        exact = checks.solve_k
+        monkeypatch.setattr(checks, "solve_k",
+                            lambda f, mu, cfg: (1.0 + 1e-3) * exact(f, mu, cfg))
+        assert main(["check", "--config", cfg]) == 4
+
+    def test_evaluate_non_finite_archive_exits_config(self, tmp_path, grid16, rng):
+        eos = IncompressibleEos()
+        path = incompressible_path(grid16, eos, [0.0, 0.1],
+                                   [random_vector(grid16, rng) for _ in range(2)])
+        d = str(tmp_path / "arch")
+        save_path_archive(d, path)
+        bad = path.states[1].v.data.copy()
+        bad[0, 2, 3] = np.nan
+        save_vector(os.path.join(d, "v_0001.csv"), VectorField(grid16, bad))
+        rc = main(["evaluate", "--config", _write_config(tmp_path), "--archive", d,
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+
+    def test_evaluate_non_positive_density_archive_exits_config(self, tmp_path, grid16, rng):
+        eos = BarotropicPowerEos()
+        times = [0.0, 0.05]
+        path = compressible_path(grid16, eos, times,
+                                 [random_vector(grid16, rng, amplitude=0.1) for _ in times])
+        d = str(tmp_path / "arch")
+        save_path_archive(d, path)
+        bad = path.states[1].rho.data.copy()
+        bad[4, 1] = 0.0
+        save_scalar(os.path.join(d, "rho_0001.csv"), ScalarField(grid16, bad))
+        cfg = _write_config(tmp_path, overrides={"eos.kind": "barotropic_power"})
+        rc = main(["evaluate", "--config", cfg, "--archive", d,
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})
