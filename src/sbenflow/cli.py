@@ -22,8 +22,7 @@ from .balance import IncompressibleEos
 from .config import ConfigError, RunConfig, load_config
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
 from .oracle import CaseSpec, UnstableStepError, reference_path
-from .sben import (SbenReport, assemble_pi_compressible, assemble_pi_incompressible,
-                   minimize, minimize_compressible, multiplier_pressures)
+from .sben import SbenReport, evaluate_path, minimize, minimize_compressible
 from .solvers import SolverConvergenceError
 
 EXIT_OK = 0
@@ -85,25 +84,14 @@ def cmd_reference(args) -> int:
     return EXIT_OK
 
 
-def _assemble(config: RunConfig, path):
-    if path.kind == "incompressible":
-        return assemble_pi_incompressible(path, config.viscosity.mu,
-                                          config.gravitation, config.conjugate)
-    return assemble_pi_compressible(path, config.viscosity.mu,
-                                    config.gravitation, config.conjugate)
-
-
 def cmd_evaluate(args) -> int:
     config = _load(args)
     path = load_path_archive(args.archive, expect_grid=config.grid)
-    report = _assemble(config, path)
+    report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation,
+                                      config.conjugate)
     _write_report(args.out, report)
-    if path.kind == "incompressible":
-        pressures = multiplier_pressures(path, config.viscosity.mu,
-                                         config.gravitation, config.conjugate)
-        os.makedirs(args.out, exist_ok=True)
-        for k, p in enumerate(pressures):
-            save_scalar(os.path.join(args.out, f"pressure_{k:04d}.csv"), p)
+    for k, p in enumerate(pressures or []):
+        save_scalar(os.path.join(args.out, f"pressure_{k:04d}.csv"), p)
     print(f"total functional {report.total_pi:.12e} "
           f"(dissipation integral {report.dissipation_integral:.6e})")
     return EXIT_OK

@@ -1,18 +1,28 @@
 """CSV serialization of fields and directory archives of paths.
 
-One CSV per field with header ``i,j,c0[,c1,...]`` in row-major cell order;
-grid metadata lives in a ``grid.json`` sidecar.  A path archive is a
-directory holding the sidecar, one velocity (and density) CSV per slice,
-optional per-interval pressure CSVs, and a ``manifest.json`` tying them
-together.  Floats are written with 17 significant digits so a round trip is
-bit exact and runs are reproducible.  Loading rejects non-finite values and
-non-positive densities with ArchiveError.
+One CSV per field with header ``i,j,c0[,c1,...]`` and one ``i,j,c0,...`` row
+per cell, written in row-major cell order; grid metadata lives in a
+``grid.json`` sidecar.  A path archive is a directory holding the sidecar,
+one velocity (and density) CSV per slice, optional per-interval pressure
+CSVs, and a ``manifest.json`` tying them together (format
+``sbenflow-path/1``).  Floats are written with 17 significant digits
+(``%.17g``) so a round trip is bit exact and runs are reproducible.  The
+bytes of the format are fixed (``tests/test_fieldio.py`` pins them): the
+same field always gives the same file.
+
+Reading accepts the rows in any order.  The indices must be integers inside
+the grid and every cell must appear exactly once.  Any malformed input (a
+wrong header, a non-numeric cell, a missing column, an index out of range,
+a repeated or missing cell, a non-finite value, a non-positive density, a
+truncated or incomplete ``grid.json`` or ``manifest.json``) raises
+ArchiveError naming the file, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -26,38 +36,59 @@ class ArchiveError(ValueError):
     """Malformed or inconsistent path archive."""
 
 
+def _header(n_comp: int) -> str:
+    return "i,j," + ",".join(f"c{c}" for c in range(n_comp))
+
+
 def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
     n_comp = components.shape[0]
-    header = "i,j," + ",".join(f"c{c}" for c in range(n_comp))
-    lines = [header]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            vals = ",".join(f"{components[c, i, j]:.17g}" for c in range(n_comp))
-            lines.append(f"{i},{j},{vals}")
+    # one (i, j, c0, c1, ...) record per cell; %d prints the float indices as
+    # integers and %.17g formats exactly as f"{x:.17g}" does
+    table = np.empty((grid.nx, grid.ny, 2 + n_comp))
+    table[:, :, 0] = np.arange(grid.nx)[:, None]
+    table[:, :, 1] = np.arange(grid.ny)[None, :]
+    table[:, :, 2:] = np.moveaxis(components, 0, -1)
+    # formatted one grid row at a time, which keeps the text in memory small
+    row = ("%d,%d," + ",".join(["%.17g"] * n_comp) + "\n") * grid.ny
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(_header(n_comp) + "\n")
+        for block in table:
+            f.write(row % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
     with open(path) as f:
         header = f.readline().strip()
-        expected = "i,j," + ",".join(f"c{c}" for c in range(n_comp))
+        expected = _header(n_comp)
         if header != expected:
             raise ArchiveError(f"{path}: header {header!r} != {expected!r}")
-        data = np.zeros((n_comp, grid.nx, grid.ny))
-        count = 0
-        for line in f:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            i, j = int(parts[0]), int(parts[1])
-            data[:, i, j] = [float(x) for x in parts[2:]]
-            count += 1
-    if count != grid.nx * grid.ny:
-        raise ArchiveError(f"{path}: {count} rows for a {grid.nx}x{grid.ny} grid")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported by the row count below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ArchiveError(f"{path}: {exc}") from None
+    n_cells = grid.nx * grid.ny
+    if rows.shape != (n_cells, 2 + n_comp):
+        raise ArchiveError(f"{path}: {rows.shape[0]} rows of {rows.shape[1]} columns "
+                           f"for a {grid.nx}x{grid.ny} grid with {n_comp} components")
+    i, j = rows[:, 0], rows[:, 1]
+    valid = ((i == np.floor(i)) & (0 <= i) & (i < grid.nx)
+             & (j == np.floor(j)) & (0 <= j) & (j < grid.ny))
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise ArchiveError(f"{path}: data row {bad + 1} has cell index "
+                           f"({rows[bad, 0]:g}, {rows[bad, 1]:g}), not an integer "
+                           f"index of the {grid.nx}x{grid.ny} grid")
+    cell = i.astype(np.int64) * grid.ny + j.astype(np.int64)
+    if not (np.bincount(cell, minlength=n_cells) == 1).all():
+        raise ArchiveError(f"{path}: some cells appear more than once, others not at all")
+    data = np.empty((n_comp, n_cells))
+    data[:, cell] = rows[:, 2:].T
     if not np.isfinite(data).all():
         raise ArchiveError(f"{path}: non-finite value")
-    return data
+    return data.reshape(n_comp, grid.nx, grid.ny)
 
 
 def save_scalar(path: str, s: ScalarField):
@@ -85,8 +116,12 @@ def save_grid(path: str, grid: Grid2P):
 
 def load_grid(path: str) -> Grid2P:
     with open(path) as f:
-        meta = json.load(f)
-    return Grid2P(int(meta["nx"]), int(meta["ny"]), float(meta["lx"]), float(meta["ly"]))
+        try:
+            meta = json.load(f)
+            return Grid2P(int(meta["nx"]), int(meta["ny"]),
+                          float(meta["lx"]), float(meta["ly"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ArchiveError(f"{path}: malformed grid sidecar ({exc!r})") from None
 
 
 def _eos_to_json(eos: Eos) -> dict:
@@ -143,30 +178,39 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
     if not os.path.exists(manifest_file):
         raise ArchiveError(f"{directory}: no manifest.json")
     with open(manifest_file) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != "sbenflow-path/1":
-        raise ArchiveError(f"{directory}: unsupported format {manifest.get('format')!r}")
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise ArchiveError(f"{manifest_file}: not JSON ({exc})") from None
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != "sbenflow-path/1":
+        raise ArchiveError(f"{directory}: unsupported format {fmt!r}")
     grid = load_grid(os.path.join(directory, "grid.json"))
     if expect_grid is not None and grid != expect_grid:
         raise ArchiveError(
             f"archive grid {grid.nx}x{grid.ny} does not match configured grid "
             f"{expect_grid.nx}x{expect_grid.ny}")
-    eos = _eos_from_json(manifest["eos"])
+    try:
+        eos = _eos_from_json(manifest["eos"])
+        slices = [(float(entry["t"]), entry["v"], entry.get("rho"))
+                  for entry in manifest["slices"]]
+        pressure_names = manifest.get("pressures")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ArchiveError(f"{manifest_file}: malformed manifest ({exc!r})") from None
     states = []
-    for entry in manifest["slices"]:
-        v = load_vector(os.path.join(directory, entry["v"]), grid)
-        if "rho" in entry:
-            rho = load_scalar(os.path.join(directory, entry["rho"]), grid)
+    for t, v_name, rho_name in slices:
+        if not np.isfinite(t):
+            raise ArchiveError(f"{directory}: non-finite slice time {t!r}")
+        v = load_vector(os.path.join(directory, v_name), grid)
+        if rho_name is not None:
+            rho = load_scalar(os.path.join(directory, rho_name), grid)
             if (rho.data <= 0).any():
-                raise ArchiveError(f"{directory}: {entry['rho']} has a non-positive density")
+                raise ArchiveError(f"{directory}: {rho_name} has a non-positive density")
         else:
             rho = ScalarField.full(grid, eos.rho0)
-        t = float(entry["t"])
-        if not np.isfinite(t):
-            raise ArchiveError(f"{directory}: non-finite slice time {entry['t']!r}")
         states.append(FluidState(t, v, rho, eos))
     path = Path(states)
-    if "pressures" in manifest:
+    if pressure_names is not None:
         path.pressures = [load_scalar(os.path.join(directory, n), grid)
-                          for n in manifest["pressures"]]
+                          for n in pressure_names]
     return path

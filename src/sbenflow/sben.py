@@ -305,8 +305,18 @@ def multiplier_pressures(path: Path, mu: float, grav: Gravitation,
     """Zero-mean multiplier pressure per interval of an incompressible path."""
     if path.kind != "incompressible":
         raise ValueError("multiplier pressure is defined for the incompressible kind")
-    cores = [_interval_core(path, k, mu, grav, cfg) for k in range(path.n_intervals)]
-    return _recover_pressures(cores, mu)
+    return evaluate_path(path, mu, grav, cfg)[1]
+
+
+def evaluate_path(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve
+                  ) -> tuple[SbenReport, Optional[list[ScalarField]]]:
+    """Evaluate the space-time functional on a path of either kind and, for the
+    incompressible kind, recover the zero-mean multiplier pressure per interval
+    from the same interval cores (None for the compressible kind)."""
+    cores, report = _assemble(path, mu, grav, cfg)
+    if path.kind != "incompressible":
+        return report, None
+    return report, _recover_pressures(cores, mu)
 
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,

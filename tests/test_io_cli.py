@@ -44,6 +44,37 @@ def _write_config(tmp_path, overrides=None, drop=None):
     return str(p)
 
 
+def _replace_csv_row(row: int, new_row: str):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[row + 1] = new_row + "\n"
+        return "".join(lines)
+    return edit
+
+
+def _drop_json_key(key: str):
+    def edit(text):
+        block = json.loads(text)
+        del block[key]
+        return json.dumps(block)
+    return edit
+
+
+# file of a two-slice 16^2 archive -> how it is broken
+MALFORMED_ARCHIVE = {
+    "non-numeric cell": ("v_0001.csv", _replace_csv_row(17, "1,1,0.5,abc,0")),
+    "missing column": ("v_0001.csv", _replace_csv_row(17, "1,1,0.5,0")),
+    "fractional index": ("v_0001.csv", _replace_csv_row(17, "1.5,1,0.5,0,0")),
+    "index 99": ("v_0001.csv", _replace_csv_row(17, "99,1,0.5,0,0")),
+    "index -1": ("v_0001.csv", _replace_csv_row(17, "-1,1,0.5,0,0")),
+    "repeated cell": ("v_0001.csv", _replace_csv_row(17, "1,0,0.5,0,0")),
+    "truncated grid.json": ("grid.json", lambda text: text[:len(text) // 2]),
+    "truncated manifest.json": ("manifest.json", lambda text: text[:len(text) // 2]),
+    "grid.json without nx": ("grid.json", _drop_json_key("nx")),
+    "manifest without eos": ("manifest.json", _drop_json_key("eos")),
+}
+
+
 class TestFieldCsv:
     def test_scalar_round_trip(self, tmp_path, grid16, rng):
         s = random_scalar(grid16, rng)
@@ -263,6 +294,19 @@ class TestCli:
         save_scalar(os.path.join(d, "rho_0001.csv"), ScalarField(grid16, bad))
         cfg = _write_config(tmp_path, overrides={"eos.kind": "barotropic_power"})
         rc = main(["evaluate", "--config", cfg, "--archive", d,
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVE))
+    def test_evaluate_malformed_archive_exits_config(self, tmp_path, grid16, rng, case):
+        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1],
+                                   [random_vector(grid16, rng) for _ in range(2)])
+        d = tmp_path / "arch"
+        save_path_archive(str(d), path)
+        name, edit = MALFORMED_ARCHIVE[case]
+        f = d / name
+        f.write_text(edit(f.read_text()))
+        rc = main(["evaluate", "--config", _write_config(tmp_path), "--archive", str(d),
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
 

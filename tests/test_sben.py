@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
+from sbenflow import sben
 from sbenflow.balance import BarotropicPowerEos, FluidState, IncompressibleEos
 from sbenflow.dissipation import ConjugateSolve
 from sbenflow.fields import Grid2P, ScalarField, VectorField
@@ -9,8 +10,8 @@ from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import CaseSpec, reference_path, taylor_green_analytic
 from sbenflow.sampling import random_scalar, random_solenoidal, random_vector
 from sbenflow.sben import (MinimizeConfig, Path, assemble_pi_compressible,
-                           assemble_pi_incompressible, compressible_path, gradient_pi,
-                           incompressible_path, leray_project, minimize,
+                           assemble_pi_incompressible, compressible_path, evaluate_path,
+                           gradient_pi, incompressible_path, leray_project, minimize,
                            minimize_compressible, multiplier_pressures, path_dot,
                            slave_density)
 
@@ -291,6 +292,30 @@ class TestMultiplierPressure:
         rel = np.abs(p0.data - exact_centered).max() / np.abs(exact_centered).max()
         print("pressure recovery relative error:", rel)
         assert rel < 0.05
+
+
+    def test_evaluate_path_builds_each_core_once(self, grid16, monkeypatch):
+        grav = Gravitation(grid16, "zero")
+        case = CaseSpec("taylor_green", grid16, 0.2, 16, {"nu": 0.1})
+        path = reference_path(case, 0.1, grav, n_out=4)
+        expected_report = assemble_pi_incompressible(path, 0.1, grav, CFG)
+        expected_pressures = multiplier_pressures(path, 0.1, grav, CFG)
+        built = []
+        core = sben._interval_core
+        monkeypatch.setattr(sben, "_interval_core",
+                            lambda *args: built.append(args[1]) or core(*args))
+        report, pressures = evaluate_path(path, 0.1, grav, CFG)
+        assert built == list(range(path.n_intervals))
+        assert np.array_equal(report.gap_terms, expected_report.gap_terms)
+        for p, q in zip(pressures, expected_pressures, strict=True):
+            assert np.array_equal(p.data, q.data)
+
+    def test_evaluate_path_has_no_pressure_for_compressible(self, grid16, rng):
+        eos = BarotropicPowerEos()
+        path = compressible_path(grid16, eos, [0.0, 0.05],
+                                 [random_vector(grid16, rng, amplitude=0.1) for _ in range(2)])
+        report, pressures = evaluate_path(path, 0.1, Gravitation(grid16, "zero"), CFG)
+        assert pressures is None and report.kind == "compressible"
 
 
 class TestCompressibleMinimize:
