@@ -21,6 +21,11 @@ class PressureUndefinedError(ValueError):
     """Pressure requested from an incompressible EOS without a supplied multiplier field."""
 
 
+class DensityError(FloatingPointError):
+    """A computed density turned non-positive, or the discrete mass balance
+    that determines it could not be solved (a numerical failure, CLI exit 3)."""
+
+
 @dataclass(frozen=True)
 class IncompressibleEos:
     """Constant-density fluid; pressure is a Lagrange multiplier, not a state function."""

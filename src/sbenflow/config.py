@@ -121,6 +121,12 @@ def parse_config(raw: dict) -> RunConfig:
     cb = _need(raw, "case")
     case = CaseBlock(case_id=_get(cb, "case", "id", str),
                      params=cb.get("parameters", {}))
+    if case.case_id == "compressible_smooth":
+        # the initial density is rho0 (1 + amplitude cos x cos y)
+        amplitude = _get(case.params, "case.parameters", "amplitude", float, 0.01)
+        if not abs(amplitude) < 1.0:
+            raise ConfigError("case.parameters.amplitude must lie in (-1, 1) for "
+                              f"compressible_smooth (positive initial density), got {amplitude}")
 
     conj_b = raw.get("conjugate", {})
     conjugate = ConjugateSolve(tol=_get(conj_b, "conjugate", "tol", float, 1e-10),

@@ -11,12 +11,17 @@ gradient is exactly minus the adjoint of the discrete divergence, which the
 conjugation and projection machinery downstream relies on.  On the periodic
 grid each central difference is a Fourier multiplier (see spectral_symbols),
 so the elliptic solves downstream are exact per-wavenumber inverses.
+
+The differences work on the flat buffer without rolled copies (see _ddx).
+central_differences returns the two in-plane derivative columns, for callers
+that build several operators from one Jacobian.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -191,12 +196,44 @@ class Tensor33Field(_FieldOps):
 
 # --- central differences -------------------------------------------------
 
+# Both differences work on the flat buffer of a C-contiguous (..., nx, ny)
+# array: one subtraction at offset +-ny (x) or +-1 (y) covers every interior
+# row or column of every leading block, then the two wrap rows or columns,
+# where the flat offset runs into the neighbouring row or block, are
+# overwritten.  Each output is a[i+1] - a[i-1] over 2h, the operands and
+# order of (roll(a, -1) - roll(a, 1)) / 2h, so results match it bit for bit.
+
 def _ddx(grid: Grid2P, a: np.ndarray) -> np.ndarray:
-    return (np.roll(a, -1, axis=-2) - np.roll(a, 1, axis=-2)) / (2.0 * grid.dx)
+    a = np.ascontiguousarray(a)
+    out = np.empty_like(a)
+    step = a.shape[-1]
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
+    np.subtract(a[..., 1, :], a[..., -1, :], out=out[..., 0, :])
+    np.subtract(a[..., 0, :], a[..., -2, :], out=out[..., -1, :])
+    out /= 2.0 * grid.dx
+    return out
 
 
 def _ddy(grid: Grid2P, a: np.ndarray) -> np.ndarray:
-    return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * grid.dy)
+    a = np.ascontiguousarray(a)
+    out = np.empty_like(a)
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
+    np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
+    out /= 2.0 * grid.dy
+    return out
+
+
+def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx ax, d/dy ay) for arrays of shape (..., nx, ny); ay defaults to ax.
+
+    With one array these are the two in-plane columns of its Jacobian; with
+    the two columns of a Jacobian, their sum is the Laplacian.
+    """
+    return _ddx(grid, ax), _ddy(grid, ax if ay is None else ay)
 
 
 def grad_scalar(s: ScalarField) -> VectorField:
@@ -210,8 +247,7 @@ def grad_scalar(s: ScalarField) -> VectorField:
 def grad_vector(v: VectorField) -> Tensor33Field:
     """Jacobian of a vector field: entry [i, j] = d v_i / d x_j (j = z column is zero)."""
     j = np.zeros((3, 3, *v.grid.shape))
-    j[:, 0] = _ddx(v.grid, v.data)
-    j[:, 1] = _ddy(v.grid, v.data)
+    j[:, 0], j[:, 1] = central_differences(v.grid, v.data)
     return Tensor33Field(v.grid, j)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fields as fd
-from .balance import BarotropicPowerEos, FluidState, IncompressibleEos
+from .balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
 from .sben import Path, leray_project
@@ -103,10 +103,21 @@ def stable_dt_compressible(state: FluidState, mu: float) -> float:
     return 0.5 / max(adv + diff, 1e-300)
 
 
+def _advection_and_laplacian(v: VectorField
+                             ) -> tuple[VectorField, VectorField, np.ndarray, np.ndarray]:
+    """advect(v, v), laplacian(v) and the Jacobian columns dv/dx, dv/dy they
+    are built from.  v is differentiated once, and the expressions are those
+    of fd.advect and fd.laplacian, so the bits are theirs."""
+    g = v.grid
+    vx, vy = fd.central_differences(g, v.data)
+    vxx, vyy = fd.central_differences(g, vx, vy)
+    return VectorField(g, v.data[0] * vx + v.data[1] * vy), VectorField(g, vxx + vyy), vx, vy
+
+
 def _incompressible_rhs(v: VectorField, t: float, nu: float, grav: Gravitation) -> VectorField:
+    adv, lap, _, _ = _advection_and_laplacian(v)
     omega = grav.coriolis_vector(t)
-    rhs = (-fd.advect(v, v) + nu * fd.laplacian(v) + grav.gravity(t)
-           - 2.0 * fd.cross(omega, v))
+    rhs = -adv + nu * lap + grav.gravity(t) - 2.0 * fd.cross(omega, v)
     projected, _ = leray_project(rhs)
     return projected
 
@@ -131,9 +142,11 @@ def _compressible_rhs(v: VectorField, rho: ScalarField, t: float, mu: float,
                       eos: BarotropicPowerEos, grav: Gravitation
                       ) -> tuple[VectorField, ScalarField]:
     p = ScalarField(rho.grid, eos.pressure(rho.data))
-    visc = mu * fd.laplacian(v) + (mu / 3.0) * fd.grad_scalar(fd.div_vector(v))
+    adv, lap, vx, vy = _advection_and_laplacian(v)
+    div_v = ScalarField(v.grid, vx[0] + vy[1])  # div_vector(v), from the same columns
+    visc = mu * lap + (mu / 3.0) * fd.grad_scalar(div_v)
     omega = grav.coriolis_vector(t)
-    dv = (-fd.advect(v, v)
+    dv = (-adv
           + VectorField(v.grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
           + grav.gravity(t) - 2.0 * fd.cross(omega, v))
     drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
@@ -156,12 +169,12 @@ def step_compressible(state: FluidState, dt: float, mu: float,
     v_half = state.v + (0.5 * dt) * dv1
     rho_half = state.rho + (0.5 * dt) * drho1
     if np.any(rho_half.data <= 0):
-        raise ValueError("density became non-positive; reduce dt or the perturbation")
+        raise DensityError("density became non-positive; reduce dt or the perturbation")
     dv2, drho2 = _compressible_rhs(v_half, rho_half, state.t + 0.5 * dt, mu, state.eos, grav)
     v_new = state.v + dt * dv2
     rho_new = state.rho + dt * drho2
     if np.any(rho_new.data <= 0):
-        raise ValueError("density became non-positive; reduce dt or the perturbation")
+        raise DensityError("density became non-positive; reduce dt or the perturbation")
     return FluidState(state.t + dt, v_new, rho_new, state.eos)
 
 

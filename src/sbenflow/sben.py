@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fields as fd
-from .balance import BarotropicPowerEos, Eos, FluidState, IncompressibleEos
+from .balance import BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos
 from .dissipation import ConjugateSolve, apply_k, phi, solve_k
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
@@ -132,7 +132,10 @@ def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
                   tol: float = 1e-13, max_iter: int = 500) -> list[ScalarField]:
     """March the discrete mass balance: each new density solves
     (rho_next - rho_prev)/dt + div(rho_mid v_mid) = 0 (implicit midpoint,
-    fixed-point iteration).  Conservative form: total mass is exact."""
+    fixed-point iteration).  Conservative form: total mass is exact.
+
+    Raises DensityError when the fixed point stalls or a density comes out
+    non-positive."""
     densities = [rho_initial]
     for k in range(len(velocities) - 1):
         dt = float(times[k + 1] - times[k])
@@ -148,7 +151,9 @@ def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
             if delta <= tol * scale:
                 break
         else:
-            raise RuntimeError(f"mass-balance fixed point stalled at interval {k}")
+            raise DensityError(f"mass-balance fixed point stalled at interval {k}")
+        if np.any(rho_next.data <= 0):
+            raise DensityError(f"density became non-positive at interval {k}")
         densities.append(rho_next)
     return densities
 
@@ -540,6 +545,8 @@ def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
     The density is re-slaved to the mass balance inside every evaluation and
     the gradient freezes the density/pressure response, so directions are
     only approximately steepest; Armijo still guarantees monotone decrease.
+    A trial step whose density cannot be re-slaved (DensityError) is
+    rejected and the step shortened, like an Armijo failure.
     """
     if path0.kind != "compressible":
         raise ValueError("minimize_compressible needs a barotropic path")
@@ -576,8 +583,14 @@ def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
         alpha = 2.0 * alpha_prev if alpha_prev else 1.0 / dnorm
         accepted = False
         for _ in range(opts.max_backtracks):
-            trial = rebuild([path.states[j + 1].v + alpha * direction[j]
-                             for j in range(path.n_intervals)])
+            try:
+                trial = rebuild([path.states[j + 1].v + alpha * direction[j]
+                                 for j in range(path.n_intervals)])
+            except DensityError:
+                # the step left the densities' domain: reject it like an
+                # Armijo failure
+                alpha *= opts.backtrack_factor
+                continue
             trial_cores, trial_report = _assemble(trial, mu, grav, cfg)
             if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
                 accepted = True

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbenflow import fields as fd
 from sbenflow.fields import (Grid2P, GridMismatchError, ScalarField, SymTensorField,
-                             VectorField, XX, YY, ZZ, XY)
+                             Tensor33Field, VectorField, XX, YY, ZZ, XY)
 from sbenflow.sampling import random_scalar, random_solenoidal, random_vector
 
 from conftest import TWO_PI, observed_order
@@ -180,3 +182,46 @@ def test_stencil_null_removal(grid32, rng):
     # removing twice changes nothing
     again = fd.remove_stencil_null(cleaned)
     assert fd.linf_norm(again - cleaned) < 1e-14
+
+
+# --- flat-buffer stencils against the np.roll formula they replace -----------
+
+def _roll_ddx(grid, a):
+    return (np.roll(a, -1, axis=-2) - np.roll(a, 1, axis=-2)) / (2.0 * grid.dx)
+
+
+def _roll_ddy(grid, a):
+    return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * grid.dy)
+
+
+def _same_bits(a, b):
+    """Equal values, and equal bytes too (signed zeros, NaN payloads)."""
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(nx=st.integers(4, 40), ny=st.integers(4, 40),
+       lx=st.floats(0.5, 8.0), ly=st.floats(0.5, 8.0),
+       lead=st.sampled_from([(), (3,), (3, 3)]),
+       coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stencils_match_roll_formula(nx, ny, lx, ly, lead, coarse, seed):
+    grid = Grid2P(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    shape = (*lead, nx, ny)
+    # coarse values repeat, so many differences are exact zeros
+    a = rng.integers(-2, 3, size=shape).astype(float) if coarse else rng.normal(size=shape)
+    before = a.copy()
+    assert _same_bits(fd._ddx(grid, a), _roll_ddx(grid, a))
+    assert _same_bits(fd._ddy(grid, a), _roll_ddy(grid, a))
+    assert _same_bits(a, before)
+    # a non-contiguous input: one derivative column of a full tensor
+    t = Tensor33Field(grid, rng.normal(size=(3, 3, nx, ny)))
+    column = t.data[:, 0]
+    assert not column.flags.c_contiguous
+    assert _same_bits(fd._ddx(grid, column), _roll_ddx(grid, column))
+    assert _same_bits(fd._ddy(grid, column), _roll_ddy(grid, column))
+    # the public pair: one array, or the two columns of a Jacobian
+    dx, dy = fd.central_differences(grid, a)
+    assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, a))
+    dx, dy = fd.central_differences(grid, a, column[0])
+    assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, column[0]))

@@ -258,6 +258,35 @@ class TestCli:
         rc = main(["reference", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 3
 
+    def test_reference_density_failure_exits_numerical(self, tmp_path):
+        # a strong acoustic pulse on a coarse grid drives the density below
+        # zero part-way through the run
+        cfg = _write_config(tmp_path, overrides={
+            "eos.kind": "barotropic_power", "viscosity.mu": 0.01,
+            "time.t_final": 3.0, "time.n_intervals": 4, "time.n_ref": 600,
+            "case.id": "compressible_smooth", "case.parameters": {"amplitude": 0.95}})
+        rc = main(["reference", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert rc == 3
+
+    def test_minimize_stalled_mass_balance_exits_numerical(self, tmp_path):
+        # cold start with dt = 2: the mass-balance fixed point cannot contract
+        cfg = _write_config(tmp_path, overrides={
+            "eos.kind": "barotropic_power", "time.t_final": 4.0,
+            "time.n_intervals": 2, "time.n_ref": 2,
+            "case.id": "compressible_smooth", "case.parameters": {"amplitude": 0.5}})
+        rc = main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")])
+        assert rc == 3
+
+    @pytest.mark.parametrize("amplitude", [1.5, 1.0, -1.0, float("nan")])
+    def test_non_positive_initial_density_exits_config(self, tmp_path, amplitude):
+        cfg = _write_config(tmp_path, overrides={
+            "eos.kind": "barotropic_power",
+            "case.id": "compressible_smooth", "case.parameters": {"amplitude": amplitude}})
+        with pytest.raises(ConfigError, match="amplitude"):
+            load_config(cfg)
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+
     def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
         # the conjugate block is accepted and ignored ...
         cfg = _write_config(tmp_path, overrides={"conjugate.tol": 1e-3})

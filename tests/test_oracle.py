@@ -7,9 +7,12 @@ from sbenflow import fields as fd
 from sbenflow.balance import BarotropicPowerEos, FluidState, IncompressibleEos
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
-from sbenflow.oracle import (CaseSpec, UnstableStepError, initial_state, reference_path,
+from sbenflow.oracle import (CaseSpec, UnstableStepError, _compressible_rhs,
+                             _incompressible_rhs, initial_state, reference_path,
                              shear_decay_analytic, step_compressible, step_incompressible,
                              taylor_green_analytic)
+from sbenflow.sampling import random_scalar, random_vector
+from sbenflow.sben import leray_project
 
 from conftest import TWO_PI
 
@@ -45,6 +48,54 @@ def test_inviscid_vortex_is_steady(grid32):
     s0, _ = taylor_green_analytic(0.0, 0.0, grid32)
     s1, _ = taylor_green_analytic(5.0, 0.0, grid32)
     assert fd.linf_norm(s1.v - s0.v) == 0.0
+
+
+GRAVITATIONS = {"zero": {}, "uniform_gravity": {"g0": 9.81},
+                "rigid_rotation": {"omega": 2.0}}
+
+
+@pytest.mark.parametrize("preset", sorted(GRAVITATIONS))
+class TestRightHandSides:
+    """The steppers' right-hand sides differentiate v once; they must give
+    the same bits as the composition of the public operators."""
+
+    grid = Grid2P(12, 10, 2.0, 3.0)  # unequal sizes and spacings
+    t = 0.3
+
+    def _fields(self):
+        rng = np.random.default_rng(7)
+        v = random_vector(self.grid, rng)
+        v.data[2] = 0.0  # planar, like every case the steppers run
+        s = random_scalar(self.grid, rng).data
+        return v, ScalarField(self.grid, 1.0 + 0.2 * s / np.abs(s).max())
+
+    def test_incompressible(self, preset):
+        grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
+        v, _ = self._fields()
+        nu = 0.07
+        omega = grav.coriolis_vector(self.t)
+        want, _ = leray_project(-fd.advect(v, v) + nu * fd.laplacian(v)
+                                + grav.gravity(self.t) - 2.0 * fd.cross(omega, v))
+        got = _incompressible_rhs(v, self.t, nu, grav)
+        assert np.array_equal(got.data, want.data)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_compressible(self, preset):
+        grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
+        v, rho = self._fields()
+        mu = 0.07
+        eos = BarotropicPowerEos(p0=1.0, rho0=1.0, gamma=1.4)
+        p = ScalarField(self.grid, eos.pressure(rho.data))
+        visc = mu * fd.laplacian(v) + (mu / 3.0) * fd.grad_scalar(fd.div_vector(v))
+        omega = grav.coriolis_vector(self.t)
+        want_dv = (-fd.advect(v, v)
+                   + VectorField(self.grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
+                   + grav.gravity(self.t) - 2.0 * fd.cross(omega, v))
+        want_drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
+        dv, drho = _compressible_rhs(v, rho, self.t, mu, eos, grav)
+        for got, want in ((dv, want_dv), (drho, want_drho)):
+            assert np.array_equal(got.data, want.data)
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestIncompressibleStepper:

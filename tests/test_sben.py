@@ -3,7 +3,7 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow import sben
-from sbenflow.balance import BarotropicPowerEos, FluidState, IncompressibleEos
+from sbenflow.balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
 from sbenflow.dissipation import ConjugateSolve
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
@@ -99,6 +99,16 @@ class TestSlaveDensity:
         for k in range(path.n_intervals):
             resid = mass_residual(path.states[k], path.states[k + 1])
             assert fd.linf_norm(resid) <= 1e-11
+
+    def test_stalled_fixed_point_is_a_density_error(self, grid16):
+        # |v| dt / dx far above one: the fixed-point iteration cannot contract
+        x, y = grid16.x(), grid16.y()
+        v = VectorField.from_components(grid16, 0.5 * np.sin(x) * np.cos(y),
+                                        0.5 * np.sin(y) * np.cos(x))
+        with pytest.raises(DensityError, match="stalled"):
+            slave_density(ScalarField.full(grid16, 1.0), [v, v], [0.0, 4.0],
+                          BarotropicPowerEos())
+        assert issubclass(DensityError, FloatingPointError)
 
 
 class TestAssembly:
@@ -331,3 +341,37 @@ class TestCompressibleMinimize:
         rep0 = assemble_pi_compressible(path, 0.05, grav, CFG)
         result = minimize_compressible(path, 0.05, grav, CFG, MinimizeConfig(max_iter=10))
         assert result.report.total_pi < rep0.total_pi
+
+    def test_trial_without_valid_density_is_a_rejected_step(self, monkeypatch):
+        # on an 8^2 grid of side 0.5 the first trial step (unit length) leaves
+        # the mass balance solvable only for smaller steps
+        grid = Grid2P(8, 8, 0.5, 0.5)
+        rng = np.random.default_rng(1)
+        dt = 0.05
+        path = compressible_path(grid, BarotropicPowerEos(), [0.0, dt, 2 * dt],
+                                 [random_vector(grid, rng, amplitude=0.2) for _ in range(3)])
+        grav = Gravitation(grid, "zero")
+        slave = sben.slave_density
+        outcomes = []
+
+        def recording_slave_density(*args, **kwargs):
+            try:
+                densities = slave(*args, **kwargs)
+            except DensityError:
+                outcomes.append("failed")
+                raise
+            outcomes.append("ok")
+            return densities
+
+        monkeypatch.setattr(sben, "slave_density", recording_slave_density)
+        values = []
+        for max_iter in range(4):
+            outcomes.clear()
+            result = minimize_compressible(path, 0.05, grav, CFG,
+                                           MinimizeConfig(max_iter=max_iter))
+            values.append(result.report.total_pi)
+        # the initial rebuild succeeds and the first trial overshoots
+        assert outcomes[:2] == ["ok", "failed"]
+        assert result.report.iterations == 3
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
