@@ -1,8 +1,9 @@
 """Run configuration: a JSON file with one block per subsystem.
 
 Blocks: grid, eos, viscosity, gravitation, time, case, conjugate, minimizer,
-plus a top-level seed.  Unknown presets, missing blocks and out-of-range
-values raise ConfigError naming the offending field path.  The optional
+plus a top-level seed.  Unknown presets and case ids, missing blocks,
+non-numeric or non-finite parameters and out-of-range values raise
+ConfigError naming the offending field path.  The optional
 conjugate block (tol, max_iter) is accepted and ignored: the K^(-1) and
 pressure solves are exact.
 """
@@ -10,13 +11,15 @@ pressure solves are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
 from .dissipation import ConjugateSolve, Viscosity
 from .fields import Grid2P
 from .gravitation import PRESETS, Gravitation
+from .oracle import CASE_IDS
 from .sben import MinimizeConfig
 
 
@@ -58,9 +61,11 @@ class RunConfig:
     seed: int = 42
 
 
-def _need(raw: dict, key: str) -> dict:
+def _need(raw: dict, key: str, default: dict | None = None) -> dict:
     if key not in raw:
-        raise ConfigError(f"missing config block {key!r}")
+        if default is None:
+            raise ConfigError(f"missing config block {key!r}")
+        return default
     block = raw[key]
     if not isinstance(block, dict):
         raise ConfigError(f"config block {key!r} must be an object")
@@ -76,6 +81,21 @@ def _get(block: dict, path: str, key: str, cast, default=None):
         return cast(block[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {path}.{key}: {exc}") from exc
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
+def _params(block: dict, path: str) -> dict[str, float]:
+    """The optional "parameters" object of a block: finite numbers by name."""
+    params = block.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}.parameters must be an object")
+    return {key: _get(params, f"{path}.parameters", key, _finite) for key in params}
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -106,11 +126,11 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"viscosity: {exc}") from exc
 
-    grav_b = raw.get("gravitation", {"preset": "zero"})
-    preset = grav_b.get("preset", "zero")
+    grav_b = _need(raw, "gravitation", {})
+    preset = _get(grav_b, "gravitation", "preset", str, "zero")
     if preset not in PRESETS:
         raise ConfigError(f"gravitation.preset must be one of {PRESETS}, got {preset!r}")
-    gravitation = Gravitation(grid, preset, grav_b.get("parameters", {}))
+    gravitation = Gravitation(grid, preset, _params(grav_b, "gravitation"))
 
     tb = _need(raw, "time")
     n_intervals = _get(tb, "time", "n_intervals", int)
@@ -119,8 +139,9 @@ def parse_config(raw: dict) -> RunConfig:
                            n_ref=_get(tb, "time", "n_ref", int, n_intervals))
 
     cb = _need(raw, "case")
-    case = CaseBlock(case_id=_get(cb, "case", "id", str),
-                     params=cb.get("parameters", {}))
+    case = CaseBlock(case_id=_get(cb, "case", "id", str), params=_params(cb, "case"))
+    if case.case_id not in CASE_IDS:
+        raise ConfigError(f"case.id must be one of {CASE_IDS}, got {case.case_id!r}")
     if case.case_id == "compressible_smooth":
         # the initial density is rho0 (1 + amplitude cos x cos y)
         amplitude = _get(case.params, "case.parameters", "amplitude", float, 0.01)
@@ -128,20 +149,27 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("case.parameters.amplitude must lie in (-1, 1) for "
                               f"compressible_smooth (positive initial density), got {amplitude}")
 
-    conj_b = raw.get("conjugate", {})
+    conj_b = _need(raw, "conjugate", {})
     conjugate = ConjugateSolve(tol=_get(conj_b, "conjugate", "tol", float, 1e-10),
                                max_iter=_get(conj_b, "conjugate", "max_iter", int, 50_000))
 
-    min_b = raw.get("minimizer", {})
-    minimizer = MinimizeConfig(
-        tol_pi_rel=float(min_b.get("tol_pi_rel", 1e-8)),
-        tol_grad_rel=float(min_b.get("tol_grad_rel", 1e-6)),
-        max_iter=int(min_b.get("max_iter", 500)),
-        restart_every=int(min_b.get("restart_every", 20)),
-        armijo_c=float(min_b.get("armijo_c", 1e-4)),
-        backtrack_factor=float(min_b.get("backtrack_factor", 0.5)),
-        max_backtracks=int(min_b.get("max_backtracks", 60)),
-    )
+    min_b = _need(raw, "minimizer", {})
+    defaults = MinimizeConfig()
+    minimizer = MinimizeConfig(**{
+        f.name: _get(min_b, "minimizer", f.name, type(getattr(defaults, f.name)),
+                     getattr(defaults, f.name))
+        for f in fields(MinimizeConfig)})
+    m = minimizer
+    for key, ok, allowed in (
+            ("tol_pi_rel", 0 <= m.tol_pi_rel < math.inf, "finite and >= 0"),
+            ("tol_grad_rel", 0 <= m.tol_grad_rel < math.inf, "finite and >= 0"),
+            ("max_iter", m.max_iter >= 0, ">= 0"),
+            ("restart_every", m.restart_every >= 1, ">= 1"),
+            ("armijo_c", 0 < m.armijo_c < 1, "in (0, 1)"),
+            ("backtrack_factor", 0 < m.backtrack_factor < 1, "in (0, 1)"),
+            ("max_backtracks", m.max_backtracks >= 1, ">= 1")):
+        if not ok:
+            raise ConfigError(f"minimizer.{key} must be {allowed}, got {getattr(m, key)}")
 
     return RunConfig(grid=grid, eos=eos, viscosity=viscosity, gravitation=gravitation,
                      time=time_block, case=case, conjugate=conjugate,

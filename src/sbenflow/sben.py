@@ -13,10 +13,12 @@ integrates [rho Dv/Dt + grad p - rho g] . v; the Coriolis force does no work
 and therefore appears inside the conjugate only.
 
 Each interval term is a Fenchel gap, so the total is nonnegative and
-vanishes exactly on trajectories of the viscous flow equations.  The
-minimizer is a matrix-free nonlinear conjugate gradient with Armijo
-backtracking, restricted to the divergence-free affine subspace with the
-initial state pinned.
+vanishes exactly on trajectories of the viscous flow equations.  One
+matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
+backtracking minimizes both kinds with the initial state pinned: the
+incompressible kind on the divergence-free affine subspace, the compressible
+kind with the densities re-slaved to the mass balance on every trial path
+and a gradient that freezes the density response.
 """
 
 from __future__ import annotations
@@ -373,8 +375,7 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore, mu: float
 
 
 def gradient_pi(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
-                cores: Optional[list[_IntervalCore]] = None,
-                project: bool = True) -> list[VectorField]:
+                cores: Optional[list[_IntervalCore]] = None) -> list[VectorField]:
     """Exact gradient of the discrete functional with respect to the free
     velocity slices v_k, k >= 1.  For the incompressible kind each slice is
     projected onto divergence-free fields (the feasible directions).
@@ -393,7 +394,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
         if j <= n - 1:
             e_next, f_next = pieces[j]
             g = g + dt * (0.5 * e_next) - f_next
-        if project and path.kind == "incompressible":
+        if path.kind == "incompressible":
             g, _ = leray_project(g)
         grads.append(g)
     return grads
@@ -440,23 +441,18 @@ def _project_free_slices(path: Path) -> Path:
     return path.with_velocities(free)
 
 
-def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
-             opts: MinimizeConfig = MinimizeConfig(),
+def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
+             grav: Gravitation, cfg: ConjugateSolve, opts: MinimizeConfig,
              on_iteration: Optional[Callable[[int, float, float], None]] = None
-             ) -> MinimizeResult:
-    """Descend the functional over the free slices of an incompressible path.
+             ) -> tuple[Path, list[_IntervalCore], SbenReport, bool, str]:
+    """Nonlinear conjugate gradient (Polak-Ribiere+, periodic restart) with
+    Armijo backtracking over the free slices of a feasible start path.
 
-    Nonlinear conjugate gradient (Polak-Ribiere+, periodic restart) with
-    Armijo backtracking; all iterates stay on the divergence-free affine
-    subspace with the initial state pinned.  The accepted-step values of the
-    functional are monotone non-increasing.
+    build(free) makes the trial path from the free velocities; a trial it
+    cannot make (DensityError) is a rejected step, like an Armijo failure.
+    Returns the last accepted path, its cores and report (with the gradient
+    norm history and iteration count), and the convergence flag and message.
     """
-    if path0.kind != "incompressible":
-        raise ValueError("minimize handles the incompressible kind; "
-                         "see minimize_compressible for the experimental variant")
-    start = time.perf_counter()
-    path = _project_free_slices(path0)
-
     cores, report = _assemble(path, mu, grav, cfg)
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
@@ -497,9 +493,12 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
 
         accepted = False
         for _ in range(opts.max_backtracks):
-            trial_free = [path.states[j + 1].v + alpha * direction[j]
-                          for j in range(path.n_intervals)]
-            trial = path.with_velocities(trial_free)
+            try:
+                trial = build([path.states[j + 1].v + alpha * direction[j]
+                               for j in range(path.n_intervals)])
+            except DensityError:
+                alpha *= opts.backtrack_factor
+                continue
             trial_cores, trial_report = _assemble(trial, mu, grav, cfg)
             if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
                 accepted = True
@@ -515,9 +514,6 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
                    / max(path_dot(grad, grad), 1e-300))
         if (it + 1) % opts.restart_every == 0:
             beta = 0.0
-            trial = _project_free_slices(trial)
-            trial_cores, trial_report = _assemble(trial, mu, grav, cfg)
-            new_grad = gradient_pi(trial, mu, grav, cfg, cores=trial_cores)
         direction = [-g + beta * d for g, d in zip(new_grad, direction)]
 
         path, cores, report = trial, trial_cores, trial_report
@@ -530,9 +526,29 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     else:
         iters = opts.max_iter
 
-    path.pressures = _recover_pressures(cores, mu)
     report.grad_norm_history = [float(g) for g in history]
     report.iterations = iters
+    return path, cores, report, converged, message
+
+
+def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
+             opts: MinimizeConfig = MinimizeConfig(),
+             on_iteration: Optional[Callable[[int, float, float], None]] = None
+             ) -> MinimizeResult:
+    """Descend the functional over the free slices of an incompressible path.
+
+    All iterates stay on the divergence-free affine subspace with the initial
+    state pinned; the pressures of the result are the recovered multipliers.
+    The accepted-step values of the functional are monotone non-increasing.
+    """
+    if path0.kind != "incompressible":
+        raise ValueError("minimize handles the incompressible kind; "
+                         "see minimize_compressible for barotropic paths")
+    start = time.perf_counter()
+    path = _project_free_slices(path0)
+    path, cores, report, converged, message = _descend(
+        path, path.with_velocities, mu, grav, cfg, opts, on_iteration)
+    path.pressures = _recover_pressures(cores, mu)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)
 
@@ -540,73 +556,24 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
 def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
                           cfg: ConjugateSolve,
                           opts: MinimizeConfig = MinimizeConfig()) -> MinimizeResult:
-    """Experimental descent for barotropic paths.
+    """Descend the functional over the free slices of a barotropic path.
 
-    The density is re-slaved to the mass balance inside every evaluation and
-    the gradient freezes the density/pressure response, so directions are
-    only approximately steepest; Armijo still guarantees monotone decrease.
-    A trial step whose density cannot be re-slaved (DensityError) is
-    rejected and the step shortened, like an Armijo failure.
+    The densities are re-slaved to the mass balance for every trial path, a
+    trial whose densities cannot be re-slaved is a rejected step, and the
+    gradient freezes the density/pressure response, so the search directions
+    are approximate; Armijo still guarantees monotone decrease.
     """
     if path0.kind != "compressible":
         raise ValueError("minimize_compressible needs a barotropic path")
     start = time.perf_counter()
-    eos = path0.eos
-    times = path0.times
-    rho0_field = path0.states[0].rho
+    s0 = path0.states[0]
 
-    def rebuild(velocities: list[VectorField]) -> Path:
-        densities = slave_density(rho0_field, [path0.states[0].v] + velocities, times, eos)
-        return compressible_path(path0.grid, eos, times,
-                                 [path0.states[0].v] + velocities, densities)
+    def rebuild(free: list[VectorField]) -> Path:
+        velocities = [s0.v] + free
+        densities = slave_density(s0.rho, velocities, path0.times, path0.eos)
+        return compressible_path(path0.grid, path0.eos, path0.times, velocities, densities)
 
-    path = rebuild([s.v for s in path0.states[1:]])
-    cores, report = _assemble(path, mu, grav, cfg)
-    pi_val = report.total_pi
-    tol_pi = opts.tol_pi_rel * report.dissipation_integral
-    grad = gradient_pi(path, mu, grav, cfg, cores=cores, project=False)
-    gnorm0 = np.sqrt(max(path_dot(grad, grad), 0.0))
-    history = [gnorm0]
-    converged, message, iters = False, "max_iter reached", 0
-    alpha_prev = None
-
-    for it in range(opts.max_iter):
-        if pi_val <= tol_pi or history[-1] <= opts.tol_grad_rel * gnorm0:
-            converged, message = True, "tolerance reached"
-            break
-        direction = [-g for g in grad]
-        slope = path_dot(grad, direction)
-        dnorm = np.sqrt(max(path_dot(direction, direction), 0.0))
-        if dnorm == 0.0:
-            converged, message = True, "vanishing gradient"
-            break
-        alpha = 2.0 * alpha_prev if alpha_prev else 1.0 / dnorm
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            try:
-                trial = rebuild([path.states[j + 1].v + alpha * direction[j]
-                                 for j in range(path.n_intervals)])
-            except DensityError:
-                # the step left the densities' domain: reject it like an
-                # Armijo failure
-                alpha *= opts.backtrack_factor
-                continue
-            trial_cores, trial_report = _assemble(trial, mu, grav, cfg)
-            if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
-                accepted = True
-                break
-            alpha *= opts.backtrack_factor
-        if not accepted:
-            message = "line search failed; returning last accepted path"
-            break
-        alpha_prev = alpha
-        path, cores, report = trial, trial_cores, trial_report
-        pi_val = report.total_pi
-        grad = gradient_pi(path, mu, grav, cfg, cores=cores, project=False)
-        history.append(np.sqrt(max(path_dot(grad, grad), 0.0)))
-        iters = it + 1
-
-    report.grad_norm_history = [float(g) for g in history]
-    report.iterations = iters
+    path, _, report, converged, message = _descend(
+        rebuild([s.v for s in path0.states[1:]]), rebuild, mu, grav, cfg, opts)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)

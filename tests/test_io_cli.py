@@ -287,6 +287,26 @@ class TestCli:
         assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("restart_every", 0), ("max_iter", "abc"), ("backtrack_factor", 0),
+        ("backtrack_factor", 1.5)])
+    def test_bad_minimizer_setting_exits_config(self, tmp_path, key, value):
+        cfg = _write_config(tmp_path, overrides={f"minimizer.{key}": value})
+        with pytest.raises(ConfigError, match=f"minimizer.{key}"):
+            load_config(cfg)
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("case.id", "taylor_gren", "case.id"),
+        ("case.parameters", 5, "case.parameters"),
+        ("case.parameters", {"nu": "abc"}, "case.parameters.nu"),
+        ("gravitation.parameters", 5, "gravitation.parameters")])
+    def test_bad_case_or_gravitation_exits_config(self, tmp_path, key, value, match):
+        cfg = _write_config(tmp_path, overrides={key: value})
+        with pytest.raises(ConfigError, match=match):
+            load_config(cfg)
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
     def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
         # the conjugate block is accepted and ignored ...
         cfg = _write_config(tmp_path, overrides={"conjugate.tol": 1e-3})
