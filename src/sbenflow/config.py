@@ -73,14 +73,15 @@ def _need(raw: dict, key: str, default: dict | None = None) -> dict:
 
 
 def _get(block: dict, path: str, key: str, cast, default=None):
+    name = f"{path}.{key}" if path else key
     if key not in block:
         if default is None:
-            raise ConfigError(f"missing config field {path}.{key}")
+            raise ConfigError(f"missing config field {name}")
         return default
     try:
         return cast(block[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {path}.{key}: {exc}") from exc
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
 def _finite(value) -> float:
@@ -88,6 +89,13 @@ def _finite(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{x} is not finite")
     return x
+
+
+def _seed(value) -> int:
+    """A random seed: a JSON integer >= 0, not a bool, fraction or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{value!r} is not an integer >= 0")
+    return value
 
 
 def _params(block: dict, path: str) -> dict[str, float]:
@@ -173,7 +181,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     return RunConfig(grid=grid, eos=eos, viscosity=viscosity, gravitation=gravitation,
                      time=time_block, case=case, conjugate=conjugate,
-                     minimizer=minimizer, seed=int(raw.get("seed", 42)))
+                     minimizer=minimizer, seed=_get(raw, "", "seed", _seed, 42))
 
 
 def load_config(path: str) -> RunConfig:

@@ -19,6 +19,15 @@ backtracking minimizes both kinds with the initial state pinned: the
 incompressible kind on the divergence-free affine subspace, the compressible
 kind with the densities re-slaved to the mass balance on every trial path
 and a gradient that freezes the density response.
+
+The incompressible descent is preconditioned by the exact inverse of the
+functional's Hessian on linear Stokes paths (see _stokes_preconditioner):
+one pair of bidiagonal sweeps over the slices per wavenumber.  Every line
+search then starts at the unit step, and the stencil null modes (per-slice
+means and checkerboards) stay at the start's values.  K annihilates them, so
+the functional reaches them through the pairing term (and advection) only;
+that term telescopes to rho0/2 |null part of the last slice|^2, and a
+descent left free to move them drifts every slice's null part to lower it.
 """
 
 from __future__ import annotations
@@ -441,15 +450,60 @@ def _project_free_slices(path: Path) -> Path:
     return path.with_velocities(free)
 
 
+Preconditioner = Callable[[list[VectorField]], list[VectorField]]
+
+
+def _stokes_preconditioner(path: Path, mu: float) -> Preconditioner:
+    """Exact inverse of the incompressible functional's Hessian on Stokes paths.
+
+    On divergence-free fields K acts per wavenumber as the scalar
+    a = mu |s|^2.  With advection dropped, interval k's residual is
+    r_k = alpha v_(k+1) + beta v_k with alpha = a/2 + rho0/dt and
+    beta = a/2 - rho0/dt, and Pi = sum_k (dt / 2a) |r_k|^2.  With v_0 pinned,
+    r = B v for a lower-bidiagonal B, so the Hessian over the free slices is
+    (dt / a) B^T B and its inverse is applied per mode by a backward sweep
+    B^T y = g, a forward sweep B z = y and the factor a / dt.  The sweeps are
+    stable because |beta / alpha| < 1.  The factor vanishes on the stencil
+    null modes (a = 0), so the preconditioned directions never move them.
+    A scalar per mode, the operator commutes with leray_project.
+    """
+    grid = path.grid
+    sym = fd.spectral_symbols(grid)
+    a = mu * (sym.sx**2 + sym.sy**2)
+    alpha = 0.5 * a + path.eos.rho0 / path.dt
+    beta = 0.5 * a - path.eos.rho0 / path.dt
+    scale = a / path.dt
+
+    def apply(grads: list[VectorField]) -> list[VectorField]:
+        h = np.fft.rfft2(np.stack([g.data for g in grads]))
+        n = len(grads)
+        h[n - 1] /= alpha
+        for k in range(n - 2, -1, -1):      # B^T y = g, upper bidiagonal
+            h[k] = (h[k] - beta * h[k + 1]) / alpha
+        h[0] /= alpha
+        for k in range(1, n):               # B z = y, lower bidiagonal
+            h[k] = (h[k] - beta * h[k - 1]) / alpha
+        out = np.fft.irfft2(h * scale, s=grid.shape)
+        return [VectorField(grid, z) for z in out]
+
+    return apply
+
+
 def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
              grav: Gravitation, cfg: ConjugateSolve, opts: MinimizeConfig,
-             on_iteration: Optional[Callable[[int, float, float], None]] = None
+             on_iteration: Optional[Callable[[int, float, float], None]] = None,
+             precondition: Optional[Preconditioner] = None
              ) -> tuple[Path, list[_IntervalCore], SbenReport, bool, str]:
     """Nonlinear conjugate gradient (Polak-Ribiere+, periodic restart) with
     Armijo backtracking over the free slices of a feasible start path.
 
     build(free) makes the trial path from the free velocities; a trial it
     cannot make (DensityError) is a rejected step, like an Armijo failure.
+    With a preconditioner P the direction is -P g + beta d, with
+    beta = <g+, P g+ - P g> / <g, P g>, a non-descent direction resets to
+    -P g, and every line search starts at the unit step.  Without one
+    (P = identity) the first step is half the path's velocity scale along
+    the direction and each later one starts at twice the last accepted step.
     Returns the last accepted path, its cores and report (with the gradient
     norm history and iteration count), and the convergence flag and message.
     """
@@ -457,10 +511,11 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
     grad = gradient_pi(path, mu, grav, cfg, cores=cores)
+    pgrad = grad if precondition is None else precondition(grad)
     gnorm0 = np.sqrt(max(path_dot(grad, grad), 0.0))
     history = [gnorm0]
 
-    direction = [-g for g in grad]
+    direction = [-p for p in pgrad]
     alpha_prev = None
     converged = False
     message = "max_iter reached"
@@ -477,14 +532,16 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
 
         slope = path_dot(grad, direction)
         if slope >= 0:
-            direction = [-g for g in grad]
-            slope = -path_dot(grad, grad)
+            direction = [-p for p in pgrad]
+            slope = -path_dot(grad, pgrad)
 
         dnorm = np.sqrt(max(path_dot(direction, direction), 0.0))
         if dnorm == 0.0:
             converged, message = True, "vanishing search direction"
             break
-        if alpha_prev is None:
+        if precondition is not None:
+            alpha = 1.0
+        elif alpha_prev is None:
             vel_scale = max(np.sqrt(sum(fd.inner(s.v, s.v) for s in path.states)
                                     / len(path.states)), 1e-12)
             alpha = 0.5 * vel_scale / dnorm
@@ -510,15 +567,16 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
 
         alpha_prev = alpha
         new_grad = gradient_pi(trial, mu, grav, cfg, cores=trial_cores)
-        beta = max(0.0, (path_dot(new_grad, new_grad) - path_dot(new_grad, grad))
-                   / max(path_dot(grad, grad), 1e-300))
+        new_pgrad = new_grad if precondition is None else precondition(new_grad)
+        beta = max(0.0, (path_dot(new_grad, new_pgrad) - path_dot(new_grad, pgrad))
+                   / max(path_dot(grad, pgrad), 1e-300))
         if (it + 1) % opts.restart_every == 0:
             beta = 0.0
-        direction = [-g + beta * d for g, d in zip(new_grad, direction)]
+        direction = [-p + beta * d for p, d in zip(new_pgrad, direction)]
 
         path, cores, report = trial, trial_cores, trial_report
         pi_val = report.total_pi
-        grad = new_grad
+        grad, pgrad = new_grad, new_pgrad
         history.append(np.sqrt(max(path_dot(grad, grad), 0.0)))
         iters = it + 1
         if on_iteration is not None:
@@ -540,6 +598,9 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     All iterates stay on the divergence-free affine subspace with the initial
     state pinned; the pressures of the result are the recovered multipliers.
     The accepted-step values of the functional are monotone non-increasing.
+    The descent is preconditioned by the exact Stokes Hessian inverse
+    (_stokes_preconditioner), so each line search starts at the unit step
+    and the stencil null modes of the free slices keep the start's values.
     """
     if path0.kind != "incompressible":
         raise ValueError("minimize handles the incompressible kind; "
@@ -547,7 +608,8 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     start = time.perf_counter()
     path = _project_free_slices(path0)
     path, cores, report, converged, message = _descend(
-        path, path.with_velocities, mu, grav, cfg, opts, on_iteration)
+        path, path.with_velocities, mu, grav, cfg, opts, on_iteration,
+        _stokes_preconditioner(path, mu))
     path.pressures = _recover_pressures(cores, mu)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)

@@ -169,7 +169,9 @@ def test_criterion_5_minimization_recovery(recovery_run):
     assert rel_l2 <= 0.05
     assert r["wall"] < 600.0, _budget_fail
     _announce(5, f"Pi reduced {reduction:.2e}x >= 10, recovered path "
-                 f"{100 * rel_l2:.3f}% from reference <= 5% ({r['wall']:.1f}s)")
+                 f"{100 * rel_l2:.2e}% from reference <= 5% "
+                 f"({r['result'].report.iterations} NCG iterations, "
+                 f"minimize {r['wall']:.2f}s)")
 
 
 # --- criterion 6: adjoint gradient against finite differences ------------------

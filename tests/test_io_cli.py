@@ -35,8 +35,11 @@ BASE_CONFIG = {
 def _write_config(tmp_path, overrides=None, drop=None):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for key, val in (overrides or {}).items():
-        block, field = key.split(".")
-        cfg[block][field] = val
+        if "." in key:
+            block, field = key.split(".")
+            cfg[block][field] = val
+        else:
+            cfg[key] = val
     if drop:
         del cfg[drop]
     p = tmp_path / "cfg.json"
@@ -304,6 +307,13 @@ class TestCli:
     def test_bad_case_or_gravitation_exits_config(self, tmp_path, key, value, match):
         cfg = _write_config(tmp_path, overrides={key: value})
         with pytest.raises(ConfigError, match=match):
+            load_config(cfg)
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", 1.5, True, -1, None])
+    def test_bad_seed_exits_config(self, tmp_path, value):
+        cfg = _write_config(tmp_path, overrides={"seed": value})
+        with pytest.raises(ConfigError, match="seed"):
             load_config(cfg)
         assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 

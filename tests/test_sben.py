@@ -289,6 +289,67 @@ class TestMinimize:
         assert result.report.total_pi < pi_noisy / 10
 
 
+def _taylor_green_reference(grid, n_out, n_ref, t_final=0.5):
+    grav = Gravitation(grid, "zero")
+    case = CaseSpec("taylor_green", grid, t_final, n_ref, {"nu": 0.1, "amplitude": 1.0})
+    return grav, reference_path(case, 0.1, grav, n_out=n_out)
+
+
+def _rel_l2(path, ref):
+    num = sum(fd.inner(a.v - b.v, a.v - b.v) for a, b in zip(path.states, ref.states))
+    return np.sqrt(num / sum(fd.inner(b.v, b.v) for b in ref.states))
+
+
+class TestStokesPreconditioner:
+    TIGHT = MinimizeConfig(max_iter=800, tol_pi_rel=1e-10, tol_grad_rel=1e-9)
+
+    def test_sixteen_intervals_converge(self, grid16, rng):
+        # measured: 17 iterations, rel_l2 5.2e-7; plain NCG stopped at
+        # max_iter 800 (Pi 1.3e-5) on the same start
+        grav, ref = _taylor_green_reference(grid16, n_out=16, n_ref=64)
+        free = []
+        for s in ref.states[1:]:
+            noise = random_solenoidal(grid16, rng, kmax=3)
+            free.append(s.v + 0.10 * np.sqrt(fd.inner(s.v, s.v) / fd.inner(noise, noise))
+                        * noise)
+        result = minimize(ref.with_velocities(free), 0.1, grav, CFG, self.TIGHT)
+        rel_l2 = _rel_l2(result.path, ref)
+        print(f"16 intervals: {result.report.iterations} iterations, rel_l2 {rel_l2:.2e}")
+        assert result.converged
+        assert result.report.iterations <= 40
+        assert rel_l2 <= 1e-5
+
+    def test_cold_start_taylor_green_converges_in_one_iteration(self, grid16):
+        # the vortex is a Stokes solution (its advection is a pure gradient),
+        # on which the preconditioner is the exact Hessian inverse; measured
+        # Pi = -1.3e-15 after the one step, rel_l2 7.3e-7
+        grav, ref = _taylor_green_reference(grid16, n_out=8, n_ref=32)
+        v0, _ = leray_project(ref.states[0].v)
+        result = minimize(ref.with_velocities([v0] * 8), 0.1, grav, CFG, self.TIGHT)
+        assert result.converged
+        assert result.report.iterations == 1
+        assert _rel_l2(result.path, ref) <= 1e-5
+
+    def test_stencil_null_modes_are_held(self, grid16):
+        # a checkerboard in v_x and a mean in v_y on every free slice.  The
+        # descent cannot move them, so Pi stops at what the pairing term
+        # keeps of them, rho0/2 |null part of the last slice|^2 = 9.87e-3.
+        # Plain NCG moved slice 8's to 0.0086/0.0173 in 10 iterations and
+        # to 0.0010/0.0021 (Pi 1.2e-4) in 50.
+        grav, ref = _taylor_green_reference(grid16, n_out=8, n_ref=32)
+        i, j = np.indices(grid16.shape)
+        checker = (-1.0) ** (i + j)
+        null = np.zeros((3,) + grid16.shape)
+        null[0], null[1] = 0.01 * checker, 0.02
+        start = ref.with_velocities([s.v + VectorField(grid16, null) for s in ref.states[1:]])
+        result = minimize(start, 0.1, grav, CFG, MinimizeConfig(max_iter=10))
+        for s in result.path.states[1:]:
+            assert abs((s.v.data[0] * checker).mean() - 0.01) <= 1e-12
+            assert abs(s.v.data[1].mean() - 0.02) <= 1e-12
+        floor = 0.5 * (0.01**2 + 0.02**2) * grid16.lx * grid16.ly
+        assert result.report.total_pi == pytest.approx(floor, rel=1e-6)
+
+
 class TestMultiplierPressure:
     def test_pressure_matches_analytic_on_reference(self, grid32):
         # the recovered Lagrange multiplier approximates the vortex pressure
