@@ -58,8 +58,11 @@ class BarotropicPowerEos:
         if self.gamma < 1.0:
             raise ValueError("gamma must be >= 1")
 
-    def pressure(self, rho: np.ndarray) -> np.ndarray:
-        return self.p0 * (np.asarray(rho) / self.rho0) ** self.gamma
+    def pressure(self, rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """p0 (rho/rho0)^gamma; with out, every step is computed in place there."""
+        r = np.divide(rho, self.rho0, out=out)
+        r **= self.gamma
+        return np.multiply(self.p0, r, out=out)
 
     def internal_energy(self, rho: np.ndarray) -> np.ndarray:
         """Specific internal energy from de/drho = p/rho^2 (zero constant for gamma=1)."""

@@ -202,10 +202,19 @@ class Tensor33Field(_FieldOps):
 # where the flat offset runs into the neighbouring row or block, are
 # overwritten.  Each output is a[i+1] - a[i-1] over 2h, the operands and
 # order of (roll(a, -1) - roll(a, 1)) / 2h, so results match it bit for bit.
+# A given out must be C-contiguous, of a's shape, and must not overlap a.
 
-def _ddx(grid: Grid2P, a: np.ndarray) -> np.ndarray:
+def _out_for(a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    if out is None:
+        return np.empty_like(a)
+    if out.shape != a.shape or not out.flags.c_contiguous or np.may_share_memory(a, out):
+        raise ValueError("out must be a C-contiguous array of the input's shape, apart from it")
+    return out
+
+
+def _ddx(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     a = np.ascontiguousarray(a)
-    out = np.empty_like(a)
+    out = _out_for(a, out)
     step = a.shape[-1]
     flat, flat_out = a.reshape(-1), out.reshape(-1)
     np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
@@ -215,9 +224,9 @@ def _ddx(grid: Grid2P, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ddy(grid: Grid2P, a: np.ndarray) -> np.ndarray:
+def _ddy(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     a = np.ascontiguousarray(a)
-    out = np.empty_like(a)
+    out = _out_for(a, out)
     flat, flat_out = a.reshape(-1), out.reshape(-1)
     np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
     np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
@@ -226,14 +235,18 @@ def _ddy(grid: Grid2P, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None
+def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None,
+                        out: Optional[tuple[np.ndarray, np.ndarray]] = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx ax, d/dy ay) for arrays of shape (..., nx, ny); ay defaults to ax.
 
     With one array these are the two in-plane columns of its Jacobian; with
-    the two columns of a Jacobian, their sum is the Laplacian.
+    the two columns of a Jacobian, their sum is the Laplacian.  With out, a
+    pair of C-contiguous arrays apart from the inputs, the two differences
+    are written there and returned.
     """
-    return _ddx(grid, ax), _ddy(grid, ax if ay is None else ay)
+    out_x, out_y = (None, None) if out is None else out
+    return _ddx(grid, ax, out_x), _ddy(grid, ax if ay is None else ay, out_y)
 
 
 def grad_scalar(s: ScalarField) -> VectorField:

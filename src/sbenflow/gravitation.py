@@ -1,18 +1,21 @@
 """Galilean gravitation: scalar/vector potentials and the derived fields.
 
 The potentials (phi, A) are analytic presets sampled onto the grid; gravity
-and the rotation vector are always recomputed from them,
+and the rotation vector are derived from them,
 
     g = -grad(phi) - dA/dt,        Omega = (1/2) curl(A),
 
 with every derivative taken analytically from the preset, never by
 differencing sampled data.  That keeps non-periodic potentials (uniform
 gravity, rigid rotation) usable: their derived fields are constant or
-periodic even though phi and A themselves are not.
+periodic even though phi and A themselves are not.  Every preset is steady
+in time, so g and Omega are built once per instance, on first use, and
+shared read-only: no caller can change what the next one sees.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -92,13 +95,28 @@ class Gravitation:
     # derived fields ---------------------------------------------------------
 
     def gravity(self, t: float) -> VectorField:
-        return -self.grad_phi(t) - self.dA_dt(t)
+        """-grad(phi) - dA/dt, read-only and the same for every t."""
+        return self._gravity
 
     def coriolis_vector(self, t: float) -> VectorField:
+        """(1/2) curl(A), read-only and the same for every t."""
+        return self._coriolis
+
+    @functools.cached_property
+    def _gravity(self) -> VectorField:
+        return _read_only(-self.grad_phi(0.0) - self.dA_dt(0.0))
+
+    @functools.cached_property
+    def _coriolis(self) -> VectorField:
         omega = VectorField.zeros(self.grid)
         if self.preset == "rigid_rotation":
             omega.data[2] = self._omega()
-        return omega
+        return _read_only(omega)
+
+
+def _read_only(v: VectorField) -> VectorField:
+    v.data.flags.writeable = False
+    return v
 
 
 def eval_gravity(g: Gravitation, t: float) -> VectorField:

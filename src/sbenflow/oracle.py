@@ -3,8 +3,11 @@
 These steppers are deliberately plain: explicit midpoint Runge-Kutta on the
 same periodic central-difference operators used everywhere else, with a
 divergence projection for the incompressible equation and the conservative
-mass update for the barotropic one.  Transparency beats performance here;
-desk-scale grids keep explicit steps cheap.
+mass update for the barotropic one.  They are also the reference trajectories
+every benchmark pipeline steps, so their stages run in place: each step writes
+its temporaries into a StepScratch reused across the steps of a run, and
+allocates only the new state's velocity (and density).  The arithmetic is
+that of the public operators, operand for operand, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -103,76 +106,177 @@ def stable_dt_compressible(state: FluidState, mu: float) -> float:
     return 0.5 / max(adv + diff, 1e-300)
 
 
-def _advection_and_laplacian(v: VectorField
-                             ) -> tuple[VectorField, VectorField, np.ndarray, np.ndarray]:
-    """advect(v, v), laplacian(v) and the Jacobian columns dv/dx, dv/dy they
-    are built from.  v is differentiated once, and the expressions are those
-    of fd.advect and fd.laplacian, so the bits are theirs."""
-    g = v.grid
-    vx, vy = fd.central_differences(g, v.data)
-    vxx, vyy = fd.central_differences(g, vx, vy)
-    return VectorField(g, v.data[0] * vx + v.data[1] * vy), VectorField(g, vxx + vyy), vx, vy
+class StepScratch:
+    """Work arrays of the RK2 steps on one grid, overwritten by every step.
+
+    reference_path makes one per run and passes it to each step; a step
+    called without one makes its own.  No state a step returns shares memory
+    with them.
+    """
+
+    def __init__(self, grid: Grid2P):
+        self.grid = grid
+        vector = (3, *grid.shape)
+        # the Jacobian columns dv/dx, dv/dy, then the advection term
+        self.vx, self.vy = np.empty(vector), np.empty(vector)
+        # the Laplacian, then the viscous and Coriolis terms; tmp is scratch
+        self.lap, self.tmp = np.empty(vector), np.empty(vector)
+        # a stage's velocity slope and the midpoint velocity
+        self.k, self.v_half = np.empty(vector), np.empty(vector)
+        # compressible only: pressure, div(v) and d/dx(rho v_x), then the
+        # density slope and the midpoint density
+        self.p, self.div = np.empty(grid.shape), np.empty(grid.shape)
+        self.drho, self.rho_half = np.empty(grid.shape), np.empty(grid.shape)
+
+    def check(self, grid: Grid2P) -> "StepScratch":
+        if grid != self.grid:
+            raise ValueError("scratch was made for another grid")
+        return self
 
 
-def _incompressible_rhs(v: VectorField, t: float, nu: float, grav: Gravitation) -> VectorField:
-    adv, lap, _, _ = _advection_and_laplacian(v)
-    omega = grav.coriolis_vector(t)
-    rhs = -adv + nu * lap + grav.gravity(t) - 2.0 * fd.cross(omega, v)
-    projected, _ = leray_project(rhs)
-    return projected
+# The right-hand sides below write each stage into the scratch arrays with
+# ufunc out=.  Every value is computed from the operands, and in the order, of
+# the public operators' expressions (fd.advect, fd.laplacian, fd.grad_scalar,
+# fd.div_vector, fd.cross, fd.scalar_times_vector, the field arithmetic), so
+# the bits are theirs; tests/test_oracle.py keeps that composition as the
+# reference.  The projection is called through this module's leray_project.
+
+def _jacobian_and_laplacian(v: np.ndarray, w: StepScratch) -> tuple[np.ndarray, np.ndarray]:
+    """Differentiate v once: returns its Jacobian columns dv/dx, dv/dy (in
+    w.vx, w.vy) and leaves laplacian(v) = d/dx(dv/dx) + d/dy(dv/dy) in w.lap."""
+    g = w.grid
+    vx, vy = fd.central_differences(g, v, out=(w.vx, w.vy))
+    lap, vyy = fd.central_differences(g, vx, vy, out=(w.lap, w.tmp))
+    lap += vyy
+    return vx, vy
 
 
-def step_incompressible(state: FluidState, dt: float, mu: float,
-                        grav: Gravitation) -> FluidState:
-    """One explicit midpoint RK2 step of the projected momentum equation."""
+def _advect(v: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """advect(v, v) = v_x dv/dx + v_y dv/dy, written over the columns, into vx."""
+    np.multiply(v[0], vx, out=vx)
+    np.multiply(v[1], vy, out=vy)
+    vx += vy
+    return vx
+
+
+def _add_body_forces(acc: np.ndarray, v: np.ndarray, t: float, grav: Gravitation,
+                     w: StepScratch, out: np.ndarray) -> np.ndarray:
+    """acc + g - 2.0 * cross(Omega, v) into out; acc is overwritten.  The
+    cross product is built in w.lap, w.tmp[0] holding its second products."""
+    acc += grav.gravity(t).data
+    omega, c, tmp = grav.coriolis_vector(t).data, w.lap, w.tmp[0]
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(omega[j], v[k], out=c[i])
+        np.multiply(omega[k], v[j], out=tmp)
+        c[i] -= tmp
+    c *= 2.0
+    return np.subtract(acc, c, out=out)
+
+
+def _incompressible_rhs(v: np.ndarray, t: float, nu: float, grav: Gravitation,
+                        w: StepScratch) -> np.ndarray:
+    """leray_project(-advect(v, v) + nu laplacian(v) + g - 2 Omega x v) into w.k."""
+    adv = _advect(v, *_jacobian_and_laplacian(v, w))
+    np.negative(adv, out=adv)
+    w.lap *= nu
+    adv += w.lap
+    rhs = _add_body_forces(adv, v, t, grav, w, out=adv)
+    projected, _ = leray_project(VectorField(w.grid, rhs), out=w.k)
+    return projected.data
+
+
+def step_incompressible(state: FluidState, dt: float, mu: float, grav: Gravitation,
+                        scratch: Optional[StepScratch] = None) -> FluidState:
+    """One explicit midpoint RK2 step of the projected momentum equation.
+
+    The stages work in scratch (see StepScratch); the new velocity is the
+    only array the step allocates for its result.
+    """
     if not isinstance(state.eos, IncompressibleEos):
         raise ValueError("state must carry an incompressible EOS")
     dt_max = stable_dt_incompressible(state, mu)
     if dt > dt_max:
         raise UnstableStepError(dt, dt_max)
+    w = StepScratch(state.grid) if scratch is None else scratch.check(state.grid)
     nu = mu / state.eos.rho0
-    k1 = _incompressible_rhs(state.v, state.t, nu, grav)
-    v_half = state.v + (0.5 * dt) * k1
-    k2 = _incompressible_rhs(v_half, state.t + 0.5 * dt, nu, grav)
-    v_new, _ = leray_project(state.v + dt * k2)
+    v = state.v.data
+    k1 = _incompressible_rhs(v, state.t, nu, grav, w)
+    k1 *= 0.5 * dt
+    v_half = np.add(v, k1, out=w.v_half)
+    k2 = _incompressible_rhs(v_half, state.t + 0.5 * dt, nu, grav, w)
+    k2 *= dt
+    v_new, _ = leray_project(VectorField(state.grid, np.add(v, k2, out=k2)))
     return FluidState(state.t + dt, v_new, state.rho, state.eos)
 
 
-def _compressible_rhs(v: VectorField, rho: ScalarField, t: float, mu: float,
-                      eos: BarotropicPowerEos, grav: Gravitation
-                      ) -> tuple[VectorField, ScalarField]:
-    p = ScalarField(rho.grid, eos.pressure(rho.data))
-    adv, lap, vx, vy = _advection_and_laplacian(v)
-    div_v = ScalarField(v.grid, vx[0] + vy[1])  # div_vector(v), from the same columns
-    visc = mu * lap + (mu / 3.0) * fd.grad_scalar(div_v)
-    omega = grav.coriolis_vector(t)
-    dv = (-adv
-          + VectorField(v.grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
-          + grav.gravity(t) - 2.0 * fd.cross(omega, v))
-    drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
+def _compressible_rhs(v: np.ndarray, rho: np.ndarray, t: float, mu: float,
+                      eos: BarotropicPowerEos, grav: Gravitation, w: StepScratch
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(dv/dt, drho/dt) of the barotropic system into (w.k, w.drho):
+
+    dv/dt = -advect(v, v) + (mu lap(v) + (mu/3) grad(div v) - grad p) / rho
+            + g - 2 Omega x v,        drho/dt = -div(rho v).
+    """
+    g = w.grid
+    p = eos.pressure(rho, out=w.p)
+    vx, vy = _jacobian_and_laplacian(v, w)
+    div_v = np.add(vx[0], vy[1], out=w.div)  # div_vector(v), from the same columns
+    # grad_scalar's zero z component goes through the arithmetic like the
+    # others: (mu/3) * 0 and visc_z - 0 can flip the sign of a zero
+    grad, visc = w.tmp, w.lap
+    visc *= mu
+    fd.central_differences(g, div_v, out=(grad[0], grad[1]))
+    grad[2] = 0.0
+    grad *= mu / 3.0
+    visc += grad
+    fd.central_differences(g, p, out=(grad[0], grad[1]))
+    grad[2] = 0.0
+    visc -= grad
+    visc /= rho
+    acc = _advect(v, vx, vy)
+    np.negative(acc, out=acc)
+    acc += visc
+    dv = _add_body_forces(acc, v, t, grav, w, out=w.k)
+    # -div_vector(scalar_times_vector(rho, v)): only the in-plane components
+    # of rho v are differenced
+    m = w.tmp
+    np.multiply(rho, v[0], out=m[0])
+    np.multiply(rho, v[1], out=m[1])
+    ddx_m, drho = fd.central_differences(g, m[0], m[1], out=(w.div, w.drho))
+    np.add(ddx_m, drho, out=drho)
+    np.negative(drho, out=drho)
     return dv, drho
 
 
-def step_compressible(state: FluidState, dt: float, mu: float,
-                      grav: Gravitation) -> FluidState:
+def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation,
+                      scratch: Optional[StepScratch] = None) -> FluidState:
     """One explicit midpoint RK2 step of the barotropic system.
 
     The density update is in divergence form, so total mass is conserved to
-    round-off every step.
+    round-off every step.  The stages work in scratch (see StepScratch); the
+    new velocity and density are the only arrays the step allocates for its
+    result.
     """
     if not isinstance(state.eos, BarotropicPowerEos):
         raise ValueError("state must carry a barotropic EOS")
     dt_max = stable_dt_compressible(state, mu)
     if dt > dt_max:
         raise UnstableStepError(dt, dt_max)
-    dv1, drho1 = _compressible_rhs(state.v, state.rho, state.t, mu, state.eos, grav)
-    v_half = state.v + (0.5 * dt) * dv1
-    rho_half = state.rho + (0.5 * dt) * drho1
-    if np.any(rho_half.data <= 0):
+    w = StepScratch(state.grid) if scratch is None else scratch.check(state.grid)
+    v, rho = state.v.data, state.rho.data
+    dv1, drho1 = _compressible_rhs(v, rho, state.t, mu, state.eos, grav, w)
+    dv1 *= 0.5 * dt
+    drho1 *= 0.5 * dt
+    v_half = np.add(v, dv1, out=w.v_half)
+    rho_half = np.add(rho, drho1, out=w.rho_half)
+    if np.any(rho_half <= 0):
         raise DensityError("density became non-positive; reduce dt or the perturbation")
-    dv2, drho2 = _compressible_rhs(v_half, rho_half, state.t + 0.5 * dt, mu, state.eos, grav)
-    v_new = state.v + dt * dv2
-    rho_new = state.rho + dt * drho2
+    dv2, drho2 = _compressible_rhs(v_half, rho_half, state.t + 0.5 * dt, mu, state.eos,
+                                   grav, w)
+    dv2 *= dt
+    drho2 *= dt
+    v_new = VectorField(state.grid, v + dv2)
+    rho_new = ScalarField(state.grid, rho + drho2)
     if np.any(rho_new.data <= 0):
         raise DensityError("density became non-positive; reduce dt or the perturbation")
     return FluidState(state.t + dt, v_new, rho_new, state.eos)
@@ -222,13 +326,13 @@ def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
     dt = case.t_final / case.n_ref
 
     state = initial_state(case)
-    compressible = isinstance(state.eos, BarotropicPowerEos)
-    if compressible:
-        stepper = lambda s: step_compressible(s, dt, mu, grav)
+    scratch = StepScratch(case.grid)
+    if isinstance(state.eos, BarotropicPowerEos):
+        stepper = lambda s: step_compressible(s, dt, mu, grav, scratch)
     else:
         v0, _ = leray_project(state.v)
         state = FluidState(state.t, v0, state.rho, state.eos)
-        stepper = lambda s: step_incompressible(s, dt, mu, grav)
+        stepper = lambda s: step_incompressible(s, dt, mu, grav, scratch)
 
     states = [state]
     for n in range(case.n_ref):

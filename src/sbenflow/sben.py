@@ -47,7 +47,8 @@ from .gravitation import Gravitation
 
 # --- divergence-free projection --------------------------------------------
 
-def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
+def leray_project(v: VectorField, out: Optional[np.ndarray] = None
+                  ) -> tuple[VectorField, ScalarField]:
     """Split v = v_df + grad(q) with div(v_df) = 0 on the periodic grid.
 
     The pressure Poisson equation laplacian(q) = div(v), with the Laplacian
@@ -55,15 +56,32 @@ def leray_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     q_hat = -i (s . v_hat) / |s|^2, zero on the stencil null modes.  The
     projector is therefore idempotent to round-off, and means and the
     checkerboard modes pass through untouched.
+
+    With out, a C-contiguous (3, nx, ny) array apart from v, v_df is written
+    there; every other temporary beyond the two FFT outputs is written in
+    place, with the operands and order of the formulas above.
     """
     if not np.isfinite(v.data).all():
         raise FloatingPointError("pressure Poisson solve: non-finite input")
+    if out is not None and np.may_share_memory(v.data, out):
+        raise ValueError("leray_project: out must not overlap the input")
     grid = v.grid
     sym = fd.spectral_symbols(grid)
-    vh = np.fft.rfft2(v.data[:2])
-    qh = -1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2
-    q = ScalarField(grid, np.fft.irfft2(qh, s=grid.shape))
-    return v - fd.grad_scalar(q), q
+    qh, qh_y = np.fft.rfft2(v.data[:2])
+    np.multiply(sym.sx, qh, out=qh)
+    np.multiply(sym.sy, qh_y, out=qh_y)
+    np.add(qh, qh_y, out=qh)
+    np.multiply(-1j, qh, out=qh)
+    np.multiply(qh, sym.inv_s2, out=qh)
+    q = np.fft.irfft2(qh, s=grid.shape)
+    if out is None:
+        out = np.empty_like(v.data)
+    # v - grad(q): the gradient is differenced into out, then subtracted from
+    # v there; its z component is zero, and v_z - 0 is v_z bit for bit
+    fd.central_differences(grid, q, out=(out[0], out[1]))
+    np.subtract(v.data[:2], out[:2], out=out[:2])
+    out[2] = v.data[2]
+    return VectorField(grid, out), ScalarField(grid, q)
 
 
 # --- paths ------------------------------------------------------------------
@@ -504,15 +522,23 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
     -P g, and every line search starts at the unit step.  Without one
     (P = identity) the first step is half the path's velocity scale along
     the direction and each later one starts at twice the last accepted step.
+    The gradient norm (the relative tolerance and the history) leaves out
+    the stencil null modes when P is given: P never moves them, so their part
+    of the gradient never shrinks.
     Returns the last accepted path, its cores and report (with the gradient
     norm history and iteration count), and the convergence flag and message.
     """
+    def norm(grads: list[VectorField]) -> float:
+        if precondition is not None:
+            grads = [fd.remove_stencil_null(g) for g in grads]
+        return np.sqrt(max(path_dot(grads, grads), 0.0))
+
     cores, report = _assemble(path, mu, grav, cfg)
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
     grad = gradient_pi(path, mu, grav, cfg, cores=cores)
     pgrad = grad if precondition is None else precondition(grad)
-    gnorm0 = np.sqrt(max(path_dot(grad, grad), 0.0))
+    gnorm0 = norm(grad)
     history = [gnorm0]
 
     direction = [-p for p in pgrad]
@@ -577,7 +603,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
         path, cores, report = trial, trial_cores, trial_report
         pi_val = report.total_pi
         grad, pgrad = new_grad, new_pgrad
-        history.append(np.sqrt(max(path_dot(grad, grad), 0.0)))
+        history.append(norm(grad))
         iters = it + 1
         if on_iteration is not None:
             on_iteration(iters, pi_val, history[-1])

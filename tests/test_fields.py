@@ -225,3 +225,18 @@ def test_stencils_match_roll_formula(nx, ny, lx, ly, lead, coarse, seed):
     assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, a))
     dx, dy = fd.central_differences(grid, a, column[0])
     assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, column[0]))
+    # written into given arrays, which come back, over whatever they held
+    out = (np.full(shape, np.nan), np.full(shape, np.nan))
+    dx, dy = fd.central_differences(grid, a, out=out)
+    assert dx is out[0] and dy is out[1]
+    assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, a))
+    assert _same_bits(a, before)
+
+
+def test_stencil_out_must_be_contiguous_and_apart(grid16):
+    a = np.ones((3, *grid16.shape))
+    for bad in (a, a[0:1], np.ones((3, 16, 32))[:, :, ::2]):
+        with pytest.raises(ValueError):
+            fd._ddx(grid16, a, out=bad)
+        with pytest.raises(ValueError):
+            fd._ddy(grid16, a, out=bad)

@@ -85,3 +85,22 @@ class TestGravitationForce:
         om = eval_coriolis_vector(g, 0.0)
         power = fd.dot_vectors(-2.0 * fd.cross(om, v), v)
         assert fd.linf_norm(power) <= 1e-12 * (fd.linf_norm(v)**2 + 1.0)
+
+
+@pytest.mark.parametrize("preset,params", [("zero", {}), ("uniform_gravity", {"g0": 9.0}),
+                                           ("rigid_rotation", {"omega": 0.7})])
+def test_derived_fields_are_built_once_and_read_only(grid32, preset, params):
+    g = Gravitation(grid32, preset, params)
+    for t in (0.0, 0.3, 1.7, -2.0, 1e6):
+        want = -g.grad_phi(t) - g.dA_dt(t)
+        got = g.gravity(t)
+        assert np.array_equal(got.data, want.data)
+        assert got.data.tobytes() == want.data.tobytes()
+        omega = g.coriolis_vector(t)
+        assert np.all(omega.data[2] == (params["omega"] if preset == "rigid_rotation" else 0.0))
+        assert np.all(omega.data[:2] == 0.0)
+    for field in (g.gravity(0.5), g.coriolis_vector(0.5)):
+        with pytest.raises(ValueError):
+            field.data[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            field.data += 1.0

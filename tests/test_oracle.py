@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from sbenflow import fields as fd
 from sbenflow.balance import BarotropicPowerEos, FluidState, IncompressibleEos
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
-from sbenflow.oracle import (CaseSpec, UnstableStepError, _compressible_rhs,
+from sbenflow.oracle import (CaseSpec, StepScratch, UnstableStepError, _compressible_rhs,
                              _incompressible_rhs, initial_state, reference_path,
-                             shear_decay_analytic, step_compressible, step_incompressible,
-                             taylor_green_analytic)
+                             shear_decay_analytic, stable_dt_compressible,
+                             stable_dt_incompressible, step_compressible,
+                             step_incompressible, taylor_green_analytic)
 from sbenflow.sampling import random_scalar, random_vector
 from sbenflow.sben import leray_project
 
@@ -54,13 +56,67 @@ GRAVITATIONS = {"zero": {}, "uniform_gravity": {"g0": 9.81},
                 "rigid_rotation": {"omega": 2.0}}
 
 
+# The reference steppers: the RK2 stages as compositions of the public
+# operators and the field arithmetic, with the Leray projection and the EOS
+# pressure written out as formulas.  The steppers work in place in scratch
+# arrays and must give these bits.
+
+def _reference_leray(v):
+    sym = fd.spectral_symbols(v.grid)
+    vh = np.fft.rfft2(v.data[:2])
+    qh = -1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2
+    q = ScalarField(v.grid, np.fft.irfft2(qh, s=v.grid.shape))
+    return v - fd.grad_scalar(q)
+
+
+def _reference_incompressible_rhs(v, t, nu, grav):
+    omega = grav.coriolis_vector(t)
+    return _reference_leray(-fd.advect(v, v) + nu * fd.laplacian(v)
+                            + grav.gravity(t) - 2.0 * fd.cross(omega, v))
+
+
+def _reference_compressible_rhs(v, rho, t, mu, eos, grav):
+    grid = v.grid
+    p = ScalarField(grid, eos.p0 * (rho.data / eos.rho0) ** eos.gamma)
+    visc = mu * fd.laplacian(v) + (mu / 3.0) * fd.grad_scalar(fd.div_vector(v))
+    omega = grav.coriolis_vector(t)
+    dv = (-fd.advect(v, v)
+          + VectorField(grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
+          + grav.gravity(t) - 2.0 * fd.cross(omega, v))
+    drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
+    return dv, drho
+
+
+def _reference_step(state, dt, mu, grav):
+    t, v, rho = state.t, state.v, state.rho
+    if isinstance(state.eos, IncompressibleEos):
+        nu = mu / state.eos.rho0
+        k1 = _reference_incompressible_rhs(v, t, nu, grav)
+        k2 = _reference_incompressible_rhs(v + (0.5 * dt) * k1, t + 0.5 * dt, nu, grav)
+        return FluidState(t + dt, _reference_leray(v + dt * k2), rho, state.eos)
+    dv1, drho1 = _reference_compressible_rhs(v, rho, t, mu, state.eos, grav)
+    dv2, drho2 = _reference_compressible_rhs(v + (0.5 * dt) * dv1, rho + (0.5 * dt) * drho1,
+                                             t + 0.5 * dt, mu, state.eos, grav)
+    return FluidState(t + dt, v + dt * dv2, rho + dt * drho2, state.eos)
+
+
+def _same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _scratch_arrays(scratch):
+    return [a for a in vars(scratch).values() if isinstance(a, np.ndarray)]
+
+
 @pytest.mark.parametrize("preset", sorted(GRAVITATIONS))
 class TestRightHandSides:
-    """The steppers' right-hand sides differentiate v once; they must give
-    the same bits as the composition of the public operators."""
+    """The steppers' right-hand sides and whole steps, computed in scratch
+    arrays, must give the same bits as the reference composition above."""
 
     grid = Grid2P(12, 10, 2.0, 3.0)  # unequal sizes and spacings
     t = 0.3
+    mu = 0.07
 
     def _fields(self):
         rng = np.random.default_rng(7)
@@ -69,33 +125,102 @@ class TestRightHandSides:
         s = random_scalar(self.grid, rng).data
         return v, ScalarField(self.grid, 1.0 + 0.2 * s / np.abs(s).max())
 
+    def _state(self, kind):
+        v, rho = self._fields()
+        if kind == "incompressible":
+            return FluidState(self.t, _reference_leray(v), ScalarField.full(self.grid, 1.3),
+                              IncompressibleEos(1.3))
+        return FluidState(self.t, v, rho, BarotropicPowerEos(p0=1.0, rho0=1.0, gamma=1.4))
+
+    def _stepper(self, kind):
+        return step_incompressible if kind == "incompressible" else step_compressible
+
     def test_incompressible(self, preset):
         grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
         v, _ = self._fields()
         nu = 0.07
-        omega = grav.coriolis_vector(self.t)
-        want, _ = leray_project(-fd.advect(v, v) + nu * fd.laplacian(v)
-                                + grav.gravity(self.t) - 2.0 * fd.cross(omega, v))
-        got = _incompressible_rhs(v, self.t, nu, grav)
-        assert np.array_equal(got.data, want.data)
-        assert got.data.tobytes() == want.data.tobytes()
+        want = _reference_incompressible_rhs(v, self.t, nu, grav)
+        got = _incompressible_rhs(v.data, self.t, nu, grav, StepScratch(self.grid))
+        _same_bits(got, want.data)
 
     def test_compressible(self, preset):
         grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
         v, rho = self._fields()
-        mu = 0.07
         eos = BarotropicPowerEos(p0=1.0, rho0=1.0, gamma=1.4)
-        p = ScalarField(self.grid, eos.pressure(rho.data))
-        visc = mu * fd.laplacian(v) + (mu / 3.0) * fd.grad_scalar(fd.div_vector(v))
-        omega = grav.coriolis_vector(self.t)
-        want_dv = (-fd.advect(v, v)
-                   + VectorField(self.grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
-                   + grav.gravity(self.t) - 2.0 * fd.cross(omega, v))
-        want_drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
-        dv, drho = _compressible_rhs(v, rho, self.t, mu, eos, grav)
-        for got, want in ((dv, want_dv), (drho, want_drho)):
-            assert np.array_equal(got.data, want.data)
-            assert got.data.tobytes() == want.data.tobytes()
+        want_dv, want_drho = _reference_compressible_rhs(v, rho, self.t, self.mu, eos, grav)
+        dv, drho = _compressible_rhs(v.data, rho.data, self.t, self.mu, eos, grav,
+                                     StepScratch(self.grid))
+        _same_bits(dv, want_dv.data)
+        _same_bits(drho, want_drho.data)
+
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_consecutive_steps(self, preset, kind):
+        # one scratch reused by every step, and a fresh one per step
+        grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
+        step = self._stepper(kind)
+        want = shared = fresh = self._state(kind)
+        scratch = StepScratch(self.grid)
+        stable_dt = (stable_dt_incompressible if kind == "incompressible"
+                     else stable_dt_compressible)
+        dt = 0.25 * stable_dt(want, self.mu)
+        for _ in range(6):
+            want = _reference_step(want, dt, self.mu, grav)
+            shared = step(shared, dt, self.mu, grav, scratch)
+            fresh = step(fresh, dt, self.mu, grav)
+            for got in (shared, fresh):
+                assert got.t == want.t
+                _same_bits(got.v.data, want.v.data)
+                _same_bits(got.rho.data, want.rho.data)
+
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_steps_do_not_alias(self, preset, kind):
+        grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
+        step = self._stepper(kind)
+        states = [self._state(kind)]
+        copies = [(states[0].v.data.copy(), states[0].rho.data.copy())]
+        scratch = StepScratch(self.grid)
+        dt = 1e-3
+        for _ in range(4):
+            prev = states[-1]
+            new = step(prev, dt, self.mu, grav, scratch)
+            fresh = [new.v.data] + ([new.rho.data] if kind == "compressible" else [])
+            for a in fresh:
+                for b in _scratch_arrays(scratch) + [prev.v.data, prev.rho.data]:
+                    assert not np.shares_memory(a, b)
+            if kind == "incompressible":
+                assert new.rho is prev.rho  # the constant density rides along
+            states.append(new)
+            copies.append((new.v.data.copy(), new.rho.data.copy()))
+        for s, (v, rho) in zip(states, copies, strict=True):
+            _same_bits(s.v.data, v)
+            _same_bits(s.rho.data, rho)
+
+
+@pytest.mark.parametrize("case_id,params,mu", [
+    ("taylor_green", {"nu": 0.1}, 0.1),
+    ("compressible_smooth", {"amplitude": 0.05}, 0.05)])
+def test_reference_path_slices_are_the_steps(case_id, params, mu):
+    # every slice keeps the bits of its step: none is overwritten by a later
+    # step through the shared scratch, and no two share memory
+    grid = Grid2P(16, 16, TWO_PI, TWO_PI)
+    grav = Gravitation(grid, "rigid_rotation", {"omega": 2.0})
+    case = CaseSpec(case_id, grid, 0.2, 8, params)
+    path = reference_path(case, mu, grav)
+    state = initial_state(case)
+    if case_id == "taylor_green":
+        state = FluidState(0.0, _reference_leray(state.v), state.rho, state.eos)
+    want = [state]
+    for n in range(case.n_ref):
+        state = _reference_step(state, case.t_final / case.n_ref, mu, grav)
+        want.append(state)
+    for got, ref in zip(path.states, want, strict=True):
+        _same_bits(got.v.data, ref.v.data)
+        _same_bits(got.rho.data, ref.rho.data)
+    arrays = [s.v.data for s in path.states]
+    if case_id == "compressible_smooth":
+        arrays += [s.rho.data for s in path.states]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
 
 
 class TestIncompressibleStepper:

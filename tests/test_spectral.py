@@ -62,6 +62,23 @@ def test_leray_projection(grid, seed):
     assert np.abs(_null_coefficients(q.data, grid)).max() <= 1e-14 * fd.linf_norm(q)
     # the out-of-plane component is untouched
     assert np.array_equal(v_df.data[2], v.data[2])
+    # the in-place solve gives the bits of the spectral formula written out,
+    # also when it writes into a given array
+    sym = fd.spectral_symbols(grid)
+    vh = np.fft.rfft2(v.data[:2])
+    q_ref = np.fft.irfft2(-1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2, s=grid.shape)
+    v_ref = (v - fd.grad_scalar(ScalarField(grid, q_ref))).data
+    out = np.full((3, *grid.shape), np.nan)
+    v_out, q_out = leray_project(v, out=out)
+    assert v_out.data is out
+    for got, want in ((v_df.data, v_ref), (out, v_ref), (q.data, q_ref), (q_out.data, q_ref)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_projection_out_must_be_apart_from_input(grid16):
+    v = _noise(grid16, 4)
+    with pytest.raises(ValueError):
+        leray_project(v, out=v.data)
 
 
 def test_non_finite_projection_input_rejected(grid16):
