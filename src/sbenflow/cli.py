@@ -6,8 +6,9 @@ Subcommands:
   evaluate   evaluate the functional on an existing archive (read only)
   minimize   descend the functional, write the minimized archive and report
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 invariant failure.
+Exit codes: 0 success, 2 configuration error (a bad config file, a malformed
+archive, or an --out that cannot be written, such as an existing regular file
+or a path below one), 3 numerical failure, 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def main(argv=None) -> int:
                 "evaluate": cmd_evaluate, "minimize": cmd_minimize}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ArchiveError, FileNotFoundError) as exc:
+    except (ConfigError, ArchiveError, OSError) as exc:
+        # OSError: a missing input, or an --out that cannot be a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverConvergenceError, UnstableStepError, FloatingPointError) as exc:

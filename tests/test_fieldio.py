@@ -1,5 +1,6 @@
 """The ``sbenflow-path/1`` field CSV: exact bytes written, bit-exact reads, and
-the reader's rules (rows in any order, each cell exactly once)."""
+the reader's rules (rows in any order, each cell exactly once).  The writer's
+vectorized encoder is compared in bulk against Python's ``f"{x:.17g}"``."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sbenflow import fieldio
 from sbenflow.fieldio import ArchiveError, load_scalar, load_vector, save_scalar, save_vector
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 
@@ -90,6 +92,117 @@ def test_round_trip_bit_exact_and_bytes_match_reference(tmp_path_factory, drawn)
     with open(f) as fh:
         assert fh.read() == _reference_text(data)
     assert np.array_equal(_bits(back), _bits(data))
+
+
+def _encoded(values) -> list[str]:
+    """The writer's encoding of each value, in chunks of at most 2**16 values."""
+    values = np.asarray(values, dtype=float).ravel()
+    out = []
+    for start in range(0, values.size, 2**16):
+        words = fieldio._encode(values[start:start + 2**16])
+        words[:, 3] |= np.uint64(ord("\n") << 56)
+        out += words.tobytes().translate(None, b"\0").decode().splitlines()
+    return out
+
+
+def _assert_encodes_like_python(values):
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    got, expected = _encoded(values), [f"{v:.17g}" for v in values]
+    if got != expected:
+        bad = [(repr(v), g) for v, g, e in zip(values, got, expected) if g != e]
+        pytest.fail(f"{len(bad)} of {len(values)} differ, first {bad[:5]}")
+
+
+def test_encoder_on_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 2**20, dtype=np.uint64)
+    values = bits.view(np.float64)
+    _assert_encodes_like_python(values[np.isfinite(values)])
+
+
+def test_encoder_on_random_values_of_every_layout():
+    # random mantissas at every decimal exponent from -8 to 19: fixed notation
+    # with and without a leading "0.000", and the exponent form on both sides
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.integers(-8, 20, 2**17)
+    _assert_encodes_like_python(rng.uniform(-10, 10, 2**17) * scale)
+
+
+def test_encoder_next_to_every_power_of_ten():
+    # 1e-300 ... 1e299 and their eight neighbours in ulps either side: where
+    # log10 is one off, where the digits carry to the next power, 1e-06 as
+    # "9.9999999999999995e-07"
+    powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    steps = np.arange(-8, 9)
+    near = (powers.view(np.int64)[:, None] + steps[None, :]).view(np.float64)
+    _assert_encodes_like_python(np.concatenate([near.ravel(), -near.ravel()]))
+
+
+def test_encoder_on_near_ties():
+    # 18-digit decimals (10k + 5) * 10**m round to the double next to a tie
+    # at the 17th digit; (2j + 1) / 2**17 in [1, 10) are exact ties
+    rng = np.random.default_rng(11)
+    ties = [float(f"{10 * int(k) + 5}e{m}")
+            for m in range(-320, 292, 3) for k in rng.integers(10**15, 10**16, 8)]
+    exact = (2 * rng.integers(2**16, 10 * 2**16, 4096) + 1) / 2**17
+    _assert_encodes_like_python(np.concatenate([ties, exact, -exact, exact * 2**-40]))
+
+
+def _near_ties(count: int) -> np.ndarray:
+    """Doubles m * 2**-86 in [1e-10, 1e-9) whose digits scaled to 17 integer
+    places, m * 5**26 / 2**60, lie within 1e-14 of a half but not on it."""
+    inverse = pow(5**26, -1, 2**60)
+    out, t = [], 1
+    while len(out) < count:
+        for s in (t, -t):
+            m = (2**59 + s) * inverse % 2**60
+            if 7.8e15 < m < 2**53:
+                out.append(m * 2.0**-86)
+        t += 1
+    return np.array(out)
+
+
+def test_python_rounds_values_next_to_a_half():
+    # exact ties, a hair either side of one (the double-double error would
+    # decide these), and plain values
+    ties = np.array([1 + 2**-17, 7 + 3 * 2**-17])
+    near = _near_ties(6)
+    plain = np.array([1 + 2**-16, 1.25, 3.0])
+    x = np.concatenate([ties, near, plain])
+    e = np.floor(np.log10(x)).astype(np.intp)
+    *_, near_tie = fieldio._round17(x, e)
+    assert near_tie.tolist() == [True] * 8 + [False] * 3
+    _assert_encodes_like_python(np.concatenate([x, -x]))
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-280,
+           1.7976931348623157e308, -1.7976931348623157e308, 1e280, 0.1, 0.5, -1.5,
+           0.30000000000000004, 1e-4, 1e-5, 2.5e-5, 0.001, 100.0, -1000.5, 10.25, 120.0,
+           123456.0, 99999.0, 1e15, 1e16, 12345678901234567.0, 1e17, 1.5e17, 1e21, 1e22,
+           1e23, 1e100, 1e-100, 6.02214076e23]
+
+
+def test_encoder_on_short_decimals_zeros_and_extremes():
+    _assert_encodes_like_python(SPECIAL)
+
+
+def test_non_finite_values_keep_their_bytes():
+    assert _encoded([np.nan, np.inf, -np.inf, -np.nan]) == ["nan", "inf", "-inf", "nan"]
+
+
+@pytest.mark.parametrize("nx, ny", [(70, 33), (4, 1400)])
+def test_round_trip_across_write_blocks(tmp_path, nx, ny):
+    # more values than one write block: several grid rows per block, and
+    # grid rows longer than a block
+    grid = Grid2P(nx, ny, 1.0, 1.0)
+    rng = np.random.default_rng(nx)
+    data = rng.standard_normal((3, nx, ny)) * 10.0 ** rng.integers(-6, 18, (3, nx, ny))
+    data[2, ::7] = 0.0
+    data.flat[::97] = np.array(SPECIAL)[np.arange(data.size)[::97] % len(SPECIAL)]
+    assert data.size > fieldio._BLOCK_VALUES
+    f = tmp_path / "v.csv"
+    save_vector(str(f), VectorField(grid, data))
+    assert f.read_text() == _reference_text(data)
+    assert np.array_equal(_bits(load_vector(str(f), grid).data), _bits(data))
 
 
 def test_permuted_rows_load_to_the_same_field(tmp_path):

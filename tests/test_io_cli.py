@@ -63,7 +63,33 @@ def _drop_json_key(key: str):
     return edit
 
 
-# file of a two-slice 16^2 archive -> how it is broken
+def _edit_manifest(edit):
+    def apply(text):
+        manifest = json.loads(text)
+        edit(manifest)
+        return json.dumps(manifest)
+    return apply
+
+
+def _set_slice(k: int, key: str, value):
+    def edit(manifest):
+        manifest["slices"][k][key] = value
+    return _edit_manifest(edit)
+
+
+def _keep_slices(n: int):
+    def edit(manifest):
+        del manifest["slices"][n:]
+    return _edit_manifest(edit)
+
+
+def _set_pressures(value):
+    def edit(manifest):
+        manifest["pressures"] = value
+    return _edit_manifest(edit)
+
+
+# file of a three-slice 16^2 archive (times 0, 0.1, 0.2) -> how it is broken
 MALFORMED_ARCHIVE = {
     "non-numeric cell": ("v_0001.csv", _replace_csv_row(17, "1,1,0.5,abc,0")),
     "missing column": ("v_0001.csv", _replace_csv_row(17, "1,1,0.5,0")),
@@ -75,6 +101,13 @@ MALFORMED_ARCHIVE = {
     "truncated manifest.json": ("manifest.json", lambda text: text[:len(text) // 2]),
     "grid.json without nx": ("grid.json", _drop_json_key("nx")),
     "manifest without eos": ("manifest.json", _drop_json_key("eos")),
+    "one slice": ("manifest.json", _keep_slices(1)),
+    "no slices": ("manifest.json", _keep_slices(0)),
+    "non-uniform times": ("manifest.json", _set_slice(2, "t", 0.25)),
+    "repeated times": ("manifest.json", _set_slice(1, "t", 0.0)),
+    "non-string v": ("manifest.json", _set_slice(1, "v", 7)),
+    "non-list pressures": ("manifest.json", _set_pressures(5)),
+    "non-string pressure": ("manifest.json", _set_pressures(["p_0000.csv", None])),
 }
 
 
@@ -358,16 +391,32 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVE))
     def test_evaluate_malformed_archive_exits_config(self, tmp_path, grid16, rng, case):
-        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1],
-                                   [random_vector(grid16, rng) for _ in range(2)])
+        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1, 0.2],
+                                   [random_vector(grid16, rng) for _ in range(3)])
         d = tmp_path / "arch"
         save_path_archive(str(d), path)
         name, edit = MALFORMED_ARCHIVE[case]
         f = d / name
         f.write_text(edit(f.read_text()))
+        with pytest.raises(ArchiveError, match=name):
+            load_path_archive(str(d))
         rc = main(["evaluate", "--config", _write_config(tmp_path), "--archive", str(d),
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, out", [
+        ("reference", "a_file"), ("reference", "a_file/below"), ("evaluate", "a_file")])
+    def test_unusable_out_exits_config_naming_it(self, tmp_path, capsys, command, out):
+        cfg = _write_config(tmp_path)
+        ref_dir = str(tmp_path / "ref")
+        assert main(["reference", "--config", cfg, "--out", ref_dir]) == 0
+        (tmp_path / "a_file").write_text("not a directory")
+        out = str(tmp_path / out)
+        extra = ["--archive", ref_dir] if command == "evaluate" else []
+        capsys.readouterr()
+        assert main([command, "--config", cfg, *extra, "--out", out]) == 2
+        assert out in capsys.readouterr().err
+        assert (tmp_path / "a_file").read_text() == "not a directory"
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})
