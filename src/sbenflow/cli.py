@@ -40,7 +40,6 @@ def _load(args) -> RunConfig:
 
 
 def _write_report(out_dir: str, report: SbenReport):
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w") as f:
         f.write(report.summary_text())
     table = {
@@ -163,6 +162,8 @@ def main(argv=None) -> int:
     handlers = {"check": cmd_check, "reference": cmd_reference,
                 "evaluate": cmd_evaluate, "minimize": cmd_minimize}
     try:
+        if getattr(args, "out", None) is not None:  # before any loading or computing
+            os.makedirs(args.out, exist_ok=True)
         return handlers[args.command](args)
     except (ConfigError, ArchiveError, OSError) as exc:
         # OSError: a missing input, or an --out that cannot be a directory

@@ -190,7 +190,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")

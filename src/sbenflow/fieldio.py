@@ -15,11 +15,12 @@ fixed (``tests/test_fieldio.py`` pins them and checks the encoder against
 ``f"{x:.17g}"``): the same field always gives the same file.
 
 Reading accepts the rows in any order.  The indices must be integers inside
-the grid and every cell must appear exactly once.  Any malformed input (a
-wrong header, a non-numeric cell, a missing column, an index out of range,
-a repeated or missing cell, a non-finite value, a non-positive density, a
-truncated or incomplete ``grid.json`` or ``manifest.json``) raises
-ArchiveError naming the file, which the CLI reports with exit code 2.
+the grid and every cell must appear exactly once.  Any malformed input (bytes
+that are not UTF-8, a wrong header, a non-numeric cell, a missing column, an
+index out of range, a repeated or missing cell, a non-finite value, a
+non-positive density, a truncated or incomplete ``grid.json`` or
+``manifest.json``, slice times not uniformly increasing) raises ArchiveError
+naming the file, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .balance import BarotropicPowerEos, Eos, FluidState, IncompressibleEos
 from .fields import Grid2P, ScalarField, VectorField
-from .sben import Path
+from .sben import Path, check_path_times
 
 
 class ArchiveError(ValueError):
@@ -267,7 +268,10 @@ def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
 
 def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
     with open(path) as f:
-        header = f.readline().strip()
+        try:
+            header = f.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ArchiveError(f"{path}: {exc}") from None
         expected = _header(n_comp)
         if header != expected:
             raise ArchiveError(f"{path}: header {header!r} != {expected!r}")
@@ -404,6 +408,7 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
         slices = [(float(entry["t"]), entry["v"], entry.get("rho"))
                   for entry in manifest["slices"]]
         pressure_names = manifest.get("pressures")
+        check_path_times([t for t, _, _ in slices])  # before any CSV is opened
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ArchiveError(f"{manifest_file}: malformed manifest ({exc!r})") from None
     if pressure_names is not None and not isinstance(pressure_names, list):
@@ -414,8 +419,6 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
             raise ArchiveError(f"{manifest_file}: file name {name!r} is not a string")
     states = []
     for t, v_name, rho_name in slices:
-        if not np.isfinite(t):
-            raise ArchiveError(f"{directory}: non-finite slice time {t!r}")
         v = load_vector(os.path.join(directory, v_name), grid)
         if rho_name is not None:
             rho = load_scalar(os.path.join(directory, rho_name), grid)
@@ -424,10 +427,7 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
         else:
             rho = ScalarField.full(grid, eos.rho0)
         states.append(FluidState(t, v, rho, eos))
-    try:
-        path = Path(states)
-    except ValueError as exc:   # under two slices, or times not increasing and uniform
-        raise ArchiveError(f"{manifest_file}: {exc}") from None
+    path = Path(states)
     if pressure_names is not None:
         path.pressures = [load_scalar(os.path.join(directory, n), grid)
                           for n in pressure_names]

@@ -1,11 +1,11 @@
 """Reference solvers and analytic solutions for validation paths.
 
 These steppers are deliberately plain: explicit midpoint Runge-Kutta on the
-same periodic central-difference operators used everywhere else, with a
-divergence projection for the incompressible equation and the conservative
-mass update for the barotropic one.  They are also the reference trajectories
-every benchmark pipeline steps, so their stages run in place: each step writes
-its temporaries into a StepScratch reused across the steps of a run, and
+same periodic central-difference operators used everywhere else, with a Leray
+projection of both stage states (incompressible) or the conservative mass
+update (barotropic).  They are also the reference trajectories every
+benchmark pipeline steps, so their stages run in place: each step writes its
+temporaries into a StepScratch reused across the steps of a run, and
 allocates only the new state's velocity (and density).  The arithmetic is
 that of the public operators, operand for operand, so the bits are theirs.
 """
@@ -175,22 +175,21 @@ def _add_body_forces(acc: np.ndarray, v: np.ndarray, t: float, grav: Gravitation
 
 def _incompressible_rhs(v: np.ndarray, t: float, nu: float, grav: Gravitation,
                         w: StepScratch) -> np.ndarray:
-    """leray_project(-advect(v, v) + nu laplacian(v) + g - 2 Omega x v) into w.k."""
+    """-advect(v, v) + nu laplacian(v) + g - 2 Omega x v into w.k, unprojected."""
     adv = _advect(v, *_jacobian_and_laplacian(v, w))
     np.negative(adv, out=adv)
     w.lap *= nu
     adv += w.lap
-    rhs = _add_body_forces(adv, v, t, grav, w, out=adv)
-    projected, _ = leray_project(VectorField(w.grid, rhs), out=w.k)
-    return projected.data
+    return _add_body_forces(adv, v, t, grav, w, out=w.k)
 
 
 def step_incompressible(state: FluidState, dt: float, mu: float, grav: Gravitation,
                         scratch: Optional[StepScratch] = None) -> FluidState:
-    """One explicit midpoint RK2 step of the projected momentum equation.
-
-    The stages work in scratch (see StepScratch); the new velocity is the
-    only array the step allocates for its result.
+    """One explicit midpoint RK2 step of the projected momentum equation,
+    v_half = P(v + dt/2 rhs(v)) and v_new = P(v + dt rhs(v_half)) with P the
+    Leray projection: on divergence-free v (P v = v) the midpoint scheme on
+    the projected slopes.  The stages work in scratch (see StepScratch), the
+    midpoint in w.v_half; v_new is the only array the step allocates.
     """
     if not isinstance(state.eos, IncompressibleEos):
         raise ValueError("state must carry an incompressible EOS")
@@ -202,8 +201,8 @@ def step_incompressible(state: FluidState, dt: float, mu: float, grav: Gravitati
     v = state.v.data
     k1 = _incompressible_rhs(v, state.t, nu, grav, w)
     k1 *= 0.5 * dt
-    v_half = np.add(v, k1, out=w.v_half)
-    k2 = _incompressible_rhs(v_half, state.t + 0.5 * dt, nu, grav, w)
+    v_half, _ = leray_project(VectorField(state.grid, np.add(v, k1, out=k1)), out=w.v_half)
+    k2 = _incompressible_rhs(v_half.data, state.t + 0.5 * dt, nu, grav, w)
     k2 *= dt
     v_new, _ = leray_project(VectorField(state.grid, np.add(v, k2, out=k2)))
     return FluidState(state.t + dt, v_new, state.rho, state.eos)

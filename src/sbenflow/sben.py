@@ -52,30 +52,27 @@ def leray_project(v: VectorField, out: Optional[np.ndarray] = None
     """Split v = v_df + grad(q) with div(v_df) = 0 on the periodic grid.
 
     The pressure Poisson equation laplacian(q) = div(v), with the Laplacian
-    composed as div(grad(.)), is solved exactly per wavenumber:
-    q_hat = -i (s . v_hat) / |s|^2, zero on the stencil null modes.  The
-    projector is therefore idempotent to round-off, and means and the
-    checkerboard modes pass through untouched.
+    composed as div(grad(.)), is solved exactly per wavenumber from the
+    stencil divergence (symbol i s): q_hat = -rfft2(div v) / |s|^2, zero on
+    the stencil null modes.  The projector is therefore idempotent to
+    round-off, and means and the checkerboard modes pass through untouched.
 
-    With out, a C-contiguous (3, nx, ny) array apart from v, v_df is written
-    there; every other temporary beyond the two FFT outputs is written in
-    place, with the operands and order of the formulas above.
+    With out, a C-contiguous (3, nx, ny) array apart from v, the divergence
+    and then v_df are written there; the FFT output is the one temporary.
     """
     if not np.isfinite(v.data).all():
         raise FloatingPointError("pressure Poisson solve: non-finite input")
     if out is not None and np.may_share_memory(v.data, out):
         raise ValueError("leray_project: out must not overlap the input")
     grid = v.grid
-    sym = fd.spectral_symbols(grid)
-    qh, qh_y = np.fft.rfft2(v.data[:2])
-    np.multiply(sym.sx, qh, out=qh)
-    np.multiply(sym.sy, qh_y, out=qh_y)
-    np.add(qh, qh_y, out=qh)
-    np.multiply(-1j, qh, out=qh)
-    np.multiply(qh, sym.inv_s2, out=qh)
-    q = np.fft.irfft2(qh, s=grid.shape)
     if out is None:
         out = np.empty_like(v.data)
+    div, div_y = fd.central_differences(grid, v.data[0], v.data[1], out=(out[0], out[1]))
+    div += div_y
+    qh = np.fft.rfft2(div)
+    np.multiply(qh, fd.spectral_symbols(grid).inv_s2, out=qh)
+    np.negative(qh, out=qh)
+    q = np.fft.irfft2(qh, s=grid.shape)
     # v - grad(q): the gradient is differenced into out, then subtracted from
     # v there; its z component is zero, and v_z - 0 is v_z bit for bit
     fd.central_differences(grid, q, out=(out[0], out[1]))
@@ -85,6 +82,15 @@ def leray_project(v: VectorField, out: Optional[np.ndarray] = None
 
 
 # --- paths ------------------------------------------------------------------
+
+def check_path_times(times) -> None:
+    """ValueError unless there are two or more finite times, increasing uniformly."""
+    if len(times) < 2 or not np.isfinite(times).all():
+        raise ValueError("a path needs at least two time samples, all finite")
+    dts = np.diff(times)
+    if np.any(dts <= 0) or np.abs(dts - dts[0]).max() > 1e-10 * dts[0]:
+        raise ValueError("path times must increase in uniform steps")
+
 
 @dataclass
 class Path:
@@ -99,15 +105,9 @@ class Path:
     pressures: Optional[list[ScalarField]] = None  # per interval, incompressible only
 
     def __post_init__(self):
-        if len(self.states) < 2:
-            raise ValueError("a path needs at least two time samples")
+        check_path_times([s.t for s in self.states])
         grid = self.states[0].grid
         eos = self.states[0].eos
-        dts = np.diff([s.t for s in self.states])
-        if np.any(dts <= 0):
-            raise ValueError("path times must be strictly increasing")
-        if np.abs(dts - dts[0]).max() > 1e-10 * dts[0]:
-            raise ValueError("path requires uniform time steps")
         for s in self.states:
             if s.grid != grid or s.eos != eos:
                 raise ValueError("all path states must share one grid and one EOS")

@@ -232,12 +232,14 @@ MALFORMED = {
     "header only": GOLDEN.splitlines(keepends=True)[0],
     "non-finite value": _edit(GOLDEN, 5, "1,1,-2.375,nan,1.625"),
     "wrong header": "i,j,c0,c1\n" + "".join(GOLDEN.splitlines(keepends=True)[1:]),
+    "non-UTF-8 bytes": b"\xff\xfe" + GOLDEN.encode(),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_csv_raises_archive_error_naming_the_file(tmp_path, case):
     f = tmp_path / "v.csv"
-    f.write_text(MALFORMED[case])
+    text = MALFORMED[case]
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ArchiveError, match="v.csv"):
         load_vector(str(f), Grid2P(4, 4, 1.0, 1.0))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sbenflow import checks
+from sbenflow import checks, cli
 from sbenflow.balance import BarotropicPowerEos, IncompressibleEos
 from sbenflow.cli import main
 from sbenflow.config import ConfigError, load_config, parse_config
@@ -201,6 +201,15 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(p))
+
+    def test_non_utf8_config_exits_config(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(str(p))
+        rc = main(["reference", "--config", str(p), "--out", str(tmp_path / "ref")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_defaults(self):
         cfg = parse_config(json.loads(json.dumps(BASE_CONFIG)))
@@ -405,11 +414,19 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("command, out", [
-        ("reference", "a_file"), ("reference", "a_file/below"), ("evaluate", "a_file")])
-    def test_unusable_out_exits_config_naming_it(self, tmp_path, capsys, command, out):
+        ("reference", "a_file"), ("reference", "a_file/below"), ("evaluate", "a_file"),
+        ("minimize", "a_file")])
+    def test_unusable_out_exits_config_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                 command, out):
         cfg = _write_config(tmp_path)
         ref_dir = str(tmp_path / "ref")
         assert main(["reference", "--config", cfg, "--out", ref_dir]) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+        for name in ("load_config", "load_path_archive", "reference_path", "evaluate_path",
+                     "minimize", "minimize_compressible"):
+            monkeypatch.setattr(cli, name, never)
         (tmp_path / "a_file").write_text("not a directory")
         out = str(tmp_path / out)
         extra = ["--archive", ref_dir] if command == "evaluate" else []
@@ -417,6 +434,18 @@ class TestCli:
         assert main([command, "--config", cfg, *extra, "--out", out]) == 2
         assert out in capsys.readouterr().err
         assert (tmp_path / "a_file").read_text() == "not a directory"
+
+    def test_slice_times_checked_before_any_csv_is_read(self, tmp_path, grid16, rng):
+        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1, 0.2],
+                                   [random_vector(grid16, rng) for _ in range(3)])
+        d = tmp_path / "arch"
+        save_path_archive(str(d), path)
+        manifest = d / "manifest.json"
+        manifest.write_text(_set_slice(2, "t", 0.1)(manifest.read_text()))
+        for csv in d.glob("*.csv"):
+            csv.unlink()
+        with pytest.raises(ArchiveError, match="uniform"):
+            load_path_archive(str(d))
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})

@@ -16,7 +16,7 @@ from sbenflow.oracle import (CaseSpec, StepScratch, UnstableStepError, _compress
 from sbenflow.sampling import random_scalar, random_vector
 from sbenflow.sben import leray_project
 
-from conftest import TWO_PI
+from conftest import TWO_PI, leray_two_component
 
 
 def test_case_spec_validation(grid16):
@@ -62,17 +62,16 @@ GRAVITATIONS = {"zero": {}, "uniform_gravity": {"g0": 9.81},
 # arrays and must give these bits.
 
 def _reference_leray(v):
-    sym = fd.spectral_symbols(v.grid)
-    vh = np.fft.rfft2(v.data[:2])
-    qh = -1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2
+    inv_s2 = fd.spectral_symbols(v.grid).inv_s2
+    qh = -np.fft.rfft2(fd.div_vector(v).data) * inv_s2
     q = ScalarField(v.grid, np.fft.irfft2(qh, s=v.grid.shape))
     return v - fd.grad_scalar(q)
 
 
 def _reference_incompressible_rhs(v, t, nu, grav):
     omega = grav.coriolis_vector(t)
-    return _reference_leray(-fd.advect(v, v) + nu * fd.laplacian(v)
-                            + grav.gravity(t) - 2.0 * fd.cross(omega, v))
+    return (-fd.advect(v, v) + nu * fd.laplacian(v)
+            + grav.gravity(t) - 2.0 * fd.cross(omega, v))
 
 
 def _reference_compressible_rhs(v, rho, t, mu, eos, grav):
@@ -92,12 +91,28 @@ def _reference_step(state, dt, mu, grav):
     if isinstance(state.eos, IncompressibleEos):
         nu = mu / state.eos.rho0
         k1 = _reference_incompressible_rhs(v, t, nu, grav)
-        k2 = _reference_incompressible_rhs(v + (0.5 * dt) * k1, t + 0.5 * dt, nu, grav)
+        v_half = _reference_leray(v + (0.5 * dt) * k1)
+        k2 = _reference_incompressible_rhs(v_half, t + 0.5 * dt, nu, grav)
         return FluidState(t + dt, _reference_leray(v + dt * k2), rho, state.eos)
     dv1, drho1 = _reference_compressible_rhs(v, rho, t, mu, state.eos, grav)
     dv2, drho2 = _reference_compressible_rhs(v + (0.5 * dt) * dv1, rho + (0.5 * dt) * drho1,
                                              t + 0.5 * dt, mu, state.eos, grav)
     return FluidState(t + dt, v + dt * dv2, rho + dt * drho2, state.eos)
+
+
+def _three_projection_step(state, dt, mu, grav):
+    """The incompressible step as it was before it projected the stage
+    states: both slopes projected, then the new state, with the two-component
+    Leray formula.  Equal to the step in exact arithmetic; kept as a
+    round-off reference."""
+    def rhs(v, t):
+        return leray_two_component(_reference_incompressible_rhs(v, t, nu, grav))[0]
+
+    t, v = state.t, state.v
+    nu = mu / state.eos.rho0
+    k1 = rhs(v, t)
+    k2 = rhs(v + (0.5 * dt) * k1, t + 0.5 * dt)
+    return FluidState(t + dt, leray_two_component(v + dt * k2)[0], state.rho, state.eos)
 
 
 def _same_bits(got, want):
@@ -171,6 +186,18 @@ class TestRightHandSides:
                 assert got.t == want.t
                 _same_bits(got.v.data, want.v.data)
                 _same_bits(got.rho.data, want.rho.data)
+
+    def test_steps_match_three_projection_step(self, preset):
+        # projecting the stage states instead of the slopes is the same
+        # midpoint scheme on divergence-free states.  Measured over 6 steps
+        # from 20 random states per preset: |dv| <= 3.4e-16 |v|.
+        grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
+        got = want = self._state("incompressible")
+        dt = 0.25 * stable_dt_incompressible(want, self.mu)
+        for _ in range(6):
+            got = step_incompressible(got, dt, self.mu, grav)
+            want = _three_projection_step(want, dt, self.mu, grav)
+            assert fd.linf_norm(got.v - want.v) <= 1e-14 * fd.linf_norm(want.v)
 
     @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
     def test_steps_do_not_alias(self, preset, kind):

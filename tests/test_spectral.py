@@ -13,6 +13,8 @@ from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.sben import leray_project
 from sbenflow.solvers import conjugate_gradient
 
+from conftest import leray_two_component
+
 CFG = ConjugateSolve()
 
 
@@ -62,17 +64,29 @@ def test_leray_projection(grid, seed):
     assert np.abs(_null_coefficients(q.data, grid)).max() <= 1e-14 * fd.linf_norm(q)
     # the out-of-plane component is untouched
     assert np.array_equal(v_df.data[2], v.data[2])
-    # the in-place solve gives the bits of the spectral formula written out,
-    # also when it writes into a given array
-    sym = fd.spectral_symbols(grid)
-    vh = np.fft.rfft2(v.data[:2])
-    q_ref = np.fft.irfft2(-1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2, s=grid.shape)
+    # the in-place solve gives the bits of the divergence-first formula
+    # written out, also when it writes into a given array
+    inv_s2 = fd.spectral_symbols(grid).inv_s2
+    q_ref = np.fft.irfft2(-np.fft.rfft2(fd.div_vector(v).data) * inv_s2, s=grid.shape)
     v_ref = (v - fd.grad_scalar(ScalarField(grid, q_ref))).data
     out = np.full((3, *grid.shape), np.nan)
     v_out, q_out = leray_project(v, out=out)
     assert v_out.data is out
     for got, want in ((v_df.data, v_ref), (out, v_ref), (q.data, q_ref), (q_out.data, q_ref)):
         assert got.tobytes() == want.tobytes()
+
+
+@PROPERTIES
+@given(grid=grids(), seed=seeds)
+def test_leray_projection_matches_two_component_formula(grid, seed):
+    # the divergence-first solve against the two-component spectral formula
+    # it replaced: equal in exact arithmetic.  Measured over 2000 random
+    # grids of this strategy: |dv| <= 3.5e-15 |v|, |dq| <= 1.2e-14 |q|.
+    v = _noise(grid, seed)
+    v_df, q = leray_project(v)
+    v_old, q_old = leray_two_component(v)
+    assert fd.linf_norm(v_df - v_old) <= 5e-14 * fd.linf_norm(v)
+    assert fd.linf_norm(q - q_old) <= 1e-13 * fd.linf_norm(q_old)
 
 
 def test_projection_out_must_be_apart_from_input(grid16):
