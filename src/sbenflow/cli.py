@@ -20,7 +20,7 @@ import sys
 
 from . import checks
 from .balance import IncompressibleEos
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
 from .oracle import CaseSpec, UnstableStepError, reference_path
 from .sben import SbenReport, evaluate_path, minimize, minimize_compressible
@@ -35,7 +35,7 @@ EXIT_INVARIANT = 4
 def _load(args) -> RunConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        config = RunConfig(**{**config.__dict__, "seed": args.seed})
+        config = with_seed(config, args.seed)
     return config
 
 

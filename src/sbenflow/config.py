@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
@@ -182,6 +182,11 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(grid=grid, eos=eos, viscosity=viscosity, gravitation=gravitation,
                      time=time_block, case=case, conjugate=conjugate,
                      minimizer=minimizer, seed=_get(raw, "", "seed", _seed, 42))
+
+
+def with_seed(config: RunConfig, seed) -> RunConfig:
+    """The config with its seed replaced, checked by the rule of the file's seed."""
+    return replace(config, seed=_get({"seed": seed}, "", "seed", _seed))
 
 
 def load_config(path: str) -> RunConfig:

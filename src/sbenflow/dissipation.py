@@ -73,9 +73,15 @@ def phi(v: VectorField, mu: float) -> float:
     return fd.integrate(w_density(fd.sym_grad(v), mu))
 
 
+def k_of_strain(d: SymTensorField, mu: float) -> VectorField:
+    """-div(sigma(D)): K(v) from its strain D = sym_grad(v), for callers that
+    already hold D (phi(v) is the integral of w_density of the same D)."""
+    return -fd.div_tensor(sigma_i(d, mu))
+
+
 def apply_k(v: VectorField, mu: float) -> VectorField:
     """K(v) = -div(sigma(sym_grad v)); zero-mean output for any input."""
-    return -fd.div_tensor(sigma_i(fd.sym_grad(v), mu))
+    return k_of_strain(fd.sym_grad(v), mu)
 
 
 def _check_zero_mean(f: VectorField, cfg: ConjugateSolve):

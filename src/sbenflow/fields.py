@@ -14,7 +14,9 @@ so the elliptic solves downstream are exact per-wavenumber inverses.
 
 The differences work on the flat buffer without rolled copies (see _ddx).
 central_differences returns the two in-plane derivative columns, for callers
-that build several operators from one Jacobian.
+that build several operators from one Jacobian (strain_from_columns turns
+them into D); sym_grad and div_tensor each take their six derivatives in one
+such call.
 """
 
 from __future__ import annotations
@@ -269,12 +271,16 @@ def div_vector(v: VectorField) -> ScalarField:
 
 
 def div_tensor(t: SymTensorField) -> VectorField:
-    """Row-wise divergence of a symmetric tensor field."""
+    """Row-wise divergence of a symmetric tensor field.
+
+    The six derivatives are one central_differences call on the stacked rows
+    (XX, XY, XZ) and (XY, YY, YZ); component i is d/dx T[i, x] + d/dy T[i, y],
+    summed in that order.
+    """
     g = t.grid
-    out = np.zeros((3, *g.shape))
-    out[0] = _ddx(g, t.data[XX]) + _ddy(g, t.data[XY])
-    out[1] = _ddx(g, t.data[XY]) + _ddy(g, t.data[YY])
-    out[2] = _ddx(g, t.data[XZ]) + _ddy(g, t.data[YZ])
+    d = t.data
+    out, out_y = central_differences(g, d[[XX, XY, XZ]], d[[XY, YY, YZ]])
+    out += out_y
     return VectorField(g, out)
 
 
@@ -300,16 +306,22 @@ def laplacian_scalar(s: ScalarField) -> ScalarField:
 
 def sym_grad(v: VectorField) -> SymTensorField:
     """Symmetric velocity gradient D = (grad v + (grad v)^T) / 2."""
-    g = v.grid
-    dvx_dx = _ddx(g, v.data[0])
-    dvy_dy = _ddy(g, v.data[1])
-    out = np.zeros((6, *g.shape))
-    out[XX] = dvx_dx
-    out[YY] = dvy_dy
-    out[XY] = 0.5 * (_ddy(g, v.data[0]) + _ddx(g, v.data[1]))
-    out[XZ] = 0.5 * _ddx(g, v.data[2])
-    out[YZ] = 0.5 * _ddy(g, v.data[2])
-    return SymTensorField(g, out)
+    return strain_from_columns(v.grid, *central_differences(v.grid, v.data))
+
+
+def strain_from_columns(grid: Grid2P, jx: np.ndarray, jy: np.ndarray) -> SymTensorField:
+    """D from the Jacobian columns (jx, jy) = central_differences(grid, v.data).
+
+    For callers that difference v once and build several operators from it;
+    sym_grad(v) is this applied to v's own columns.
+    """
+    out = np.zeros((6, *grid.shape))
+    out[XX] = jx[0]
+    out[YY] = jy[1]
+    out[XY] = 0.5 * (jy[0] + jx[1])
+    out[XZ] = 0.5 * jx[2]
+    out[YZ] = 0.5 * jy[2]
+    return SymTensorField(grid, out)
 
 
 # --- pointwise algebra ----------------------------------------------------
@@ -404,20 +416,23 @@ def remove_mean(v: VectorField) -> VectorField:
     return VectorField(v.grid, v.data - component_means(v)[:, None, None])
 
 
-def _null_patterns(grid: Grid2P):
+@functools.lru_cache(maxsize=16)
+def _null_patterns(grid: Grid2P) -> tuple[np.ndarray, ...]:
     """Orthogonal basis of the central-difference null space (constants and,
-    on even-sized grids, the odd-even checkerboards)."""
-    ones = np.ones(grid.shape)
-    pats = [ones]
+    on even-sized grids, the odd-even checkerboards); built once per grid and
+    shared read-only, like spectral_symbols.  The patterns are broadcast views
+    of their sign vectors, so only the two-sign checkerboard takes nx*ny
+    values."""
     sx = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)[:, None]
     sy = np.where(np.arange(grid.ny) % 2 == 0, 1.0, -1.0)[None, :]
+    pats = [np.broadcast_to(1.0, grid.shape)]
     if grid.nx % 2 == 0:
-        pats.append(ones * sx)
+        pats.append(np.broadcast_to(sx, grid.shape))
     if grid.ny % 2 == 0:
-        pats.append(ones * sy)
+        pats.append(np.broadcast_to(sy, grid.shape))
     if grid.nx % 2 == 0 and grid.ny % 2 == 0:
-        pats.append(sx * sy)
-    return pats
+        pats.append(np.broadcast_to(sx * sy, grid.shape))
+    return tuple(pats)
 
 
 def remove_stencil_null(v: VectorField) -> VectorField:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fields as fd
 from .balance import BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos
-from .dissipation import ConjugateSolve, apply_k, phi, solve_k
+from .dissipation import ConjugateSolve, k_of_strain, phi, solve_k, w_density
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
 
@@ -254,12 +254,16 @@ class SbenReport:
 
 @dataclass
 class _IntervalCore:
+    """One interval's terms, as the report, the pressures and the gradient read
+    them; kv = K(v_mid) comes from the one Jacobian of v_mid that
+    _interval_core takes."""
+
     t_mid: float
     v_mid: VectorField
     accel: VectorField
     f_raw: VectorField      # unprojected conjugate argument
-    f: VectorField          # projected conjugate argument
-    u: VectorField          # K^(-1) f
+    u: VectorField          # K^(-1) f, f the projected conjugate argument
+    kv: VectorField         # K(v_mid)
     phi_v: float
     phi_star_f: float
     pairing: float
@@ -267,13 +271,32 @@ class _IntervalCore:
     ns_residual: float
 
 
+def _differentiate_midpoint(v_mid: VectorField, mu: float
+                            ) -> tuple[VectorField, float, VectorField]:
+    """(v_mid . grad) v_mid, phi(v_mid) and K(v_mid) from one Jacobian of v_mid.
+
+    The advection has the operands and order of fd.advect, and phi and K
+    share one strain D, so all three equal the separate calls bit for bit.
+    The Jacobian and D are freed on return, before the interval's K^(-1) solve.
+    """
+    grid = v_mid.grid
+    jx, jy = fd.central_differences(grid, v_mid.data)
+    advection = VectorField(grid, v_mid.data[0] * jx + v_mid.data[1] * jy)
+    strain = fd.strain_from_columns(grid, jx, jy)
+    return advection, fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
+
+
 def _interval_core(path: Path, k: int, mu: float, grav: Gravitation,
                    cfg: ConjugateSolve) -> _IntervalCore:
+    """The interval's terms.  v_mid is differenced once (see
+    _differentiate_midpoint), and the core keeps K(v_mid) for the residual,
+    the recovered pressure and the gradient."""
     s_prev, s_next = path.states[k], path.states[k + 1]
     dt = path.dt
     t_mid = 0.5 * (s_prev.t + s_next.t)
     v_mid = 0.5 * (s_prev.v + s_next.v)
-    accel = (1.0 / dt) * (s_next.v - s_prev.v) + fd.advect(v_mid, v_mid)
+    advection, phi_v, kv = _differentiate_midpoint(v_mid, mu)
+    accel = (1.0 / dt) * (s_next.v - s_prev.v) + advection
 
     g_field = grav.gravity(t_mid)
     omega = grav.coriolis_vector(t_mid)
@@ -299,10 +322,9 @@ def _interval_core(path: Path, k: int, mu: float, grav: Gravitation,
 
     discarded = float(np.linalg.norm(fd.component_means(f_raw)))
     u = solve_k(f, mu, cfg)
-    phi_v = phi(v_mid, mu)
     phi_star_f = phi(u, mu)
-    ns_residual = fd.l2_norm(f - apply_k(v_mid, mu))
-    return _IntervalCore(t_mid, v_mid, accel, f_raw, f, u, phi_v, phi_star_f,
+    ns_residual = fd.l2_norm(f - kv)
+    return _IntervalCore(t_mid, v_mid, accel, f_raw, u, kv, phi_v, phi_star_f,
                          pairing, discarded, ns_residual)
 
 
@@ -324,12 +346,12 @@ def _assemble(path: Path, mu: float, grav: Gravitation,
     return cores, report
 
 
-def _recover_pressures(cores: list[_IntervalCore], mu: float) -> list[ScalarField]:
+def _recover_pressures(cores: list[_IntervalCore]) -> list[ScalarField]:
     """Multiplier pressure per interval: the potential part of the full
     constitutive balance, grad(p) = f_raw - K(v_mid) at the minimum."""
     pressures = []
     for c in cores:
-        _, q = leray_project(c.f_raw - apply_k(c.v_mid, mu))
+        _, q = leray_project(c.f_raw - c.kv)
         pressures.append(ScalarField(q.grid, q.data - q.data.mean()))
     return pressures
 
@@ -350,7 +372,7 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve
     cores, report = _assemble(path, mu, grav, cfg)
     if path.kind != "incompressible":
         return report, None
-    return report, _recover_pressures(cores, mu)
+    return report, _recover_pressures(cores)
 
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
@@ -373,7 +395,7 @@ def assemble_pi_compressible(path: Path, mu: float, grav: Gravitation,
 
 # --- gradient -----------------------------------------------------------------
 
-def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore, mu: float,
+def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
                               grav: Gravitation) -> tuple[VectorField, VectorField]:
     """Coefficients (E, F) of the interval's first variation
     d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>."""
@@ -386,7 +408,7 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore, mu: float
         rho0 = path.eos.rho0
         w = rho0 * (core.v_mid - core.u)
         e = (fd.jac_transpose_dot(jac_v, w) - fd.div_outer(core.v_mid, w)
-             + apply_k(core.v_mid, mu)
+             + core.kv
              + rho0 * (core.accel - g_field)
              + 2.0 * rho0 * fd.cross(omega, core.u))
     else:
@@ -394,7 +416,7 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore, mu: float
         p_mid = ScalarField(grid, path.eos.pressure(rho_mid.data))
         w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
         e = (fd.jac_transpose_dot(jac_v, w) - fd.div_outer(core.v_mid, w)
-             + apply_k(core.v_mid, mu)
+             + core.kv
              + fd.scalar_times_vector(rho_mid, core.accel - g_field)
              + fd.grad_scalar(p_mid)
              + 2.0 * fd.scalar_times_vector(rho_mid, fd.cross(omega, core.u)))
@@ -414,7 +436,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     dt = path.dt
     n = path.n_intervals
     grads: list[VectorField] = []
-    pieces = [_interval_gradient_pieces(path, k, cores[k], mu, grav) for k in range(n)]
+    pieces = [_interval_gradient_pieces(path, k, cores[k], grav) for k in range(n)]
     for j in range(1, n + 1):
         e_prev, f_prev = pieces[j - 1]
         g = dt * (0.5 * e_prev) + f_prev
@@ -636,7 +658,7 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     path, cores, report, converged, message = _descend(
         path, path.with_velocities, mu, grav, cfg, opts, on_iteration,
         _stokes_preconditioner(path, mu))
-    path.pressures = _recover_pressures(cores, mu)
+    path.pressures = _recover_pressures(cores)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)
 

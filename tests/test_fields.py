@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sbenflow import fields as fd
 from sbenflow.fields import (Grid2P, GridMismatchError, ScalarField, SymTensorField,
-                             Tensor33Field, VectorField, XX, YY, ZZ, XY)
+                             Tensor33Field, VectorField, XX, YY, ZZ, XY, XZ, YZ)
 from sbenflow.sampling import random_scalar, random_solenoidal, random_vector
 
 from conftest import TWO_PI, observed_order
@@ -240,3 +240,85 @@ def test_stencil_out_must_be_contiguous_and_apart(grid16):
             fd._ddx(grid16, a, out=bad)
         with pytest.raises(ValueError):
             fd._ddy(grid16, a, out=bad)
+
+
+# --- one-call sym_grad and div_tensor against the six-call formulas ---------
+
+def _six_call_sym_grad(v):
+    """sym_grad as six single-component differences, the form it replaced."""
+    g = v.grid
+    out = np.zeros((6, *g.shape))
+    out[XX] = fd._ddx(g, v.data[0])
+    out[YY] = fd._ddy(g, v.data[1])
+    out[XY] = 0.5 * (fd._ddy(g, v.data[0]) + fd._ddx(g, v.data[1]))
+    out[XZ] = 0.5 * fd._ddx(g, v.data[2])
+    out[YZ] = 0.5 * fd._ddy(g, v.data[2])
+    return out
+
+
+def _six_call_div_tensor(t):
+    """div_tensor as six single-component differences, the form it replaced."""
+    g = t.grid
+    out = np.zeros((3, *g.shape))
+    out[0] = fd._ddx(g, t.data[XX]) + fd._ddy(g, t.data[XY])
+    out[1] = fd._ddx(g, t.data[XY]) + fd._ddy(g, t.data[YY])
+    out[2] = fd._ddx(g, t.data[XZ]) + fd._ddy(g, t.data[YZ])
+    return out
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (12, 10), (70, 33)])
+@pytest.mark.parametrize("coarse", [False, True])
+def test_one_call_sym_grad_and_div_tensor_match_six_calls(nx, ny, coarse):
+    grid = Grid2P(nx, ny, TWO_PI, 3.0)
+    rng = np.random.default_rng(nx * ny)
+
+    def sample(n):
+        # coarse values repeat, so many differences are exact zeros
+        shape = (n, nx, ny)
+        return rng.integers(-2, 3, size=shape).astype(float) if coarse else rng.normal(size=shape)
+
+    v = VectorField(grid, sample(3))
+    d = fd.sym_grad(v)
+    assert _same_bits(d.data, _six_call_sym_grad(v))
+    assert _same_bits(fd.strain_from_columns(grid, *fd.central_differences(grid, v.data)).data,
+                      d.data)
+    t = SymTensorField(grid, sample(6))
+    assert _same_bits(fd.div_tensor(t).data, _six_call_div_tensor(t))
+
+
+# --- cached null patterns against the builder they replaced -------------------
+
+def _built_null_patterns(grid):
+    """The null-pattern builder as it was before caching, run afresh."""
+    ones = np.ones(grid.shape)
+    pats = [ones]
+    sx = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)[:, None]
+    sy = np.where(np.arange(grid.ny) % 2 == 0, 1.0, -1.0)[None, :]
+    if grid.nx % 2 == 0:
+        pats.append(ones * sx)
+    if grid.ny % 2 == 0:
+        pats.append(ones * sy)
+    if grid.nx % 2 == 0 and grid.ny % 2 == 0:
+        pats.append(sx * sy)
+    return pats
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (12, 9), (9, 12), (7, 11)])
+def test_null_patterns_cached_read_only_and_unchanged(nx, ny):
+    grid = Grid2P(nx, ny, TWO_PI, 3.0)
+    pats = fd._null_patterns(grid)
+    assert isinstance(pats, tuple)
+    assert fd._null_patterns(Grid2P(nx, ny, TWO_PI, 3.0)) is pats
+    built = _built_null_patterns(grid)
+    assert len(pats) == len(built)
+    for pat, ref in zip(pats, built):
+        assert _same_bits(pat, ref)
+        with pytest.raises(ValueError):
+            pat[0, 0] = 2.0
+    # remove_stencil_null gives the bits of the old builder's patterns
+    v = random_vector(grid, np.random.default_rng(nx + ny))
+    data = v.data.copy()
+    for pat in built:
+        coeff = (data * pat).sum(axis=(-2, -1)) / (nx * ny)
+        data -= coeff[:, None, None] * pat
+    assert _same_bits(fd.remove_stencil_null(v).data, data)

@@ -265,14 +265,46 @@ class TestCli:
         assert rc == 2
 
     def test_reference_outputs_deterministic(self, tmp_path):
-        cfg = _write_config(tmp_path)
-        d1, d2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        assert main(["reference", "--config", cfg, "--out", d1]) == 0
-        assert main(["reference", "--config", cfg, "--out", d2]) == 0
-        for name in sorted(os.listdir(d1)):
-            b1 = open(os.path.join(d1, name), "rb").read()
-            b2 = open(os.path.join(d2, name), "rb").read()
-            assert b1 == b2, f"{name} differs between identical runs"
+        # reference, evaluate and cold- and warm-start minimize, for both kinds:
+        # every output byte but the wall time is the same on identical inputs
+        compressible = {"eos": {"kind": "barotropic_power", "p0": 1.0, "rho0": 1.0,
+                                "gamma": 1.4},
+                        "case.id": "compressible_smooth",
+                        "case.parameters": {"gamma": 1.4, "amplitude": 0.05,
+                                            "p0": 1.0, "rho0": 1.0}}
+        for kind, overrides in (("incompressible", {}), ("compressible", compressible)):
+            work = tmp_path / kind
+            work.mkdir()
+            cfg = _write_config(work, overrides={**overrides, "minimizer.max_iter": 5})
+            ref = str(work / "ref")
+            assert main(["reference", "--config", cfg, "--out", ref]) == 0
+            path = load_path_archive(ref)
+            warm = str(work / "warm")
+            save_path_archive(warm, path.with_velocities([1.05 * s.v for s in path.states[1:]]))
+            runs = {"reference": ["reference", "--config", cfg],
+                    "evaluate": ["evaluate", "--config", cfg, "--archive", ref],
+                    "cold": ["minimize", "--config", cfg],
+                    "warm": ["minimize", "--config", cfg, "--warm-start", warm]}
+            for name, argv in runs.items():
+                d1, d2 = str(work / f"{name}1"), str(work / f"{name}2")
+                assert main(argv + ["--out", d1]) == 0
+                assert main(argv + ["--out", d2]) == 0
+                names = sorted(os.listdir(d1))
+                assert names == sorted(os.listdir(d2))
+                # a compressible evaluate writes no pressures, only its report
+                assert any(n.endswith(".csv") for n in names) \
+                    or (kind, name) == ("compressible", "evaluate")
+                for n in names:
+                    if n == "report.txt":   # its wall-time line is a measurement
+                        continue
+                    b1 = open(os.path.join(d1, n), "rb").read()
+                    b2 = open(os.path.join(d2, n), "rb").read()
+                    if n == "report.json":
+                        r1, r2 = json.loads(b1), json.loads(b2)
+                        r1.pop("wall_time"), r2.pop("wall_time")
+                        assert r1 == r2, f"{kind} {name}: report.json differs"
+                    else:
+                        assert b1 == b2, f"{kind} {name}: {n} differs between identical runs"
 
     def test_minimize_perturbed_archive_reduces_tenfold(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 80})
@@ -358,6 +390,20 @@ class TestCli:
         with pytest.raises(ConfigError, match="seed"):
             load_config(cfg)
         assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_bad_seed_override_exits_config(self, tmp_path, value, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["--seed", value, "check", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert main(["--seed", value, "reference", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 2
+
+    def test_seed_override_replaces_config_seed(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(checks, "run_all", lambda config: seen.append(config.seed) or [])
+        assert main(["--seed", "7", "check", "--config", _write_config(tmp_path)]) == 0
+        assert seen == [7]
 
     def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
         # the conjugate block is accepted and ignored ...

@@ -4,7 +4,7 @@ import pytest
 from sbenflow import fields as fd
 from sbenflow import sben
 from sbenflow.balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
-from sbenflow.dissipation import ConjugateSolve
+from sbenflow.dissipation import ConjugateSolve, apply_k, phi
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import CaseSpec, reference_path, taylor_green_analytic
@@ -241,6 +241,50 @@ class TestGradient:
         gnorm = np.sqrt(path_dot(grads, grads))
         vscale = np.sqrt(fd.inner(path.states[0].v, path.states[0].v))
         assert gnorm <= 1e-4 * vscale  # stationary up to discretization error
+
+
+def _separate_calls(v_mid, mu):
+    """The interval's midpoint terms as three separate calls, each differencing
+    v_mid on its own: advect(v_mid, v_mid), phi(v_mid) and apply_k(v_mid), the
+    core's formulas before it took one Jacobian.  The pressures and the
+    gradient then read apply_k(v_mid) as before too."""
+    return fd.advect(v_mid, v_mid), phi(v_mid, mu), apply_k(v_mid, mu)
+
+
+class TestOneJacobianPerInterval:
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_matches_separate_calls_bit_for_bit(self, grid16, kind, preset, monkeypatch):
+        rng = np.random.default_rng(3)
+        times = [0.0, 0.05, 0.1, 0.15]
+        if kind == "incompressible":
+            vels = [random_solenoidal(grid16, rng) for _ in times]
+            path = incompressible_path(grid16, IncompressibleEos(), times, vels)
+        else:
+            vels = [random_vector(grid16, rng, amplitude=0.1) for _ in times]
+            path = compressible_path(grid16, BarotropicPowerEos(), times, vels)
+        grav = Gravitation(grid16, preset)
+
+        report, pressures = evaluate_path(path, 0.1, grav, CFG)
+        grads = gradient_pi(path, 0.1, grav, CFG)
+        calls = []
+        monkeypatch.setattr(sben, "_differentiate_midpoint",
+                            lambda v_mid, mu: calls.append(v_mid) or _separate_calls(v_mid, mu))
+        expected_report, expected_pressures = evaluate_path(path, 0.1, grav, CFG)
+        expected_grads = gradient_pi(path, 0.1, grav, CFG)
+        assert len(calls) == 2 * path.n_intervals
+
+        for name in ("midpoint_times", "phi_terms", "phi_star_terms", "pairing_terms",
+                     "ns_residual_norms", "discarded_mean_norms"):
+            assert getattr(report, name).tobytes() == getattr(expected_report, name).tobytes()
+        assert report.phi_terms.min() > 0 and report.ns_residual_norms.min() > 0
+        if kind == "incompressible":
+            for p, q in zip(pressures, expected_pressures, strict=True):
+                assert p.data.tobytes() == q.data.tobytes()
+        else:
+            assert pressures is None and expected_pressures is None
+        for g, h in zip(grads, expected_grads, strict=True):
+            assert g.data.tobytes() == h.data.tobytes()
 
 
 class TestMinimize:
