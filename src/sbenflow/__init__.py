@@ -9,16 +9,15 @@ potential, its Fenchel conjugate, and the canonical symplectic pairing.
 from .balance import (BarotropicPowerEos, FluidState, IncompressibleEos, Momentum,
                       energy_residual, head_loss, mass_residual, material_derivative,
                       momentum_reduction_gap, pi_i_residual, raw_momentum_residual)
-from .dissipation import (ConjugateSolve, Viscosity, apply_k, fenchel_gap, phi,
-                          phi_star, sigma_i, solve_k, w_density)
+from .dissipation import (Viscosity, apply_k, fenchel_gap, phi, phi_star, sigma_i,
+                          solve_k, w_density)
 from .fields import (Grid2P, GridMismatchError, ScalarField, SymTensorField,
                      Tensor33Field, VectorField, curl, div_tensor, div_vector,
                      grad_scalar, grad_vector, inner, integrate, laplacian, sym_grad)
 from .gravitation import Gravitation, eval_coriolis_vector, eval_gravity, gravitation_force
 from .oracle import (CaseSpec, reference_path, step_compressible, step_incompressible,
                      taylor_green_analytic)
-from .sben import (MinimizeConfig, Path, SbenReport, assemble_pi_compressible,
-                   assemble_pi_incompressible, evaluate_path, gradient_pi,
+from .sben import (MinimizeConfig, Path, SbenReport, evaluate_path, gradient_pi,
                    incompressible_path, leray_project, minimize, minimize_compressible,
                    slave_density)
 from .symplectic import (InfinitePolarValue, PhaseDecomposition, PhasePoint,

@@ -41,7 +41,6 @@ def _halved(grid: Grid2P) -> Grid2P:
 def run_all(config: RunConfig) -> list[CheckResult]:
     grid = config.grid
     mu = config.viscosity.mu
-    cfg = config.conjugate
     rng = np.random.default_rng(config.seed)
     out: list[CheckResult] = []
 
@@ -104,18 +103,18 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     for _ in range(10):
         vv = random_vector(grid, rng)
         ff = fd.remove_mean(random_vector(grid, rng))
-        g = fenchel_gap(vv, ff, mu, cfg)
-        sc = phi(vv, mu) + phi_star(ff, mu, cfg) + 1.0
+        g = fenchel_gap(vv, ff, mu)
+        sc = phi(vv, mu) + phi_star(ff, mu) + 1.0
         worst_gap = min(worst_gap, g / sc)
     out.append(CheckResult("Fenchel inequality", worst_gap >= -1e-12, worst_gap, -1e-12))
 
     vv = random_vector(grid, rng)
-    eq_gap = abs(fenchel_gap(vv, apply_k(vv, mu), mu, cfg)) / (phi(vv, mu) + 1.0)
+    eq_gap = abs(fenchel_gap(vv, apply_k(vv, mu), mu)) / (phi(vv, mu) + 1.0)
     out.append(CheckResult("Fenchel equality at f = K(v)", eq_gap <= 1e-8, eq_gap, 1e-8))
 
     # conjugate two-formula agreement
     ff = fd.remove_mean(apply_k(random_vector(grid, rng), mu))
-    u = solve_k(ff, mu, cfg)
+    u = solve_k(ff, mu)
     two = abs(phi(u, mu) - 0.5 * fd.inner(ff, u)) / max(phi(u, mu), 1e-300)
     out.append(CheckResult("conjugate two-formula agreement", two <= 1e-10, two, 1e-10))
 
@@ -150,7 +149,7 @@ def run_all(config: RunConfig) -> list[CheckResult]:
 
     # conjugate solve round trip
     v0 = fd.remove_mean(random_solenoidal(grid, rng))
-    u0 = solve_k(apply_k(v0, mu), mu, cfg)
+    u0 = solve_k(apply_k(v0, mu), mu)
     rt = fd.l2_norm(u0 - fd.remove_mean(v0)) / max(fd.l2_norm(v0), 1e-300)
     out.append(CheckResult("conjugate solve round trip", rt <= 1e-8, rt, 1e-8))
 

@@ -24,7 +24,6 @@ from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
 from .oracle import CaseSpec, UnstableStepError, reference_path
 from .sben import SbenReport, evaluate_path, minimize, minimize_compressible
-from .solvers import SolverConvergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,8 +86,7 @@ def cmd_reference(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load(args)
     path = load_path_archive(args.archive, expect_grid=config.grid)
-    report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation,
-                                      config.conjugate)
+    report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation)
     _write_report(args.out, report)
     for k, p in enumerate(pressures or []):
         save_scalar(os.path.join(args.out, f"pressure_{k:04d}.csv"), p)
@@ -118,11 +116,10 @@ def cmd_minimize(args) -> int:
         start = Path(states)
 
     if start.kind == "incompressible":
-        result = minimize(start, config.viscosity.mu, config.gravitation,
-                          config.conjugate, config.minimizer)
+        result = minimize(start, config.viscosity.mu, config.gravitation, config.minimizer)
     else:
         result = minimize_compressible(start, config.viscosity.mu, config.gravitation,
-                                       config.conjugate, config.minimizer)
+                                       config.minimizer)
     save_path_archive(args.out, result.path)
     _write_report(args.out, result.report)
     print(f"{result.message}; functional {result.report.total_pi:.12e} "
@@ -169,7 +166,7 @@ def main(argv=None) -> int:
         # OSError: a missing input, or an --out that cannot be a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverConvergenceError, UnstableStepError, FloatingPointError) as exc:
+    except (UnstableStepError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

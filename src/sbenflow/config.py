@@ -1,11 +1,12 @@
 """Run configuration: a JSON file with one block per subsystem.
 
-Blocks: grid, eos, viscosity, gravitation, time, case, conjugate, minimizer,
-plus a top-level seed.  Unknown presets and case ids, missing blocks,
+Blocks: grid, eos, viscosity, gravitation, time, case, minimizer, plus a
+top-level seed.  Unknown presets and case ids, missing blocks,
 non-numeric or non-finite parameters and out-of-range values raise
-ConfigError naming the offending field path.  The optional
-conjugate block (tol, max_iter) is accepted and ignored: the K^(-1) and
-pressure solves are exact.
+ConfigError naming the offending field path.  An optional conjugate block
+(tol, max_iter), the settings of a former iterative solve, is still
+type-checked so that old configs load as before, and then ignored: the
+K^(-1) and pressure solves are exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
-from .dissipation import ConjugateSolve, Viscosity
+from .dissipation import Viscosity
 from .fields import Grid2P
 from .gravitation import PRESETS, Gravitation
 from .oracle import CASE_IDS
@@ -56,7 +57,6 @@ class RunConfig:
     gravitation: Gravitation
     time: TimeBlock
     case: CaseBlock
-    conjugate: ConjugateSolve
     minimizer: MinimizeConfig
     seed: int = 42
 
@@ -158,8 +158,8 @@ def parse_config(raw: dict) -> RunConfig:
                               f"compressible_smooth (positive initial density), got {amplitude}")
 
     conj_b = _need(raw, "conjugate", {})
-    conjugate = ConjugateSolve(tol=_get(conj_b, "conjugate", "tol", float, 1e-10),
-                               max_iter=_get(conj_b, "conjugate", "max_iter", int, 50_000))
+    _get(conj_b, "conjugate", "tol", float, 1e-10)
+    _get(conj_b, "conjugate", "max_iter", int, 50_000)
 
     min_b = _need(raw, "minimizer", {})
     defaults = MinimizeConfig()
@@ -180,8 +180,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"minimizer.{key} must be {allowed}, got {getattr(m, key)}")
 
     return RunConfig(grid=grid, eos=eos, viscosity=viscosity, gravitation=gravitation,
-                     time=time_block, case=case, conjugate=conjugate,
-                     minimizer=minimizer, seed=_get(raw, "", "seed", _seed, 42))
+                     time=time_block, case=case, minimizer=minimizer,
+                     seed=_get(raw, "", "seed", _seed, 42))
 
 
 def with_seed(config: RunConfig, seed) -> RunConfig:

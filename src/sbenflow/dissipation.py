@@ -42,10 +42,11 @@ class Viscosity:
 
 @dataclass(frozen=True)
 class ConjugateSolve:
-    """Settings of the former iterative K^(-1) solve, accepted and ignored.
+    """Settings of the former iterative K^(-1) solve; nothing reads them.
 
-    The solve is exact, so neither field changes a result; the class stays so
-    that callers and configs with a ``conjugate`` block keep working.
+    The solve is exact.  The class stays only because the benchmark's
+    workloads (perfbench/workloads.py) still construct one and pass it to
+    sben.assemble_pi_incompressible, which ignores it.
     """
 
     tol: float = 1e-10
@@ -84,7 +85,7 @@ def apply_k(v: VectorField, mu: float) -> VectorField:
     return k_of_strain(fd.sym_grad(v), mu)
 
 
-def _check_zero_mean(f: VectorField, cfg: ConjugateSolve):
+def _check_zero_mean(f: VectorField):
     means = fd.component_means(f)
     scale = float(np.abs(f.data).max())
     if scale == 0.0:
@@ -94,8 +95,8 @@ def _check_zero_mean(f: VectorField, cfg: ConjugateSolve):
             f"f outside range of K: component means {means} exceed 1e-8 of the field scale")
 
 
-def solve_k(f: VectorField, mu: float, cfg: ConjugateSolve) -> VectorField:
-    """Mean-free v with K(v) = f, exact per wavenumber; cfg is ignored.
+def solve_k(f: VectorField, mu: float) -> VectorField:
+    """Mean-free v with K(v) = f, exact per wavenumber.
 
     With the central-difference symbol i*s, the in-plane block of K is
     mu (|s|^2 I + s s^T / 3), whose inverse is (I - s s^T / (4|s|^2)) / (mu |s|^2);
@@ -105,7 +106,7 @@ def solve_k(f: VectorField, mu: float, cfg: ConjugateSolve) -> VectorField:
     """
     if not np.isfinite(f.data).all():
         raise FloatingPointError("viscous conjugate solve: non-finite right-hand side")
-    _check_zero_mean(f, cfg)
+    _check_zero_mean(f)
     grid = f.grid
     sym = fd.spectral_symbols(grid)
     fh = np.fft.rfft2(f.data)
@@ -118,11 +119,11 @@ def solve_k(f: VectorField, mu: float, cfg: ConjugateSolve) -> VectorField:
     return VectorField(grid, np.fft.irfft2(uh, s=grid.shape))
 
 
-def phi_star(f: VectorField, mu: float, cfg: ConjugateSolve) -> float:
+def phi_star(f: VectorField, mu: float) -> float:
     """Fenchel polar of phi for zero-mean f: the dissipation of K^(-1) f."""
-    return phi(solve_k(f, mu, cfg), mu)
+    return phi(solve_k(f, mu), mu)
 
 
-def fenchel_gap(v: VectorField, f: VectorField, mu: float, cfg: ConjugateSolve) -> float:
+def fenchel_gap(v: VectorField, f: VectorField, mu: float) -> float:
     """phi(v) + phi_star(f) - <f, v>; nonnegative, zero iff f = K(v) mod constants."""
-    return phi(v, mu) + phi_star(f, mu, cfg) - fd.inner(f, v)
+    return phi(v, mu) + phi_star(f, mu) - fd.inner(f, v)

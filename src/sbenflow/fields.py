@@ -354,12 +354,6 @@ def cross(a: VectorField, b: VectorField) -> VectorField:
     return VectorField(a.grid, out)
 
 
-def jac_dot(j: Tensor33Field, v: VectorField) -> VectorField:
-    """(v . grad) applied through a precomputed Jacobian: component i is sum_j J[i,j] v_j."""
-    _check_same_grid(j, v)
-    return VectorField(v.grid, np.einsum("ij...,j...->i...", j.data, v.data))
-
-
 def jac_transpose_dot(j: Tensor33Field, v: VectorField) -> VectorField:
     """Component i is sum_j v_j J[j,i] (contraction leaving the derivative index free)."""
     _check_same_grid(j, v)

@@ -156,9 +156,11 @@ def incompressible_path(grid: Grid2P, eos: IncompressibleEos, times,
     return Path(states)
 
 
+_MASS_TOL, _MASS_MAX_ITER = 1e-13, 500   # fixed point: update / density scale, sweeps
+
+
 def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
-                  times, eos: BarotropicPowerEos,
-                  tol: float = 1e-13, max_iter: int = 500) -> list[ScalarField]:
+                  times) -> list[ScalarField]:
     """March the discrete mass balance: each new density solves
     (rho_next - rho_prev)/dt + div(rho_mid v_mid) = 0 (implicit midpoint,
     fixed-point iteration).  Conservative form: total mass is exact.
@@ -172,12 +174,12 @@ def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
         rho_prev = densities[-1]
         rho_next = rho_prev.copy()
         scale = float(np.abs(rho_prev.data).max())
-        for _ in range(max_iter):
+        for _ in range(_MASS_MAX_ITER):
             rho_mid = 0.5 * (rho_prev + rho_next)
             update = rho_prev - dt * fd.div_vector(fd.scalar_times_vector(rho_mid, v_mid))
             delta = float(np.abs(update.data - rho_next.data).max())
             rho_next = update
-            if delta <= tol * scale:
+            if delta <= _MASS_TOL * scale:
                 break
         else:
             raise DensityError(f"mass-balance fixed point stalled at interval {k}")
@@ -191,7 +193,7 @@ def compressible_path(grid: Grid2P, eos: BarotropicPowerEos, times,
                       velocities: list[VectorField],
                       densities: Optional[list[ScalarField]] = None) -> Path:
     if densities is None:
-        densities = slave_density(ScalarField.full(grid, eos.rho0), velocities, times, eos)
+        densities = slave_density(ScalarField.full(grid, eos.rho0), velocities, times)
     states = [FluidState(float(t), v, rho, eos)
               for t, v, rho in zip(times, velocities, densities)]
     return Path(states)
@@ -286,8 +288,7 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
     return advection, fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
 
 
-def _interval_core(path: Path, k: int, mu: float, grav: Gravitation,
-                   cfg: ConjugateSolve) -> _IntervalCore:
+def _interval_core(path: Path, k: int, mu: float, grav: Gravitation) -> _IntervalCore:
     """The interval's terms.  v_mid is differenced once (see
     _differentiate_midpoint), and the core keeps K(v_mid) for the residual,
     the recovered pressure and the gradient."""
@@ -321,17 +322,17 @@ def _interval_core(path: Path, k: int, mu: float, grav: Gravitation,
         f = fd.remove_stencil_null(f_raw)
 
     discarded = float(np.linalg.norm(fd.component_means(f_raw)))
-    u = solve_k(f, mu, cfg)
+    u = solve_k(f, mu)
     phi_star_f = phi(u, mu)
     ns_residual = fd.l2_norm(f - kv)
     return _IntervalCore(t_mid, v_mid, accel, f_raw, u, kv, phi_v, phi_star_f,
                          pairing, discarded, ns_residual)
 
 
-def _assemble(path: Path, mu: float, grav: Gravitation,
-              cfg: ConjugateSolve) -> tuple[list[_IntervalCore], SbenReport]:
+def _assemble(path: Path, mu: float, grav: Gravitation
+              ) -> tuple[list[_IntervalCore], SbenReport]:
     start = time.perf_counter()
-    cores = [_interval_core(path, k, mu, grav, cfg) for k in range(path.n_intervals)]
+    cores = [_interval_core(path, k, mu, grav) for k in range(path.n_intervals)]
     report = SbenReport(
         kind=path.kind,
         midpoint_times=np.array([c.t_mid for c in cores]),
@@ -356,20 +357,19 @@ def _recover_pressures(cores: list[_IntervalCore]) -> list[ScalarField]:
     return pressures
 
 
-def multiplier_pressures(path: Path, mu: float, grav: Gravitation,
-                         cfg: ConjugateSolve) -> list[ScalarField]:
+def multiplier_pressures(path: Path, mu: float, grav: Gravitation) -> list[ScalarField]:
     """Zero-mean multiplier pressure per interval of an incompressible path."""
     if path.kind != "incompressible":
         raise ValueError("multiplier pressure is defined for the incompressible kind")
-    return evaluate_path(path, mu, grav, cfg)[1]
+    return evaluate_path(path, mu, grav)[1]
 
 
-def evaluate_path(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve
+def evaluate_path(path: Path, mu: float, grav: Gravitation
                   ) -> tuple[SbenReport, Optional[list[ScalarField]]]:
     """Evaluate the space-time functional on a path of either kind and, for the
     incompressible kind, recover the zero-mean multiplier pressure per interval
     from the same interval cores (None for the compressible kind)."""
-    cores, report = _assemble(path, mu, grav, cfg)
+    cores, report = _assemble(path, mu, grav)
     if path.kind != "incompressible":
         return report, None
     return report, _recover_pressures(cores)
@@ -377,23 +377,26 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
                                cfg: ConjugateSolve) -> SbenReport:
-    """Evaluate the space-time functional on an incompressible path (pure)."""
+    """The report of evaluate_path on an incompressible path, without the
+    pressures; cfg is ignored.  It stays for the benchmark's workloads
+    (perfbench/workloads.py), which call it with this signature."""
     if path.kind != "incompressible":
         raise ValueError("path carries a compressible EOS")
-    _, report = _assemble(path, mu, grav, cfg)
-    return report
-
-
-def assemble_pi_compressible(path: Path, mu: float, grav: Gravitation,
-                             cfg: ConjugateSolve) -> SbenReport:
-    """Evaluate the space-time functional on a barotropic compressible path."""
-    if path.kind != "compressible":
-        raise ValueError("path carries an incompressible EOS")
-    _, report = _assemble(path, mu, grav, cfg)
+    _, report = _assemble(path, mu, grav)
     return report
 
 
 # --- gradient -----------------------------------------------------------------
+
+def _jacobian_transpose_dot(v: VectorField, w: VectorField) -> VectorField:
+    """(grad v)^T w: component i is sum_j w_j d_i v_j, summed in order j = 0, 1, 2,
+    from the two in-plane Jacobian columns of v (the z component is zero)."""
+    out = np.zeros_like(w.data)
+    wx, wy, wz = w.data
+    for i, col in enumerate(fd.central_differences(v.grid, v.data)):
+        out[i] = col[0] * wx + col[1] * wy + col[2] * wz
+    return VectorField(v.grid, out)
+
 
 def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
                               grav: Gravitation) -> tuple[VectorField, VectorField]:
@@ -402,12 +405,11 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
     grid = path.grid
     omega = grav.coriolis_vector(core.t_mid)
     g_field = grav.gravity(core.t_mid)
-    jac_v = fd.grad_vector(core.v_mid)
 
     if path.kind == "incompressible":
         rho0 = path.eos.rho0
         w = rho0 * (core.v_mid - core.u)
-        e = (fd.jac_transpose_dot(jac_v, w) - fd.div_outer(core.v_mid, w)
+        e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
              + core.kv
              + rho0 * (core.accel - g_field)
              + 2.0 * rho0 * fd.cross(omega, core.u))
@@ -415,7 +417,7 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
         rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
         p_mid = ScalarField(grid, path.eos.pressure(rho_mid.data))
         w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
-        e = (fd.jac_transpose_dot(jac_v, w) - fd.div_outer(core.v_mid, w)
+        e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
              + core.kv
              + fd.scalar_times_vector(rho_mid, core.accel - g_field)
              + fd.grad_scalar(p_mid)
@@ -423,7 +425,7 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
     return e, w
 
 
-def gradient_pi(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
+def gradient_pi(path: Path, mu: float, grav: Gravitation,
                 cores: Optional[list[_IntervalCore]] = None) -> list[VectorField]:
     """Exact gradient of the discrete functional with respect to the free
     velocity slices v_k, k >= 1.  For the incompressible kind each slice is
@@ -432,7 +434,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     For the compressible kind the density/pressure response is frozen, which
     makes the gradient approximate; see minimize_compressible."""
     if cores is None:
-        cores = [_interval_core(path, k, mu, grav, cfg) for k in range(path.n_intervals)]
+        cores = [_interval_core(path, k, mu, grav) for k in range(path.n_intervals)]
     dt = path.dt
     n = path.n_intervals
     grads: list[VectorField] = []
@@ -530,7 +532,7 @@ def _stokes_preconditioner(path: Path, mu: float) -> Preconditioner:
 
 
 def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
-             grav: Gravitation, cfg: ConjugateSolve, opts: MinimizeConfig,
+             grav: Gravitation, opts: MinimizeConfig,
              on_iteration: Optional[Callable[[int, float, float], None]] = None,
              precondition: Optional[Preconditioner] = None
              ) -> tuple[Path, list[_IntervalCore], SbenReport, bool, str]:
@@ -555,10 +557,10 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
             grads = [fd.remove_stencil_null(g) for g in grads]
         return np.sqrt(max(path_dot(grads, grads), 0.0))
 
-    cores, report = _assemble(path, mu, grav, cfg)
+    cores, report = _assemble(path, mu, grav)
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
-    grad = gradient_pi(path, mu, grav, cfg, cores=cores)
+    grad = gradient_pi(path, mu, grav, cores=cores)
     pgrad = grad if precondition is None else precondition(grad)
     gnorm0 = norm(grad)
     history = [gnorm0]
@@ -604,7 +606,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
             except DensityError:
                 alpha *= opts.backtrack_factor
                 continue
-            trial_cores, trial_report = _assemble(trial, mu, grav, cfg)
+            trial_cores, trial_report = _assemble(trial, mu, grav)
             if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
                 accepted = True
                 break
@@ -614,7 +616,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
             break
 
         alpha_prev = alpha
-        new_grad = gradient_pi(trial, mu, grav, cfg, cores=trial_cores)
+        new_grad = gradient_pi(trial, mu, grav, cores=trial_cores)
         new_pgrad = new_grad if precondition is None else precondition(new_grad)
         beta = max(0.0, (path_dot(new_grad, new_pgrad) - path_dot(new_grad, pgrad))
                    / max(path_dot(grad, pgrad), 1e-300))
@@ -637,7 +639,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
     return path, cores, report, converged, message
 
 
-def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
+def minimize(path0: Path, mu: float, grav: Gravitation,
              opts: MinimizeConfig = MinimizeConfig(),
              on_iteration: Optional[Callable[[int, float, float], None]] = None
              ) -> MinimizeResult:
@@ -656,7 +658,7 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
     start = time.perf_counter()
     path = _project_free_slices(path0)
     path, cores, report, converged, message = _descend(
-        path, path.with_velocities, mu, grav, cfg, opts, on_iteration,
+        path, path.with_velocities, mu, grav, opts, on_iteration,
         _stokes_preconditioner(path, mu))
     path.pressures = _recover_pressures(cores)
     report.wall_time = time.perf_counter() - start
@@ -664,7 +666,6 @@ def minimize(path0: Path, mu: float, grav: Gravitation, cfg: ConjugateSolve,
 
 
 def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
-                          cfg: ConjugateSolve,
                           opts: MinimizeConfig = MinimizeConfig()) -> MinimizeResult:
     """Descend the functional over the free slices of a barotropic path.
 
@@ -680,10 +681,10 @@ def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
 
     def rebuild(free: list[VectorField]) -> Path:
         velocities = [s0.v] + free
-        densities = slave_density(s0.rho, velocities, path0.times, path0.eos)
+        densities = slave_density(s0.rho, velocities, path0.times)
         return compressible_path(path0.grid, path0.eos, path0.times, velocities, densities)
 
     path, _, report, converged, message = _descend(
-        rebuild([s.v for s in path0.states[1:]]), rebuild, mu, grav, cfg, opts)
+        rebuild([s.v for s in path0.states[1:]]), rebuild, mu, grav, opts)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import fields as fd
 from .balance import FluidState, Momentum, pi_i_residual
-from .dissipation import ConjugateSolve, phi, phi_star
+from .dissipation import phi, phi_star
 from .fields import ScalarField, VectorField
 from .gravitation import Gravitation
 
@@ -74,7 +74,7 @@ def decompose(s_prev: FluidState, s_next: FluidState,
     return PhaseDecomposition(v_i, pi_i_residual(s_prev, s_next, grav, pressure))
 
 
-def symplectic_polar(z_i: PhaseDecomposition, mu: float, cfg: ConjugateSolve,
+def symplectic_polar(z_i: PhaseDecomposition, mu: float,
                      v_tol: float = 1e-8, v_scale: float = 1.0) -> float:
     """Symplectic conjugate of the dissipation potential at zeta_I.
 
@@ -85,16 +85,15 @@ def symplectic_polar(z_i: PhaseDecomposition, mu: float, cfg: ConjugateSolve,
     v_i_norm = fd.linf_norm(z_i.v_i)
     if v_i_norm > threshold:
         raise InfinitePolarValue(v_i_norm, threshold)
-    return phi_star(fd.remove_mean(-z_i.pi_i), mu, cfg)
+    return phi_star(fd.remove_mean(-z_i.pi_i), mu)
 
 
 def constitutive_gap(z: PhasePoint, z_i: PhaseDecomposition, mu: float,
-                     cfg: ConjugateSolve, v_tol: float = 1e-8,
-                     v_scale: float = 1.0) -> float:
+                     v_tol: float = 1e-8, v_scale: float = 1.0) -> float:
     """phi(v) + polar(zeta_I) - omega(zeta_I, zeta); zero exactly on the
     dissipative constitutive manifold, +inf when the indicator trips."""
     try:
-        polar = symplectic_polar(z_i, mu, cfg, v_tol=v_tol, v_scale=v_scale)
+        polar = symplectic_polar(z_i, mu, v_tol=v_tol, v_scale=v_scale)
     except InfinitePolarValue:
         return float("inf")
     pairing = fd.inner(z_i.v_i, z.pidot) - fd.inner(z_i.pi_i, z.v)

@@ -5,6 +5,7 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow.fields import Grid2P, ScalarField
+from sbenflow.sben import evaluate_path
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +30,13 @@ def observed_order(errors, factor=2.0):
     orders = [math.log(errors[i] / errors[i + 1]) / math.log(factor)
               for i in range(len(errors) - 1)]
     return min(orders)
+
+
+def functional_report(path, mu, grav, kind):
+    """The functional's report from sben.evaluate_path, on a path of the kind
+    the test means."""
+    assert path.kind == kind
+    return evaluate_path(path, mu, grav)[0]
 
 
 def leray_two_component(v):

@@ -13,17 +13,15 @@ import pytest
 from sbenflow import fields as fd
 from sbenflow.balance import (BarotropicPowerEos, FluidState, head_loss, pi_i_residual,
                               momentum_reduction_gap)
-from sbenflow.dissipation import ConjugateSolve, apply_k, fenchel_gap, phi, phi_star
+from sbenflow.dissipation import apply_k, fenchel_gap, phi, phi_star
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import CaseSpec, reference_path, taylor_green_analytic
 from sbenflow.sampling import random_solenoidal, random_vector
-from sbenflow.sben import (MinimizeConfig, assemble_pi_compressible,
-                           assemble_pi_incompressible, gradient_pi, leray_project,
-                           minimize, path_dot)
+from sbenflow.sben import MinimizeConfig, gradient_pi, leray_project, minimize, path_dot
 from sbenflow.symplectic import PhasePoint, omega
 
-from conftest import TWO_PI
+from conftest import TWO_PI, functional_report
 
 NU = 0.1
 MU = 0.1  # rho0 = 1
@@ -41,13 +39,12 @@ def test_criterion_1_fenchel_inequality():
     start = time.perf_counter()
     grid = Grid2P(32, 32, TWO_PI, TWO_PI)
     rng = np.random.default_rng(42)
-    cfg = ConjugateSolve()
     worst = np.inf
     for _ in range(100):
         v = random_vector(grid, rng)
         f = fd.remove_mean(random_vector(grid, rng))
-        gap = fenchel_gap(v, f, MU, cfg)
-        scale = phi(v, MU) + phi_star(f, MU, cfg) + 1.0
+        gap = fenchel_gap(v, f, MU)
+        scale = phi(v, MU) + phi_star(f, MU) + 1.0
         margin = gap / scale
         worst = min(worst, margin)
         assert gap >= -1e-12 * scale
@@ -63,11 +60,10 @@ def test_criterion_2_conjugacy_equality():
     start = time.perf_counter()
     grid = Grid2P(32, 32, TWO_PI, TWO_PI)
     rng = np.random.default_rng(42)
-    cfg = ConjugateSolve(tol=1e-11)
     worst = 0.0
     for _ in range(50):
         v = random_vector(grid, rng)
-        rel = abs(phi_star(apply_k(v, MU), MU, cfg) - phi(v, MU)) / phi(v, MU)
+        rel = abs(phi_star(apply_k(v, MU), MU) - phi(v, MU)) / phi(v, MU)
         worst = max(worst, rel)
         assert rel <= 1e-8
 
@@ -77,7 +73,7 @@ def test_criterion_2_conjugacy_equality():
     kv = apply_k(state.v, MU)
     h = grid.dx
     assert fd.linf_norm(kv - 2 * MU * state.v) <= 2 * MU * (h**2 / 3) * 1.1
-    rel_tg = abs(phi_star(kv, MU, cfg) - phi(state.v, MU)) / phi(state.v, MU)
+    rel_tg = abs(phi_star(kv, MU) - phi(state.v, MU)) / phi(state.v, MU)
     assert rel_tg <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, _budget_fail
@@ -96,7 +92,7 @@ def vortex_refinement():
         grav = Gravitation(grid, "zero")
         case = CaseSpec("taylor_green", grid, 1.0, n_ref, {"nu": NU, "amplitude": 1.0})
         path = reference_path(case, MU, grav, n_out=n_out)
-        report = assemble_pi_incompressible(path, MU, grav, ConjugateSolve())
+        report = functional_report(path, MU, grav, "incompressible")
         levels.append((nx, path, report))
     return {"levels": levels, "wall": time.perf_counter() - start}
 
@@ -122,7 +118,7 @@ def test_criterion_4_strict_positivity(vortex_refinement):
     _, path, report = vortex_refinement["levels"][1]  # the 32^2 level
     grav = Gravitation(path.grid, "zero")
     scaled = path.with_velocities([1.1 * s.v for s in path.states[1:]])
-    rep_scaled = assemble_pi_incompressible(scaled, MU, grav, ConjugateSolve())
+    rep_scaled = functional_report(scaled, MU, grav, "incompressible")
     ratio = rep_scaled.total_pi / max(report.total_pi, 1e-300)
     assert ratio >= 10.0
     elapsed = time.perf_counter() - start
@@ -138,8 +134,7 @@ def recovery_run():
     grav = Gravitation(grid, "zero")
     case = CaseSpec("taylor_green", grid, 0.5, 32, {"nu": NU, "amplitude": 1.0})
     ref = reference_path(case, MU, grav, n_out=8)
-    cfg = ConjugateSolve()
-    ref_report = assemble_pi_incompressible(ref, MU, grav, cfg)
+    ref_report = functional_report(ref, MU, grav, "incompressible")
 
     rng = np.random.default_rng(42)
     noisy_free = []
@@ -148,10 +143,10 @@ def recovery_run():
         level = 0.10 * math.sqrt(fd.inner(s.v, s.v) / fd.inner(noise, noise))
         noisy_free.append(s.v + level * noise)
     noisy = ref.with_velocities(noisy_free)
-    noisy_report = assemble_pi_incompressible(noisy, MU, grav, cfg)
+    noisy_report = functional_report(noisy, MU, grav, "incompressible")
 
     t0 = time.perf_counter()
-    result = minimize(noisy, MU, grav, cfg,
+    result = minimize(noisy, MU, grav,
                       MinimizeConfig(max_iter=800, tol_pi_rel=1e-10, tol_grad_rel=1e-9))
     wall = time.perf_counter() - t0
     return {"grid": grid, "grav": grav, "ref": ref, "ref_report": ref_report,
@@ -185,16 +180,15 @@ def test_criterion_6_gradient_correctness():
     rng = np.random.default_rng(42)
     path = base.with_velocities([s.v + 0.25 * random_solenoidal(grid, rng, kmax=2)
                                  for s in base.states[1:]])
-    cfg = ConjugateSolve(tol=1e-13)
-    grads = gradient_pi(path, MU, grav, cfg)
+    grads = gradient_pi(path, MU, grav)
     worst = 0.0
     for _ in range(5):
         d = [random_solenoidal(grid, rng, kmax=2) for _ in range(path.n_intervals)]
         eps = 1e-5
         plus = path.with_velocities([s.v + eps * dk for s, dk in zip(path.states[1:], d)])
         minus = path.with_velocities([s.v - eps * dk for s, dk in zip(path.states[1:], d)])
-        fd_val = (assemble_pi_incompressible(plus, MU, grav, cfg).total_pi
-                  - assemble_pi_incompressible(minus, MU, grav, cfg).total_pi) / (2 * eps)
+        fd_val = (functional_report(plus, MU, grav, "incompressible").total_pi
+                  - functional_report(minus, MU, grav, "incompressible").total_pi) / (2 * eps)
         rel = abs(path_dot(grads, d) - fd_val) / abs(fd_val)
         worst = max(worst, rel)
         assert rel <= 1e-5
@@ -298,7 +292,7 @@ def test_criterion_10_compressible_evaluation():
         path = reference_path(case, mu, grav, n_out=n_out)
         drift = abs(fd.integrate(path.states[-1].rho) - fd.integrate(path.states[0].rho))
         masses.append(drift / fd.integrate(path.states[0].rho))
-        pis.append(assemble_pi_compressible(path, mu, grav, ConjugateSolve()).total_pi)
+        pis.append(functional_report(path, mu, grav, "compressible").total_pi)
     orders = [math.log2(pis[i] / pis[i + 1]) for i in range(2)]
     assert min(orders) >= 1.5
     assert max(masses) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.dissipation import (ConjugateSolve, NonZeroMeanError, Viscosity, apply_k,
+from sbenflow.dissipation import (NonZeroMeanError, Viscosity, apply_k,
                                   fenchel_gap, phi, phi_star, sigma_i, solve_k, w_density)
 from sbenflow.fields import Grid2P, SymTensorField, VectorField, XX, YY, ZZ, XY
 from sbenflow.oracle import taylor_green_analytic
@@ -11,7 +11,6 @@ from sbenflow.sampling import random_vector
 from conftest import TWO_PI
 
 MU = 0.7
-CFG = ConjugateSolve(tol=1e-11)
 
 
 def test_viscosity_must_be_positive():
@@ -123,53 +122,53 @@ class TestSolveK:
     def test_round_trip(self, grid32, rng):
         v0 = random_vector(grid32, rng)
         f = apply_k(v0, MU)
-        v = solve_k(f, MU, CFG)
+        v = solve_k(f, MU)
         ref = fd.remove_mean(v0)
         assert fd.l2_norm(v - ref) <= 1e-8 * fd.l2_norm(ref)
 
     def test_zero_rhs(self, grid32):
-        assert fd.linf_norm(solve_k(VectorField.zeros(grid32), MU, CFG)) == 0.0
+        assert fd.linf_norm(solve_k(VectorField.zeros(grid32), MU)) == 0.0
 
     def test_eigenmode_rhs(self, grid32):
         state, _ = taylor_green_analytic(0.0, 0.0, grid32)
         h = grid32.dx
         lam = 2 * MU * (np.sin(h) / h) ** 2
-        v = solve_k(lam * state.v, MU, CFG)
+        v = solve_k(lam * state.v, MU)
         assert fd.l2_norm(v - state.v) <= 1e-9 * fd.l2_norm(state.v)
 
     def test_nonzero_mean_rejected(self, grid32, rng):
         f = random_vector(grid32, rng)
         f = VectorField(grid32, f.data + 0.5)
         with pytest.raises(NonZeroMeanError, match="outside range"):
-            solve_k(f, MU, CFG)
+            solve_k(f, MU)
 
     def test_non_finite_rhs_rejected(self, grid32, rng):
         for bad in (np.nan, np.inf):
             f = fd.remove_mean(random_vector(grid32, rng, kmax=7))
             f.data[1, 3, 5] = bad
             with pytest.raises(FloatingPointError, match="non-finite"):
-                solve_k(f, MU, CFG)
+                solve_k(f, MU)
 
 
 class TestPhiStar:
     def test_zero(self, grid32):
-        assert phi_star(VectorField.zeros(grid32), MU, CFG) == 0.0
+        assert phi_star(VectorField.zeros(grid32), MU) == 0.0
 
     def test_conjugacy_equality(self, grid32, rng):
         for _ in range(10):
             v = random_vector(grid32, rng)
             f = apply_k(v, MU)
-            assert phi_star(f, MU, CFG) == pytest.approx(phi(v, MU), rel=1e-8)
+            assert phi_star(f, MU) == pytest.approx(phi(v, MU), rel=1e-8)
 
     def test_quadratic_scaling(self, grid32, rng):
         f = fd.remove_mean(apply_k(random_vector(grid32, rng), MU))
-        assert phi_star(2.0 * f, MU, CFG) == pytest.approx(4.0 * phi_star(f, MU, CFG),
+        assert phi_star(2.0 * f, MU) == pytest.approx(4.0 * phi_star(f, MU),
                                                            rel=1e-8)
 
     def test_two_formula_agreement(self, grid32, rng):
         for _ in range(5):
             f = apply_k(random_vector(grid32, rng), MU)
-            u = solve_k(f, MU, CFG)
+            u = solve_k(f, MU)
             a = phi(u, MU)
             b = 0.5 * fd.inner(f, u)
             assert abs(a - b) <= 1e-10 * max(a, 1e-300)
@@ -179,19 +178,19 @@ class TestFenchelGap:
     def test_equality_case(self, grid32, rng):
         for _ in range(50):
             v = random_vector(grid32, rng)
-            gap = fenchel_gap(v, apply_k(v, MU), MU, CFG)
+            gap = fenchel_gap(v, apply_k(v, MU), MU)
             assert abs(gap) <= 1e-8 * (phi(v, MU) + 1.0)
 
     def test_zero_velocity_positive_force(self, grid32, rng):
         f = fd.remove_mean(apply_k(random_vector(grid32, rng), MU))
-        assert phi_star(f, MU, CFG) > 0.0
-        assert fenchel_gap(VectorField.zeros(grid32), f, MU, CFG) > 0.0
+        assert phi_star(f, MU) > 0.0
+        assert fenchel_gap(VectorField.zeros(grid32), f, MU) > 0.0
 
     def test_random_pairs_strictly_positive(self, grid32, rng):
         for _ in range(20):
             v = random_vector(grid32, rng)
             f = fd.remove_mean(random_vector(grid32, rng))
-            gap = fenchel_gap(v, f, MU, CFG)
-            scale = phi(v, MU) + phi_star(f, MU, CFG) + 1.0
+            gap = fenchel_gap(v, f, MU)
+            scale = phi(v, MU) + phi_star(f, MU) + 1.0
             assert gap >= -1e-12 * scale
             assert gap > 1e-6 * scale  # independent draws never sit on the manifold

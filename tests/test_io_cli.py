@@ -8,7 +8,6 @@ from sbenflow import checks, cli
 from sbenflow.balance import BarotropicPowerEos, IncompressibleEos
 from sbenflow.cli import main
 from sbenflow.config import ConfigError, load_config, parse_config
-from sbenflow.dissipation import ConjugateSolve
 from sbenflow.fieldio import (ArchiveError, load_grid, load_path_archive, load_scalar,
                               load_vector, save_grid, save_path_archive, save_scalar,
                               save_vector)
@@ -213,7 +212,6 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = parse_config(json.loads(json.dumps(BASE_CONFIG)))
-        assert cfg.conjugate.tol == 1e-10
         assert cfg.minimizer.max_iter == 40
         assert cfg.seed == 42
 
@@ -405,15 +403,42 @@ class TestCli:
         assert main(["--seed", "7", "check", "--config", _write_config(tmp_path)]) == 0
         assert seen == [7]
 
+    def test_conjugate_block_is_checked_and_changes_no_output(self, tmp_path, capsys):
+        # the settings of a former iterative solve: still type-checked ...
+        for key in ("conjugate.tol", "conjugate.max_iter"):
+            bad = _write_config(tmp_path, overrides={key: "x"})
+            assert main(["check", "--config", bad]) == 2
+            assert f"bad value for {key}" in capsys.readouterr().err
+        # ... and ignored: check and evaluate write the same bytes with a loose
+        # tolerance as with no block at all
+        ref = str(tmp_path / "ref")
+        assert main(["reference", "--config", _write_config(tmp_path), "--out", ref]) == 0
+        outputs = []
+        for name, cfg in (("loose", {"overrides": {"conjugate.tol": 1e-3}}),
+                          ("absent", {"drop": "conjugate"})):
+            work = tmp_path / name
+            work.mkdir()
+            config = _write_config(work, **cfg)
+            capsys.readouterr()
+            assert main(["check", "--config", config]) == 0
+            check_out = capsys.readouterr().out
+            out = str(work / "eval")
+            assert main(["evaluate", "--config", config, "--archive", ref, "--out", out]) == 0
+            files = {}
+            for n in sorted(os.listdir(out)):
+                lines = open(os.path.join(out, n), "rb").read().splitlines()
+                # the wall-time lines are measurements
+                files[n] = [ln for ln in lines if b"wall" not in ln]
+            outputs.append((check_out, files))
+        assert "pressure_0000.csv" in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
     def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
-        # the conjugate block is accepted and ignored ...
+        # a solve off by 1e-3 cannot satisfy the 1e-8 conjugacy identities,
+        # whatever the conjugate block says
         cfg = _write_config(tmp_path, overrides={"conjugate.tol": 1e-3})
-        assert load_config(cfg).conjugate == ConjugateSolve(tol=1e-3, max_iter=50000)
-        assert load_config(_write_config(tmp_path, drop="conjugate")).conjugate == ConjugateSolve()
-        # ... and a solve off by 1e-3 cannot satisfy the 1e-8 conjugacy identities
         exact = checks.solve_k
-        monkeypatch.setattr(checks, "solve_k",
-                            lambda f, mu, cfg: (1.0 + 1e-3) * exact(f, mu, cfg))
+        monkeypatch.setattr(checks, "solve_k", lambda f, mu: (1.0 + 1e-3) * exact(f, mu))
         assert main(["check", "--config", cfg]) == 4
 
     def test_evaluate_non_finite_archive_exits_config(self, tmp_path, grid16, rng):

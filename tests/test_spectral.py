@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbenflow import fields as fd
-from sbenflow.dissipation import ConjugateSolve, apply_k, solve_k
+from sbenflow.dissipation import apply_k, solve_k
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.sben import leray_project
 from sbenflow.solvers import conjugate_gradient
 
 from conftest import leray_two_component
 
-CFG = ConjugateSolve()
 
 
 @st.composite
@@ -43,7 +42,7 @@ seeds = st.integers(0, 2**32 - 1)
 @given(grid=grids(), seed=seeds, mu=st.floats(0.01, 10.0))
 def test_solve_k_inverts_k_on_its_range(grid, seed, mu):
     f = apply_k(_noise(grid, seed), mu)
-    u = solve_k(f, mu, CFG)
+    u = solve_k(f, mu)
     assert fd.l2_norm(apply_k(u, mu) - f) <= 1e-12 * fd.l2_norm(f)
     # the representative is mean-free and free of the checkerboards
     assert np.abs(_null_coefficients(u.data, grid)).max() <= 1e-14 * fd.linf_norm(u)
@@ -111,7 +110,7 @@ def test_spectral_solves_match_conjugate_gradient(grid):
     n = grid.nx * grid.ny
 
     f = fd.remove_stencil_null(_noise(grid, 5))
-    u = solve_k(f, mu, CFG)
+    u = solve_k(f, mu)
 
     def k_matvec(flat):
         return apply_k(VectorField(grid, flat.reshape(3, *grid.shape)), mu).data.ravel()

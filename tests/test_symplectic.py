@@ -5,7 +5,7 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow.balance import IncompressibleEos, consistent_momentum
-from sbenflow.dissipation import ConjugateSolve, apply_k, fenchel_gap, phi
+from sbenflow.dissipation import apply_k, fenchel_gap, phi
 from sbenflow.fields import Grid2P, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import taylor_green_analytic
@@ -16,7 +16,6 @@ from sbenflow.symplectic import (InfinitePolarValue, PhaseDecomposition, PhasePo
 from conftest import TWO_PI
 
 MU = 0.4
-CFG = ConjugateSolve(tol=1e-11)
 
 
 class TestOmega:
@@ -100,18 +99,18 @@ class TestDecompose:
 class TestSymplecticPolar:
     def test_zero_decomposition(self, grid32):
         z_i = PhaseDecomposition(VectorField.zeros(grid32), VectorField.zeros(grid32))
-        assert symplectic_polar(z_i, MU, CFG) == 0.0
+        assert symplectic_polar(z_i, MU) == 0.0
 
     def test_equality_branch(self, grid32, rng):
         v = random_vector(grid32, rng)
         z_i = PhaseDecomposition(VectorField.zeros(grid32), -apply_k(v, MU))
-        assert symplectic_polar(z_i, MU, CFG) == pytest.approx(phi(v, MU), rel=1e-8)
+        assert symplectic_polar(z_i, MU) == pytest.approx(phi(v, MU), rel=1e-8)
 
     def test_indicator_trips(self, grid32, rng):
         v_i = random_vector(grid32, rng)
         z_i = PhaseDecomposition(v_i, VectorField.zeros(grid32))
         with pytest.raises(InfinitePolarValue) as err:
-            symplectic_polar(z_i, MU, CFG, v_tol=1e-8, v_scale=1.0)
+            symplectic_polar(z_i, MU, v_tol=1e-8, v_scale=1.0)
         assert err.value.v_i_norm == pytest.approx(fd.linf_norm(v_i))
 
 
@@ -121,14 +120,14 @@ class TestConstitutiveGap:
         v = random_vector(grid32, rng)
         z = PhasePoint(v, random_vector(grid32, rng))
         z_i = PhaseDecomposition(VectorField.zeros(grid32), -apply_k(v, MU))
-        gap = constitutive_gap(z, z_i, MU, CFG)
+        gap = constitutive_gap(z, z_i, MU)
         assert abs(gap) <= 1e-8 * (phi(v, MU) + 1.0)
 
     def test_reversible_point_pays_the_dissipation(self, grid32, rng):
         v = random_vector(grid32, rng)
         z = PhasePoint(v, VectorField.zeros(grid32))
         z_i = PhaseDecomposition(VectorField.zeros(grid32), VectorField.zeros(grid32))
-        assert constitutive_gap(z, z_i, MU, CFG) == pytest.approx(phi(v, MU), rel=1e-12)
+        assert constitutive_gap(z, z_i, MU) == pytest.approx(phi(v, MU), rel=1e-12)
         assert phi(v, MU) > 0.0
 
     def test_random_decompositions_strictly_positive(self, grid32, rng):
@@ -137,13 +136,13 @@ class TestConstitutiveGap:
             z = PhasePoint(v, random_vector(grid32, rng))
             pi_i = fd.remove_mean(random_vector(grid32, rng))
             z_i = PhaseDecomposition(VectorField.zeros(grid32), pi_i)
-            gap = constitutive_gap(z, z_i, MU, CFG)
+            gap = constitutive_gap(z, z_i, MU)
             assert gap > 0.0
 
     def test_infinite_branch(self, grid32, rng):
         z = PhasePoint(random_vector(grid32, rng), random_vector(grid32, rng))
         z_i = PhaseDecomposition(random_vector(grid32, rng), VectorField.zeros(grid32))
-        assert constitutive_gap(z, z_i, MU, CFG) == math.inf
+        assert constitutive_gap(z, z_i, MU) == math.inf
 
     def test_reduction_to_classical_gap(self, grid32, rng):
         # with v_I = 0 and mean-free pi_I the symplectic gap equals the
@@ -153,8 +152,8 @@ class TestConstitutiveGap:
             pi_i = fd.remove_mean(random_vector(grid32, rng))
             z = PhasePoint(v, random_vector(grid32, rng))
             z_i = PhaseDecomposition(VectorField.zeros(grid32), pi_i)
-            sym = constitutive_gap(z, z_i, MU, CFG)
-            classical = fenchel_gap(v, -pi_i, MU, CFG)
+            sym = constitutive_gap(z, z_i, MU)
+            classical = fenchel_gap(v, -pi_i, MU)
             scale = abs(classical) + 1.0
             assert abs(sym - classical) <= 1e-12 * scale
 
@@ -164,6 +163,6 @@ class TestConstitutiveGap:
         z_i = PhaseDecomposition(VectorField.zeros(grid32), pi_i)
         shift = VectorField.from_components(grid32, np.full(grid32.shape, 0.8),
                                             np.full(grid32.shape, -0.3))
-        g1 = constitutive_gap(PhasePoint(v, VectorField.zeros(grid32)), z_i, MU, CFG)
-        g2 = constitutive_gap(PhasePoint(v + shift, VectorField.zeros(grid32)), z_i, MU, CFG)
+        g1 = constitutive_gap(PhasePoint(v, VectorField.zeros(grid32)), z_i, MU)
+        g2 = constitutive_gap(PhasePoint(v + shift, VectorField.zeros(grid32)), z_i, MU)
         assert g1 == pytest.approx(g2, rel=1e-10, abs=1e-10)
