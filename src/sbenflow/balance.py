@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fields as fd
 from .fields import ScalarField, VectorField
-from .gravitation import Gravitation
+from .gravitation import Gravitation, gravitation_force
 
 
 class PressureUndefinedError(ValueError):
@@ -158,17 +158,21 @@ def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
     Vanishes exactly on inviscid barotropic trajectories; on viscous ones it
     equals the divergence of the viscous stress.
     """
-    dt, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
+    _, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
     p = _midpoint_pressure(s_prev, s_next, pressure)
-    accel = fd.scalar_times_vector(rho_mid, material_derivative(s_prev, s_next))
-    force = gravitation_force_midpoint(rho_mid, v_mid, grav, t_mid)
-    return accel + fd.grad_scalar(p) - force
+    return momentum_residual(rho_mid, material_derivative(s_prev, s_next), v_mid, grav,
+                             t_mid, fd.grad_scalar(p))
 
 
-def gravitation_force_midpoint(rho: ScalarField, v: VectorField,
-                               grav: Gravitation, t: float) -> VectorField:
-    omega = grav.coriolis_vector(t)
-    return fd.scalar_times_vector(rho, grav.gravity(t) - 2.0 * fd.cross(omega, v))
+def momentum_residual(rho: ScalarField, accel: VectorField, v: VectorField,
+                      grav: Gravitation, t: float,
+                      grad_p: Optional[VectorField] = None) -> VectorField:
+    """rho accel [+ grad_p] - rho (g - 2 Omega x v): pi_I when accel is Dv/Dt.
+    With grad_p None the pressure is left out (the incompressible multiplier)."""
+    r = fd.scalar_times_vector(rho, accel)
+    if grad_p is not None:
+        r = r + grad_p
+    return r - gravitation_force(rho, v, grav, t)
 
 
 def head_loss(s_prev: FluidState, s_next: FluidState, grav: Gravitation,

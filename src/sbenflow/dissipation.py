@@ -102,11 +102,10 @@ def solve_k(f: VectorField, mu: float) -> VectorField:
     mu (|s|^2 I + s s^T / 3), whose inverse is (I - s s^T / (4|s|^2)) / (mu |s|^2);
     the out-of-plane component is inverted by 1 / (mu |s|^2).  The stencil
     null modes of f (means and checkerboards) are dropped, which projects f
-    onto the range of K.
+    onto the range of K; phi_star, not this solve, rejects a nonzero mean.
     """
     if not np.isfinite(f.data).all():
         raise FloatingPointError("viscous conjugate solve: non-finite right-hand side")
-    _check_zero_mean(f)
     grid = f.grid
     sym = fd.spectral_symbols(grid)
     fh = np.fft.rfft2(f.data)
@@ -120,7 +119,12 @@ def solve_k(f: VectorField, mu: float) -> VectorField:
 
 
 def phi_star(f: VectorField, mu: float) -> float:
-    """Fenchel polar of phi for zero-mean f: the dissipation of K^(-1) f."""
+    """Fenchel polar of phi for zero-mean f: the dissipation of K^(-1) f.
+
+    phi_star is +infinity off the range of K, so a mean above 1e-8 of the
+    field scale is a NonZeroMeanError.
+    """
+    _check_zero_mean(f)
     return phi(solve_k(f, mu), mu)
 
 

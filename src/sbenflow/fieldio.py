@@ -413,6 +413,14 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
         raise ArchiveError(f"{manifest_file}: malformed manifest ({exc!r})") from None
     if pressure_names is not None and not isinstance(pressure_names, list):
         raise ArchiveError(f"{manifest_file}: pressures {pressure_names!r} is not a list")
+    incompressible = isinstance(eos, IncompressibleEos)
+    kind = "incompressible" if incompressible else "compressible"
+    if manifest.get("kind") != kind:
+        raise ArchiveError(
+            f"{manifest_file}: kind {manifest.get('kind')!r} does not match its {kind} eos")
+    if any((rho is None) != incompressible for _, _, rho in slices):
+        raise ArchiveError(f"{manifest_file}: every slice of a compressible path names a "
+                           f"density file, and no slice of an incompressible one")
     names = [v for _, v, _ in slices] + [rho for _, _, rho in slices if rho is not None]
     for name in names + (pressure_names or []):
         if not isinstance(name, str):

@@ -1,20 +1,24 @@
 """Space-time functional for viscous flow paths and its minimization.
 
-For a time-sampled velocity path the functional accumulates, per interval,
+For a time-sampled velocity path the functional accumulates, per interval and
+at the interval midpoint, the Fenchel gap of the irreversible momentum
+residual pi_I = rho Dv/Dt + grad p - rho (g - 2 Omega x v)
+(balance.momentum_residual), one formula for both kinds:
 
-    phi(v) + phi_star(f) + pairing,      f = -(rho Dv/Dt) + rho (g - 2 Omega x v)
+    phi(v) + phi_star(f) + <pi_I, v>,      f = N(P f_raw),  f_raw = -pi_I
 
-with everything evaluated at the interval midpoint.  The conjugate argument
-is divergence-projected and mean-projected before conjugation (for the
-incompressible kind that projection is the definition of the discrete
-functional: the pressure gradient is exactly the part it removes, and it is
-recovered afterwards as the multiplier of the constraint).  The pairing term
-integrates [rho Dv/Dt + grad p - rho g] . v; the Coriolis force does no work
-and therefore appears inside the conjugate only.
+N removes the stencil null modes (means and checkerboards), which K
+annihilates.  Only the pressure depends on the kind: a barotropic path takes
+grad p(rho) from its EOS and P is the identity; an incompressible path leaves
+it out and P, the Leray projection, removes it from f, so it is recovered
+afterwards as the multiplier of the constraint.  The pairing is the head
+loss; the Coriolis force does no work in it.  With r = f - K v the term is
+1/2 <K^(-1) r, r> - <f_raw - N f_raw, v - N v> (v divergence free for the
+incompressible kind): the first part is nonnegative and vanishes exactly on
+trajectories of the viscous flow equations, and the pairing of the null
+parts is the only term that can make the functional negative.
 
-Each interval term is a Fenchel gap, so the total is nonnegative and
-vanishes exactly on trajectories of the viscous flow equations.  One
-matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
+One matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
 backtracking minimizes both kinds with the initial state pinned: the
 incompressible kind on the divergence-free affine subspace, the compressible
 kind with the densities re-slaved to the mass balance on every trial path
@@ -39,7 +43,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fields as fd
-from .balance import BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos
+from .balance import (BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos,
+                      momentum_residual)
 from .dissipation import ConjugateSolve, k_of_strain, phi, solve_k, w_density
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
@@ -288,38 +293,31 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
     return advection, fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
 
 
+def _pressure_force(path: Path, rho_mid: ScalarField) -> Optional[VectorField]:
+    """grad p(rho_mid) from a barotropic EOS; None for the incompressible
+    multiplier, which the Leray projection of the conjugate argument removes."""
+    if path.kind == "incompressible":
+        return None
+    return fd.grad_scalar(ScalarField(path.grid, path.eos.pressure(rho_mid.data)))
+
+
 def _interval_core(path: Path, k: int, mu: float, grav: Gravitation) -> _IntervalCore:
-    """The interval's terms.  v_mid is differenced once (see
-    _differentiate_midpoint), and the core keeps K(v_mid) for the residual,
-    the recovered pressure and the gradient."""
+    """The interval's terms from f_raw = -pi_I, for both kinds (see the module
+    docstring).  v_mid is differenced once (see _differentiate_midpoint), and
+    the core keeps K(v_mid) for the residual, the pressure and the gradient."""
     s_prev, s_next = path.states[k], path.states[k + 1]
-    dt = path.dt
     t_mid = 0.5 * (s_prev.t + s_next.t)
     v_mid = 0.5 * (s_prev.v + s_next.v)
+    rho_mid = 0.5 * (s_prev.rho + s_next.rho)
     advection, phi_v, kv = _differentiate_midpoint(v_mid, mu)
-    accel = (1.0 / dt) * (s_next.v - s_prev.v) + advection
-
-    g_field = grav.gravity(t_mid)
-    omega = grav.coriolis_vector(t_mid)
-    incompressible = path.kind == "incompressible"
-
-    if incompressible:
-        rho0 = path.eos.rho0
-        body = g_field - 2.0 * fd.cross(omega, v_mid)
-        f_raw = rho0 * (-accel + body)
-        pairing = rho0 * (fd.inner(accel, v_mid) - fd.inner(g_field, v_mid))
-        f_div_free, _ = leray_project(f_raw)
-        f = fd.remove_stencil_null(f_div_free)
-    else:
-        rho_mid = 0.5 * (s_prev.rho + s_next.rho)
-        p_mid = ScalarField(path.grid, path.eos.pressure(rho_mid.data))
-        grad_p = fd.grad_scalar(p_mid)
-        body = g_field - 2.0 * fd.cross(omega, v_mid)
-        f_raw = -fd.scalar_times_vector(rho_mid, accel) - grad_p \
-            + fd.scalar_times_vector(rho_mid, body)
-        pairing = fd.inner(fd.scalar_times_vector(rho_mid, accel) + grad_p
-                           - fd.scalar_times_vector(rho_mid, g_field), v_mid)
-        f = fd.remove_stencil_null(f_raw)
+    accel = (1.0 / path.dt) * (s_next.v - s_prev.v) + advection
+    pi_i = momentum_residual(rho_mid, accel, v_mid, grav, t_mid,
+                             _pressure_force(path, rho_mid))
+    pairing = fd.inner(pi_i, v_mid)
+    f_raw = -pi_i
+    del pi_i    # freed before the projection and the K^(-1) solve
+    f = fd.remove_stencil_null(leray_project(f_raw)[0] if path.kind == "incompressible"
+                               else f_raw)
 
     discarded = float(np.linalg.norm(fd.component_means(f_raw)))
     u = solve_k(f, mu)
@@ -402,26 +400,16 @@ def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
                               grav: Gravitation) -> tuple[VectorField, VectorField]:
     """Coefficients (E, F) of the interval's first variation
     d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>."""
-    grid = path.grid
-    omega = grav.coriolis_vector(core.t_mid)
-    g_field = grav.gravity(core.t_mid)
-
-    if path.kind == "incompressible":
-        rho0 = path.eos.rho0
-        w = rho0 * (core.v_mid - core.u)
-        e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
-             + core.kv
-             + rho0 * (core.accel - g_field)
-             + 2.0 * rho0 * fd.cross(omega, core.u))
-    else:
-        rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
-        p_mid = ScalarField(grid, path.eos.pressure(rho_mid.data))
-        w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
-        e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
-             + core.kv
-             + fd.scalar_times_vector(rho_mid, core.accel - g_field)
-             + fd.grad_scalar(p_mid)
-             + 2.0 * fd.scalar_times_vector(rho_mid, fd.cross(omega, core.u)))
+    rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
+    grad_p = _pressure_force(path, rho_mid)
+    w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
+    e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
+         + core.kv
+         + fd.scalar_times_vector(rho_mid, core.accel - grav.gravity(core.t_mid)))
+    if grad_p is not None:
+        e = e + grad_p
+    e = e + 2.0 * fd.scalar_times_vector(
+        rho_mid, fd.cross(grav.coriolis_vector(core.t_mid), core.u))
     return e, w
 
 

@@ -136,11 +136,12 @@ class TestSolveK:
         v = solve_k(lam * state.v, MU)
         assert fd.l2_norm(v - state.v) <= 1e-9 * fd.l2_norm(state.v)
 
-    def test_nonzero_mean_rejected(self, grid32, rng):
-        f = random_vector(grid32, rng)
-        f = VectorField(grid32, f.data + 0.5)
-        with pytest.raises(NonZeroMeanError, match="outside range"):
-            solve_k(f, MU)
+    def test_null_modes_dropped(self, grid32, rng):
+        f = fd.remove_stencil_null(random_vector(grid32, rng))
+        shifted = VectorField(grid32, f.data + 0.5 + (-1.0) ** np.arange(32)[:, None])
+        v = solve_k(shifted, MU)
+        assert fd.linf_norm(v - solve_k(f, MU)) <= 1e-12 * fd.linf_norm(v)
+        assert fd.linf_norm(apply_k(v, MU) - f) <= 1e-10 * fd.linf_norm(f)
 
     def test_non_finite_rhs_rejected(self, grid32, rng):
         for bad in (np.nan, np.inf):
@@ -153,6 +154,12 @@ class TestSolveK:
 class TestPhiStar:
     def test_zero(self, grid32):
         assert phi_star(VectorField.zeros(grid32), MU) == 0.0
+
+    def test_nonzero_mean_rejected(self, grid32, rng):
+        f = random_vector(grid32, rng)
+        f = VectorField(grid32, f.data + 0.5)
+        with pytest.raises(NonZeroMeanError, match="outside range"):
+            phi_star(f, MU)
 
     def test_conjugacy_equality(self, grid32, rng):
         for _ in range(10):

@@ -107,6 +107,9 @@ MALFORMED_ARCHIVE = {
     "non-string v": ("manifest.json", _set_slice(1, "v", 7)),
     "non-list pressures": ("manifest.json", _set_pressures(5)),
     "non-string pressure": ("manifest.json", _set_pressures(["p_0000.csv", None])),
+    "density on an incompressible slice": ("manifest.json", _set_slice(1, "rho", "v_0001.csv")),
+    "kind disagrees with eos": ("manifest.json",
+                                _edit_manifest(lambda m: m.update(kind="compressible"))),
 }
 
 
@@ -160,6 +163,20 @@ class TestPathArchive:
         assert back.kind == "compressible"
         for a, b in zip(back.states, path.states):
             assert np.array_equal(a.rho.data, b.rho.data)
+
+    @pytest.mark.parametrize("edit", [
+        _edit_manifest(lambda m: m["slices"][1].pop("rho")),
+        _edit_manifest(lambda m: m.update(kind="incompressible"))],
+        ids=["slice without density", "kind disagrees with eos"])
+    def test_malformed_compressible_manifest(self, tmp_path, grid16, rng, edit):
+        vels = [random_vector(grid16, rng, amplitude=0.1) for _ in range(2)]
+        d = tmp_path / "arch"
+        save_path_archive(str(d), compressible_path(grid16, BarotropicPowerEos(), [0.0, 0.05],
+                                                    vels))
+        manifest = d / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(ArchiveError, match="manifest.json"):
+            load_path_archive(str(d))
 
     def test_grid_mismatch_detected(self, tmp_path, grid16, rng):
         eos = IncompressibleEos()
@@ -520,6 +537,16 @@ class TestCli:
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})
+        out = str(tmp_path / "cold")
+        assert main(["minimize", "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert report["iterations"] >= 1
+
+    def test_minimize_cold_start_under_uniform_gravity(self, tmp_path):
+        # the replicated start's projected conjugate argument is round-off
+        # with a round-off mean, which solve_k drops instead of rejecting
+        cfg = _write_config(tmp_path, overrides={
+            "gravitation": {"preset": "uniform_gravity", "parameters": {"g0": 1.0}}})
         out = str(tmp_path / "cold")
         assert main(["minimize", "--config", cfg, "--out", out]) == 0
         report = json.loads(open(os.path.join(out, "report.json")).read())

@@ -4,7 +4,7 @@ import pytest
 from sbenflow import fields as fd
 from sbenflow import sben
 from sbenflow.balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
-from sbenflow.dissipation import ConjugateSolve, apply_k, phi
+from sbenflow.dissipation import ConjugateSolve, apply_k, phi, solve_k
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import CaseSpec, reference_path, taylor_green_analytic
@@ -323,6 +323,150 @@ class TestOneJacobianPerInterval:
             out = sben._jacobian_transpose_dot(v, w)
             assert out.data.tobytes() == _padded_jacobian_contraction(v, w).data.tobytes()
             assert not out.data[2].any()
+
+
+def _kind_split_core(path, k, mu, grav):
+    """The interval core with one branch per kind, each writing the momentum
+    residual and the head loss itself: the formulas before both kinds built
+    them from balance.momentum_residual."""
+    s_prev, s_next = path.states[k], path.states[k + 1]
+    t_mid = 0.5 * (s_prev.t + s_next.t)
+    v_mid = 0.5 * (s_prev.v + s_next.v)
+    advection, phi_v, kv = sben._differentiate_midpoint(v_mid, mu)
+    accel = (1.0 / path.dt) * (s_next.v - s_prev.v) + advection
+    g_field = grav.gravity(t_mid)
+    body = g_field - 2.0 * fd.cross(grav.coriolis_vector(t_mid), v_mid)
+    if path.kind == "incompressible":
+        rho0 = path.eos.rho0
+        f_raw = rho0 * (-accel + body)
+        pairing = rho0 * (fd.inner(accel, v_mid) - fd.inner(g_field, v_mid))
+        f = fd.remove_stencil_null(leray_project(f_raw)[0])
+    else:
+        rho_mid = 0.5 * (s_prev.rho + s_next.rho)
+        grad_p = fd.grad_scalar(ScalarField(path.grid, path.eos.pressure(rho_mid.data)))
+        f_raw = -fd.scalar_times_vector(rho_mid, accel) - grad_p \
+            + fd.scalar_times_vector(rho_mid, body)
+        pairing = fd.inner(fd.scalar_times_vector(rho_mid, accel) + grad_p
+                           - fd.scalar_times_vector(rho_mid, g_field), v_mid)
+        f = fd.remove_stencil_null(f_raw)
+    u = solve_k(f, mu)
+    return sben._IntervalCore(t_mid, v_mid, accel, f_raw, u, kv, phi_v, phi(u, mu), pairing,
+                              float(np.linalg.norm(fd.component_means(f_raw))),
+                              fd.l2_norm(f - kv))
+
+
+def _kind_split_gradient_pieces(path, k, core, grav):
+    """The gradient's (E, F) with one branch per kind, as before both kinds
+    shared one formula."""
+    omega = grav.coriolis_vector(core.t_mid)
+    g_field = grav.gravity(core.t_mid)
+    if path.kind == "incompressible":
+        rho0 = path.eos.rho0
+        w = rho0 * (core.v_mid - core.u)
+        return (sben._jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
+                + core.kv
+                + rho0 * (core.accel - g_field)
+                + 2.0 * rho0 * fd.cross(omega, core.u)), w
+    rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
+    p_mid = ScalarField(path.grid, path.eos.pressure(rho_mid.data))
+    w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
+    return (sben._jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
+            + core.kv
+            + fd.scalar_times_vector(rho_mid, core.accel - g_field)
+            + fd.grad_scalar(p_mid)
+            + 2.0 * fd.scalar_times_vector(rho_mid, fd.cross(omega, core.u))), w
+
+
+def _null_part(v):
+    return v - fd.remove_stencil_null(v)
+
+
+def _path_with_null_modes(grid, kind, rho0, rng):
+    """Four slices with growing means and checkerboards on top of smooth noise;
+    for the incompressible kind every slice stays divergence free."""
+    times = [0.0, 0.05, 0.1, 0.15]
+    checker = (-1.0) ** np.add.outer(np.arange(grid.nx), np.arange(grid.ny))
+    null = np.stack([0.3 + 0.02 * checker, -0.2 * np.ones(grid.shape), 0.01 * checker])
+    if kind == "incompressible":
+        vels = [VectorField(grid, random_solenoidal(grid, rng).data + (1 + k) * null)
+                for k in range(len(times))]
+        return incompressible_path(grid, IncompressibleEos(rho0), times, vels)
+    vels = [VectorField(grid, random_vector(grid, rng, amplitude=0.1).data
+                        + 0.1 * (1 + k) * null) for k in range(len(times))]
+    return compressible_path(grid, BarotropicPowerEos(rho0=rho0), times, vels)
+
+
+class TestOneFormulaForBothKinds:
+    @pytest.mark.parametrize("rho0", [1.0, 1.3])
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_matches_kind_split_formulas(self, grid16, kind, preset, rho0, monkeypatch):
+        path = _path_with_null_modes(grid16, kind, rho0, np.random.default_rng(8))
+        grav = Gravitation(grid16, preset, {"g0": 1.0, "omega": 0.8})
+        report, pressures = evaluate_path(path, 0.1, grav)
+        grads = gradient_pi(path, 0.1, grav)
+        monkeypatch.setattr(sben, "_interval_core", _kind_split_core)
+        monkeypatch.setattr(sben, "_interval_gradient_pieces", _kind_split_gradient_pieces)
+        expected_report, expected_pressures = evaluate_path(path, 0.1, grav)
+        expected_grads = gradient_pi(path, 0.1, grav)
+        if kind == "incompressible":
+            pairs = list(zip(pressures, expected_pressures, strict=True))
+        else:
+            assert pressures is None and expected_pressures is None
+            pairs = []
+        pairs += list(zip(grads, expected_grads, strict=True))
+        names = ("midpoint_times", "phi_terms", "phi_star_terms", "pairing_terms",
+                 "ns_residual_norms", "discarded_mean_norms")
+
+        if (rho0 == 1.0 and preset == "zero") or (kind == "compressible"
+                                                  and preset != "rigid_rotation"):
+            for name in names:
+                assert getattr(report, name).tobytes() == \
+                    getattr(expected_report, name).tobytes()
+            for a, b in pairs:
+                assert a.data.tobytes() == b.data.tobytes()
+            return
+        # round-off of the largest terms, which cancel in the gap
+        scale = (expected_report.phi_terms + expected_report.phi_star_terms
+                 + np.abs(expected_report.pairing_terms)).max()
+        for name in names[1:]:
+            diff = np.abs(getattr(report, name) - getattr(expected_report, name)).max()
+            assert diff <= 1e-14 * scale, name
+        for a, b in pairs:
+            assert fd.l2_norm(a - b) <= 1e-13 * fd.l2_norm(b)
+
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_rest_state_terms_keep_their_bits(self, grid16, kind, monkeypatch):
+        # the sign of each zero term too: the reports print -0 and 0 apart
+        v = VectorField.zeros(grid16)
+        path = (incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1], [v, v])
+                if kind == "incompressible"
+                else compressible_path(grid16, BarotropicPowerEos(), [0.0, 0.1], [v, v]))
+        grav = Gravitation(grid16, "zero")
+        report, _ = evaluate_path(path, 0.1, grav)
+        monkeypatch.setattr(sben, "_interval_core", _kind_split_core)
+        expected, _ = evaluate_path(path, 0.1, grav)
+        for name in ("phi_terms", "phi_star_terms", "pairing_terms", "gap_terms"):
+            assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_gap_is_residual_form_minus_null_mode_pairing(self, grid16, kind, preset):
+        mu = 0.1
+        path = _path_with_null_modes(grid16, kind, 1.2, np.random.default_rng(9))
+        grav = Gravitation(grid16, preset, {"g0": 1.0, "omega": 0.8})
+        report, _ = evaluate_path(path, mu, grav)
+        null_pairings = []
+        for k in range(path.n_intervals):
+            c = sben._interval_core(path, k, mu, grav)
+            f = leray_project(c.f_raw)[0] if kind == "incompressible" else c.f_raw
+            r = fd.remove_stencil_null(f) - c.kv
+            null_pairing = fd.inner(_null_part(c.f_raw), _null_part(c.v_mid))
+            residual_form = 0.5 * fd.inner(solve_k(r, mu), r) - null_pairing
+            assert abs(report.gap_terms[k] - residual_form) <= \
+                1e-13 * (c.phi_v + c.phi_star_f + 1.0)
+            null_pairings.append(null_pairing)
+        assert np.abs(null_pairings).max() > 1e-3 * report.phi_terms.max()
 
 
 class TestMinimize:
