@@ -7,6 +7,7 @@ interval, spatial terms from the arithmetic average of the two states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,8 +34,8 @@ class IncompressibleEos:
     rho0: float = 1.0
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
+        if not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
 
     def pressure(self, rho: np.ndarray) -> np.ndarray:
         raise PressureUndefinedError(
@@ -53,10 +54,10 @@ class BarotropicPowerEos:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if self.p0 <= 0 or self.rho0 <= 0:
-            raise ValueError("p0 and rho0 must be positive")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
+        if not (0 < self.p0 < math.inf and 0 < self.rho0 < math.inf):
+            raise ValueError(f"p0 and rho0 must be positive and finite, got {self.p0}, {self.rho0}")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
 
     def pressure(self, rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """p0 (rho/rho0)^gamma; with out, every step is computed in place there."""

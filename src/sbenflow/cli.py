@@ -19,11 +19,11 @@ import os
 import sys
 
 from . import checks
-from .balance import IncompressibleEos
+from .balance import FluidState
 from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
-from .oracle import CaseSpec, UnstableStepError, reference_path
-from .sben import SbenReport, evaluate_path, minimize, minimize_compressible
+from .oracle import UnstableStepError, initial_state, reference_path
+from .sben import Path, SbenReport, evaluate_path, minimize, minimize_compressible
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,9 +74,7 @@ def cmd_check(args) -> int:
 
 def cmd_reference(args) -> int:
     config = _load(args)
-    case = CaseSpec(config.case.case_id, config.grid, config.time.t_final,
-                    config.time.n_ref, config.case.params)
-    path = reference_path(case, config.viscosity.mu, config.gravitation,
+    path = reference_path(config.case, config.viscosity.mu, config.gravitation,
                           n_out=config.time.n_intervals)
     save_path_archive(args.out, path)
     print(f"reference path with {path.n_intervals} intervals written to {args.out}")
@@ -85,7 +83,8 @@ def cmd_reference(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    path = load_path_archive(args.archive, expect_grid=config.grid)
+    path = load_path_archive(args.archive, expect_grid=config.grid,
+                             expect_eos=config.case.eos)
     report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation)
     _write_report(args.out, report)
     for k, p in enumerate(pressures or []):
@@ -98,18 +97,11 @@ def cmd_evaluate(args) -> int:
 def cmd_minimize(args) -> int:
     config = _load(args)
     if args.warm_start:
-        start = load_path_archive(args.warm_start, expect_grid=config.grid)
+        start = load_path_archive(args.warm_start, expect_grid=config.grid,
+                                  expect_eos=config.case.eos)
     else:
-        # replicate the pinned initial state across all slices
-        from .oracle import initial_state
-        from .balance import FluidState
-        from .sben import Path, leray_project
-        case = CaseSpec(config.case.case_id, config.grid, config.time.t_final,
-                        config.time.n_ref, config.case.params)
-        s0 = initial_state(case)
-        if isinstance(s0.eos, IncompressibleEos):
-            v0, _ = leray_project(s0.v)
-            s0 = FluidState(0.0, v0, s0.rho, s0.eos)
+        # replicate the case's initial state across all slices
+        s0 = initial_state(config.case)
         dt = config.time.t_final / config.time.n_intervals
         states = [FluidState(k * dt, s0.v, s0.rho, s0.eos)
                   for k in range(config.time.n_intervals + 1)]

@@ -1,26 +1,27 @@
 """Run configuration: a JSON file with one block per subsystem.
 
 Blocks: grid, eos, viscosity, gravitation, time, case, minimizer, plus a
-top-level seed.  Unknown presets and case ids, missing blocks,
-non-numeric or non-finite parameters and out-of-range values raise
-ConfigError naming the offending field path.  An optional conjugate block
-(tol, max_iter), the settings of a former iterative solve, is still
-type-checked so that old configs load as before, and then ignored: the
-K^(-1) and pressure solves are exact.
+top-level seed.  The eos block is the run's fluid: the case block becomes
+the oracle.CaseSpec that the commands run, with that fluid as case.eos, and
+CaseSpec's rules are ConfigErrors.  Unknown presets, missing blocks,
+non-numeric or non-finite numbers, int fields that are not JSON integers and
+out-of-range values raise ConfigError naming the offending field path.  An
+optional conjugate block (tol, max_iter), the settings of a former iterative
+solve, is still type-checked so that old configs load as before, and then
+ignored: the K^(-1) and pressure solves are exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Mapping
+from dataclasses import dataclass, fields, replace
 
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
 from .dissipation import Viscosity
 from .fields import Grid2P
 from .gravitation import PRESETS, Gravitation
-from .oracle import CASE_IDS
+from .oracle import CaseSpec
 from .sben import MinimizeConfig
 
 
@@ -35,8 +36,8 @@ class TimeBlock:
     n_ref: int
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ConfigError("time.t_final must be positive")
+        if not 0 < self.t_final < math.inf:
+            raise ConfigError(f"time.t_final must be positive and finite, got {self.t_final}")
         if self.n_intervals < 1:
             raise ConfigError("time.n_intervals must be >= 1")
         if self.n_ref % self.n_intervals != 0:
@@ -44,19 +45,12 @@ class TimeBlock:
 
 
 @dataclass(frozen=True)
-class CaseBlock:
-    case_id: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: Grid2P
-    eos: Eos
     viscosity: Viscosity
     gravitation: Gravitation
     time: TimeBlock
-    case: CaseBlock
+    case: CaseSpec     # with the run's fluid, the eos block, as case.eos
     minimizer: MinimizeConfig
     seed: int = 42
 
@@ -73,11 +67,14 @@ def _need(raw: dict, key: str, default: dict | None = None) -> dict:
 
 
 def _get(block: dict, path: str, key: str, cast, default=None):
+    """block[key] through cast; an int field takes only a JSON integer."""
     name = f"{path}.{key}" if path else key
     if key not in block:
         if default is None:
             raise ConfigError(f"missing config field {name}")
         return default
+    if cast is int:
+        cast = _integer
     try:
         return cast(block[key])
     except (TypeError, ValueError) as exc:
@@ -91,9 +88,16 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    """A JSON integer: not a bool, fraction or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _seed(value) -> int:
-    """A random seed: a JSON integer >= 0, not a bool, fraction or string."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """A random seed: a JSON integer >= 0."""
+    if _integer(value) < 0:
         raise ValueError(f"{value!r} is not an integer >= 0")
     return value
 
@@ -147,15 +151,11 @@ def parse_config(raw: dict) -> RunConfig:
                            n_ref=_get(tb, "time", "n_ref", int, n_intervals))
 
     cb = _need(raw, "case")
-    case = CaseBlock(case_id=_get(cb, "case", "id", str), params=_params(cb, "case"))
-    if case.case_id not in CASE_IDS:
-        raise ConfigError(f"case.id must be one of {CASE_IDS}, got {case.case_id!r}")
-    if case.case_id == "compressible_smooth":
-        # the initial density is rho0 (1 + amplitude cos x cos y)
-        amplitude = _get(case.params, "case.parameters", "amplitude", float, 0.01)
-        if not abs(amplitude) < 1.0:
-            raise ConfigError("case.parameters.amplitude must lie in (-1, 1) for "
-                              f"compressible_smooth (positive initial density), got {amplitude}")
+    case_id, params = _get(cb, "case", "id", str), _params(cb, "case")
+    try:
+        case = CaseSpec(case_id, grid, time_block.t_final, time_block.n_ref, params, eos)
+    except ValueError as exc:
+        raise ConfigError(f"case: {exc}") from exc
 
     conj_b = _need(raw, "conjugate", {})
     _get(conj_b, "conjugate", "tol", float, 1e-10)
@@ -179,7 +179,7 @@ def parse_config(raw: dict) -> RunConfig:
         if not ok:
             raise ConfigError(f"minimizer.{key} must be {allowed}, got {getattr(m, key)}")
 
-    return RunConfig(grid=grid, eos=eos, viscosity=viscosity, gravitation=gravitation,
+    return RunConfig(grid=grid, viscosity=viscosity, gravitation=gravitation,
                      time=time_block, case=case, minimizer=minimizer,
                      seed=_get(raw, "", "seed", _seed, 42))
 

@@ -19,6 +19,7 @@ K^(-1) is the exact per-wavenumber inverse of its 3x3 symbol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class Viscosity:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("dynamic viscosity must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"dynamic viscosity must be positive and finite, got {self.mu}")
 
 
 @dataclass(frozen=True)

@@ -386,7 +386,8 @@ def save_path_archive(directory: str, path: Path):
         f.write("\n")
 
 
-def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> Path:
+def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
+                      expect_eos: Optional[Eos] = None) -> Path:
     manifest_file = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_file):
         raise ArchiveError(f"{directory}: no manifest.json")
@@ -411,6 +412,8 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None) -> P
         check_path_times([t for t, _, _ in slices])  # before any CSV is opened
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ArchiveError(f"{manifest_file}: malformed manifest ({exc!r})") from None
+    if expect_eos is not None and eos != expect_eos:
+        raise ArchiveError(f"archive eos {eos} does not match configured eos {expect_eos}")
     if pressure_names is not None and not isinstance(pressure_names, list):
         raise ArchiveError(f"{manifest_file}: pressures {pressure_names!r} is not a list")
     incompressible = isinstance(eos, IncompressibleEos)

@@ -22,6 +22,7 @@ such call.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +51,8 @@ class Grid2P:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid needs at least 4 cells per direction, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("box lengths must be positive")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise ValueError(f"box lengths must be positive and finite, got {self.lx}, {self.ly}")
 
     @property
     def dx(self) -> float:

@@ -13,13 +13,13 @@ that of the public operators, operand for operand, so the bits are theirs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import fields as fd
-from .balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
+from .balance import BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
 from .sben import Path, leray_project
@@ -37,26 +37,57 @@ class UnstableStepError(ValueError):
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """Named validation case with its grid and reference time sampling."""
+    """Named validation case with its grid, reference time sampling and fluid.
+
+    eos defaults to the default fluid of the case's kind.  params holds the
+    amplitude (of every case but rigid_rotation), eos's own constants (each
+    equal to eos's) and nu, which is not read: a run's kinematic viscosity
+    is mu / rho0.
+    """
 
     case_id: str
     grid: Grid2P
     t_final: float
     n_ref: int
     params: Mapping[str, float] = field(default_factory=dict)
+    eos: Optional[Eos] = None
 
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise ValueError(f"unknown case id {self.case_id!r}; known: {CASE_IDS}")
-        if self.t_final <= 0 or self.n_ref < 1:
-            raise ValueError("need t_final > 0 and n_ref >= 1")
+        if not (0 < self.t_final < math.inf and self.n_ref >= 1):
+            raise ValueError("need a finite t_final > 0 and n_ref >= 1")
         object.__setattr__(self, "params", dict(self.params))
+        compressible = self.case_id == "compressible_smooth"
+        eos_class = BarotropicPowerEos if compressible else IncompressibleEos
+        if self.eos is None:
+            object.__setattr__(self, "eos", eos_class())
+        elif not isinstance(self.eos, eos_class):
+            kind = "a barotropic" if compressible else "an incompressible"
+            raise ValueError(f"case {self.case_id} needs {kind} fluid, got {self.eos}")
+        if self.case_id != "rigid_rotation":
+            _require_two_pi_box(self.grid)
+        fluid = {f.name: getattr(self.eos, f.name) for f in fields(self.eos)}
+        accepted = [*fluid, "nu"] + (["amplitude"] if self.case_id != "rigid_rotation" else [])
+        for key, value in self.params.items():
+            if key not in accepted:
+                raise ValueError(f"unknown case parameter {key!r}; {self.case_id} accepts "
+                                 f"{', '.join(accepted)}")
+            if key in fluid and value != fluid[key]:
+                raise ValueError(f"case parameter {key} = {value} differs from the "
+                                 f"fluid's {key} = {fluid[key]}")
+        amplitude = self.params.get("amplitude", 0.01)
+        if compressible and not abs(amplitude) < 1.0:
+            # the initial density is rho0 (1 + amplitude cos x cos y)
+            raise ValueError("parameter amplitude must lie in (-1, 1) for "
+                             f"compressible_smooth (positive initial density), got {amplitude}")
 
 
 def _require_two_pi_box(grid: Grid2P):
     two_pi = 2.0 * math.pi
     if abs(grid.lx - two_pi) > 1e-12 or abs(grid.ly - two_pi) > 1e-12:
-        raise ValueError("this analytic solution lives on the (2 pi)^2 box")
+        raise ValueError("this analytic solution lives on the (2 pi)^2 box, "
+                         f"not {grid.lx} x {grid.ly}")
 
 
 def taylor_green_analytic(t: float, nu: float, grid: Grid2P, rho0: float = 1.0,
@@ -282,34 +313,27 @@ def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation
 
 
 def initial_state(case: CaseSpec) -> FluidState:
-    p = case.params
-    if case.case_id == "taylor_green":
-        state, _ = taylor_green_analytic(0.0, float(p.get("nu", 0.1)), case.grid,
-                                         rho0=float(p.get("rho0", 1.0)),
-                                         amplitude=float(p.get("amplitude", 1.0)))
-        return state
-    if case.case_id == "shear_decay":
-        return shear_decay_analytic(0.0, float(p.get("nu", 0.1)), case.grid,
-                                    rho0=float(p.get("rho0", 1.0)),
-                                    amplitude=float(p.get("amplitude", 1.0)))
-    if case.case_id == "rigid_rotation":
-        grid = case.grid
-        rho0 = float(p.get("rho0", 1.0))
-        return FluidState(0.0, VectorField.zeros(grid), ScalarField.full(grid, rho0),
-                          IncompressibleEos(rho0))
+    """The state a run of the case starts from, at t = 0 in case.eos: its
+    analytic field with params' amplitude, Leray-projected for an
+    incompressible fluid."""
+    grid, eos = case.grid, case.eos
     if case.case_id == "compressible_smooth":
-        grid = case.grid
-        _require_two_pi_box(grid)
-        eos = BarotropicPowerEos(p0=float(p.get("p0", 1.0)),
-                                 rho0=float(p.get("rho0", 1.0)),
-                                 gamma=float(p.get("gamma", 1.4)))
-        amp = float(p.get("amplitude", 0.01))
+        amp = float(case.params.get("amplitude", 0.01))
         x, y = grid.x(), grid.y()
         v = VectorField.from_components(grid, amp * np.sin(x) * np.cos(y),
                                         amp * np.sin(y) * np.cos(x))
         rho = ScalarField(grid, eos.rho0 * (1.0 + amp * np.cos(x) * np.cos(y)))
         return FluidState(0.0, v, rho, eos)
-    raise ValueError(case.case_id)
+    amp = float(case.params.get("amplitude", 1.0))
+    # at t = 0 the analytic fields do not depend on the viscosity
+    if case.case_id == "taylor_green":
+        state, _ = taylor_green_analytic(0.0, 0.0, grid, eos.rho0, amp)
+    elif case.case_id == "shear_decay":
+        state = shear_decay_analytic(0.0, 0.0, grid, eos.rho0, amp)
+    else:  # rigid_rotation: the fluid at rest
+        state = FluidState(0.0, VectorField.zeros(grid), ScalarField.full(grid, eos.rho0), eos)
+    v0, _ = leray_project(state.v)
+    return FluidState(0.0, v0, state.rho, state.eos)
 
 
 def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
@@ -326,16 +350,12 @@ def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
 
     state = initial_state(case)
     scratch = StepScratch(case.grid)
-    if isinstance(state.eos, BarotropicPowerEos):
-        stepper = lambda s: step_compressible(s, dt, mu, grav, scratch)
-    else:
-        v0, _ = leray_project(state.v)
-        state = FluidState(state.t, v0, state.rho, state.eos)
-        stepper = lambda s: step_incompressible(s, dt, mu, grav, scratch)
+    # looked up per run, so that a wrapped stepper is the one called
+    step = step_compressible if isinstance(state.eos, BarotropicPowerEos) else step_incompressible
 
     states = [state]
     for n in range(case.n_ref):
-        state = stepper(state)
+        state = step(state, dt, mu, grav, scratch)
         # snap the clock to the exact multiple so resampled paths stay uniform
         state = FluidState((n + 1) * dt, state.v, state.rho, state.eos)
         if (n + 1) % stride == 0:

@@ -12,6 +12,7 @@ from sbenflow.fieldio import (ArchiveError, load_grid, load_path_archive, load_s
                               load_vector, save_grid, save_path_archive, save_scalar,
                               save_vector)
 from sbenflow.fields import Grid2P, ScalarField, VectorField
+from sbenflow.oracle import CaseSpec
 from sbenflow.sampling import random_scalar, random_vector
 from sbenflow.sben import compressible_path, incompressible_path
 
@@ -187,6 +188,16 @@ class TestPathArchive:
         with pytest.raises(ArchiveError, match="does not match"):
             load_path_archive(d, expect_grid=Grid2P(32, 32, TWO_PI, TWO_PI))
 
+    def test_eos_mismatch_detected(self, tmp_path, grid16, rng):
+        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1],
+                                   [random_vector(grid16, rng) for _ in range(2)])
+        d = str(tmp_path / "arch")
+        save_path_archive(d, path)
+        assert load_path_archive(d, expect_eos=IncompressibleEos(1.0)).eos == IncompressibleEos()
+        for eos in (IncompressibleEos(1.3), BarotropicPowerEos()):
+            with pytest.raises(ArchiveError, match="does not match"):
+                load_path_archive(d, expect_eos=eos)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ArchiveError, match="manifest"):
             load_path_archive(str(tmp_path))
@@ -199,6 +210,9 @@ class TestConfig:
         assert cfg.viscosity.mu == 0.1
         assert cfg.time.n_ref == 16
         assert cfg.case.case_id == "taylor_green"
+        assert isinstance(cfg.case, CaseSpec)
+        assert cfg.case.eos == IncompressibleEos(1.0)
+        assert (cfg.case.t_final, cfg.case.n_ref) == (0.25, 16)
 
     def test_missing_grid_block(self, tmp_path):
         with pytest.raises(ConfigError, match="grid"):
@@ -381,7 +395,8 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("restart_every", 0), ("max_iter", "abc"), ("backtrack_factor", 0),
-        ("backtrack_factor", 1.5)])
+        ("backtrack_factor", 1.5), ("max_iter", 2.5), ("max_iter", True),
+        ("max_backtracks", 3.0)])
     def test_bad_minimizer_setting_exits_config(self, tmp_path, key, value):
         cfg = _write_config(tmp_path, overrides={f"minimizer.{key}": value})
         with pytest.raises(ConfigError, match=f"minimizer.{key}"):
@@ -392,12 +407,93 @@ class TestCli:
         ("case.id", "taylor_gren", "case.id"),
         ("case.parameters", 5, "case.parameters"),
         ("case.parameters", {"nu": "abc"}, "case.parameters.nu"),
+        ("case.parameters", {"amplitdue": 1.0}, "amplitdue"),
+        ("case.parameters", {"omega": 2.0}, "omega"),
+        ("case.parameters", {"rho0": 2.0}, "rho0"),
+        ("case.parameters", {"gamma": 1.4}, "gamma"),
         ("gravitation.parameters", 5, "gravitation.parameters")])
     def test_bad_case_or_gravitation_exits_config(self, tmp_path, key, value, match):
         cfg = _write_config(tmp_path, overrides={key: value})
         with pytest.raises(ConfigError, match=match):
             load_config(cfg)
         assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("grid.nx", 16.7, "grid.nx"), ("grid.ny", True, "grid.ny"),
+        ("grid.lx", float("nan"), "grid"), ("grid.ly", float("inf"), "grid"),
+        ("time.t_final", float("nan"), "time.t_final"),
+        ("time.t_final", float("inf"), "time.t_final"),
+        ("time.n_intervals", 4.0, "time.n_intervals"), ("time.n_ref", "16", "time.n_ref"),
+        ("viscosity.mu", float("inf"), "viscosity"),
+        ("viscosity.mu", float("nan"), "viscosity"),
+        ("eos.rho0", float("nan"), "eos"),
+        ("eos", {"kind": "barotropic_power", "gamma": float("nan")}, "eos"),
+        ("eos", {"kind": "barotropic_power", "p0": float("inf")}, "eos")])
+    def test_bad_number_exits_config(self, tmp_path, key, value, match):
+        cfg = _write_config(tmp_path, overrides={key: value})
+        with pytest.raises(ConfigError, match=match):
+            load_config(cfg)
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"case.id": "compressible_smooth"}, "barotropic fluid"),
+        ({"eos": {"kind": "incompressible", "rho0": 2.0}, "case.id": "compressible_smooth",
+          "case.parameters": {"amplitude": 0.05}}, "barotropic fluid"),
+        ({"eos": {"kind": "barotropic_power", "gamma": 1.4}}, "incompressible fluid"),
+        ({"eos": {"kind": "barotropic_power", "gamma": 1.67}, "case.id": "compressible_smooth",
+          "case.parameters": {"gamma": 1.4}}, "gamma")])
+    def test_case_inconsistent_with_fluid_exits_config(self, tmp_path, overrides, match):
+        cfg = _write_config(tmp_path, overrides=overrides)
+        with pytest.raises(ConfigError, match=match):
+            load_config(cfg)
+        for argv in (["check"], ["reference", "--out", str(tmp_path / "r")],
+                     ["minimize", "--out", str(tmp_path / "m")]):
+            assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+
+    @pytest.mark.parametrize("case_id, params", [
+        ("taylor_green", {"amplitude": 1.0}), ("shear_decay", {}),
+        ("compressible_smooth", {"amplitude": 0.05})])
+    def test_analytic_case_off_the_two_pi_box_exits_config(self, tmp_path, case_id, params):
+        eos = ({"kind": "barotropic_power"} if case_id == "compressible_smooth"
+               else {"kind": "incompressible"})
+        cfg = _write_config(tmp_path, overrides={"grid.lx": 5.0, "eos": eos,
+                                                 "case.id": case_id,
+                                                 "case.parameters": params})
+        with pytest.raises(ConfigError, match="box"):
+            load_config(cfg)
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+
+    def test_eos_block_is_the_fluid(self, tmp_path):
+        # gamma from the eos block alone reaches the manifest and the stepper
+        runs = {}
+        for gamma in (1.4, 1.67):
+            work = tmp_path / str(gamma)
+            work.mkdir()
+            cfg = _write_config(work, overrides={
+                "eos": {"kind": "barotropic_power", "gamma": gamma},
+                "case.id": "compressible_smooth", "case.parameters": {"amplitude": 0.05}})
+            ref = str(work / "ref")
+            assert main(["reference", "--config", cfg, "--out", ref]) == 0
+            manifest = json.loads(open(os.path.join(ref, "manifest.json")).read())
+            assert manifest["eos"]["gamma"] == gamma
+            runs[gamma] = load_path_archive(ref)
+        assert runs[1.67].eos == BarotropicPowerEos(gamma=1.67)
+        assert not np.array_equal(runs[1.4].states[-1].rho.data,
+                                  runs[1.67].states[-1].rho.data)
+
+    def test_archive_of_another_fluid_exits_config(self, tmp_path, capsys):
+        ref = str(tmp_path / "ref")
+        assert main(["reference", "--config", _write_config(tmp_path), "--out", ref]) == 0
+        work = tmp_path / "heavy"
+        work.mkdir()
+        heavy = _write_config(work, overrides={"eos.rho0": 1.3})
+        capsys.readouterr()
+        assert main(["evaluate", "--config", heavy, "--archive", ref,
+                     "--out", str(tmp_path / "e")]) == 2
+        assert main(["minimize", "--config", heavy, "--warm-start", ref,
+                     "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err.count("does not match configured eos") == 2
 
     @pytest.mark.parametrize("value", ["abc", 1.5, True, -1, None])
     def test_bad_seed_exits_config(self, tmp_path, value):
@@ -481,7 +577,10 @@ class TestCli:
         bad = path.states[1].rho.data.copy()
         bad[4, 1] = 0.0
         save_scalar(os.path.join(d, "rho_0001.csv"), ScalarField(grid16, bad))
-        cfg = _write_config(tmp_path, overrides={"eos.kind": "barotropic_power"})
+        cfg = _write_config(tmp_path, overrides={
+            "eos.kind": "barotropic_power", "case.id": "compressible_smooth",
+            "case.parameters": {"amplitude": 0.05}})
+        load_config(cfg)   # the config is sound: the archive is what exits 2
         rc = main(["evaluate", "--config", cfg, "--archive", d,
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
