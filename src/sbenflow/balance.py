@@ -165,11 +165,12 @@ def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
                              t_mid, fd.grad_scalar(p))
 
 
-def momentum_residual(rho: ScalarField, accel: VectorField, v: VectorField,
+def momentum_residual(rho: Union[ScalarField, float], accel: VectorField, v: VectorField,
                       grav: Gravitation, t: float,
                       grad_p: Optional[VectorField] = None) -> VectorField:
     """rho accel [+ grad_p] - rho (g - 2 Omega x v): pi_I when accel is Dv/Dt.
-    With grad_p None the pressure is left out (the incompressible multiplier)."""
+    With grad_p None the pressure is left out (the incompressible multiplier).
+    rho may be a constant; the fields may be stacks (one residual per field)."""
     r = fd.scalar_times_vector(rho, accel)
     if grad_p is not None:
         r = r + grad_p

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error (a bad config file, a malformed
 archive, or an --out that cannot be written, such as an existing regular file
-or a path below one), 3 numerical failure, 4 invariant failure.
+or a path below one), 3 numerical failure (an unstable step, a non-finite or
+overflowing value, a density that cannot be computed), 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
         # OSError: a missing input, or an --out that cannot be a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnstableStepError, FloatingPointError) as exc:
+    except (UnstableStepError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

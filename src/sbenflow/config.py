@@ -4,8 +4,11 @@ Blocks: grid, eos, viscosity, gravitation, time, case, minimizer, plus a
 top-level seed.  The eos block is the run's fluid: the case block becomes
 the oracle.CaseSpec that the commands run, with that fluid as case.eos, and
 CaseSpec's rules are ConfigErrors.  Unknown presets, missing blocks,
-non-numeric or non-finite numbers, int fields that are not JSON integers and
-out-of-range values raise ConfigError naming the offending field path.  An
+non-numeric or non-finite numbers, float fields that are JSON booleans, int
+fields that are not JSON integers, gravitation parameters that the preset
+does not read and out-of-range values raise ConfigError naming the offending
+field path.  eos_to_json and eos_from_json are the one JSON form of a fluid,
+for the eos block and for a path archive's manifest.  An
 optional conjugate block (tol, max_iter), the settings of a former iterative
 solve, is still type-checked so that old configs load as before, and then
 ignored: the K^(-1) and pressure solves are exact.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
 from .dissipation import Viscosity
 from .fields import Grid2P
-from .gravitation import PRESETS, Gravitation
+from .gravitation import PRESET_PARAMETERS, PRESETS, Gravitation
 from .oracle import CaseSpec
 from .sben import MinimizeConfig
 
@@ -73,16 +76,22 @@ def _get(block: dict, path: str, key: str, cast, default=None):
         if default is None:
             raise ConfigError(f"missing config field {name}")
         return default
-    if cast is int:
-        cast = _integer
+    cast = {int: _integer, float: _real}.get(cast, cast)
     try:
         return cast(block[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
+def _real(value) -> float:
+    """A JSON number: not a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _finite(value) -> float:
-    x = float(value)
+    x = _real(value)
     if not math.isfinite(x):
         raise ValueError(f"{x} is not finite")
     return x
@@ -110,6 +119,42 @@ def _params(block: dict, path: str) -> dict[str, float]:
     return {key: _get(params, f"{path}.parameters", key, _finite) for key in params}
 
 
+_EOS_KINDS = {"incompressible": IncompressibleEos, "barotropic_power": BarotropicPowerEos}
+
+
+def eos_to_json(eos: Eos) -> dict:
+    """The JSON object of a fluid: its kind, then its constants."""
+    kind = next(k for k, cls in _EOS_KINDS.items() if isinstance(eos, cls))
+    return {"kind": kind, **{f.name: getattr(eos, f.name) for f in fields(eos)}}
+
+
+def eos_from_json(block, defaults: bool = False) -> Eos:
+    """The fluid of a JSON object of eos_to_json's form.
+
+    Every constant must be there, unless defaults: the config's eos block may
+    leave one out for the fluid's default.  An unknown kind or key, a missing
+    or non-numeric constant and an out-of-range one are ConfigErrors."""
+    if not isinstance(block, dict):
+        raise ConfigError("eos must be an object")
+    kind = block.get("kind")
+    if kind not in _EOS_KINDS:
+        raise ConfigError(f"eos.kind must be 'incompressible' or 'barotropic_power', got {kind!r}")
+    names = [f.name for f in fields(_EOS_KINDS[kind])]
+    for key in block:
+        if key not in ("kind", *names):
+            raise ConfigError(f"unknown key eos.{key}; a {kind} eos has {', '.join(names)}")
+    constants = {}
+    for name in names:
+        if name in block:
+            constants[name] = _get(block, "eos", name, float)
+        elif not defaults:
+            raise ConfigError(f"missing eos.{name}")
+    try:
+        return _EOS_KINDS[kind](**constants)
+    except ValueError as exc:
+        raise ConfigError(f"eos: {exc}") from exc
+
+
 def parse_config(raw: dict) -> RunConfig:
     gb = _need(raw, "grid")
     try:
@@ -118,19 +163,7 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    eb = _need(raw, "eos")
-    kind = _get(eb, "eos", "kind", str)
-    try:
-        if kind == "incompressible":
-            eos: Eos = IncompressibleEos(rho0=_get(eb, "eos", "rho0", float, 1.0))
-        elif kind == "barotropic_power":
-            eos = BarotropicPowerEos(p0=_get(eb, "eos", "p0", float, 1.0),
-                                     rho0=_get(eb, "eos", "rho0", float, 1.0),
-                                     gamma=_get(eb, "eos", "gamma", float, 1.4))
-        else:
-            raise ConfigError(f"eos.kind must be 'incompressible' or 'barotropic_power', got {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(f"eos: {exc}") from exc
+    eos = eos_from_json(_need(raw, "eos"), defaults=True)
 
     vb = _need(raw, "viscosity")
     try:
@@ -142,7 +175,12 @@ def parse_config(raw: dict) -> RunConfig:
     preset = _get(grav_b, "gravitation", "preset", str, "zero")
     if preset not in PRESETS:
         raise ConfigError(f"gravitation.preset must be one of {PRESETS}, got {preset!r}")
-    gravitation = Gravitation(grid, preset, _params(grav_b, "gravitation"))
+    grav_params = _params(grav_b, "gravitation")
+    for key in grav_params:
+        if key not in PRESET_PARAMETERS[preset]:
+            raise ConfigError(f"unknown parameter gravitation.parameters.{key}; {preset} reads "
+                              f"{', '.join(PRESET_PARAMETERS[preset]) or 'none'}")
+    gravitation = Gravitation(grid, preset, grav_params)
 
     tb = _need(raw, "time")
     n_intervals = _get(tb, "time", "n_intervals", int)

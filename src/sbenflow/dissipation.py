@@ -54,31 +54,37 @@ class ConjugateSolve:
     max_iter: int = 50_000
 
 
+def _trace(d: SymTensorField) -> np.ndarray:
+    return d.data[..., XX, :, :] + d.data[..., YY, :, :] + d.data[..., ZZ, :, :]
+
+
 def w_density(d: SymTensorField, mu: float) -> ScalarField:
-    """Pointwise dissipation density W(D) >= 0."""
-    sq = np.einsum("c...,c...,c->...", d.data, d.data, fd._SYM_WEIGHTS)
-    tr = d.data[XX] + d.data[YY] + d.data[ZZ]
-    return ScalarField(d.grid, mu * (sq - tr**2 / 3.0))
+    """Pointwise dissipation density W(D) >= 0 (of each field of a stack)."""
+    sq = np.einsum("...cij,...cij,c->...ij", d.data, d.data, fd._SYM_WEIGHTS)
+    return ScalarField(d.grid, mu * (sq - _trace(d)**2 / 3.0))
 
 
 def sigma_i(d: SymTensorField, mu: float) -> SymTensorField:
     """Viscous stress 2 mu (D - Tr(D) I / 3); traceless by construction."""
-    out = 2.0 * mu * d.data.copy()
-    tr = d.data[XX] + d.data[YY] + d.data[ZZ]
+    out = 2.0 * mu * d.data
+    third = 2.0 * mu * _trace(d) / 3.0
     for c in (XX, YY, ZZ):
-        out[c] -= 2.0 * mu * tr / 3.0
+        out[..., c, :, :] -= third
     return SymTensorField(d.grid, out)
 
 
-def phi(v: VectorField, mu: float) -> float:
-    """Dissipation functional: integral of W over the box. Zero iff v is constant."""
+def phi(v: VectorField, mu: float):
+    """Dissipation functional: integral of W over the box (one value per field
+    of a stack). Zero iff v is constant."""
     return fd.integrate(w_density(fd.sym_grad(v), mu))
 
 
 def k_of_strain(d: SymTensorField, mu: float) -> VectorField:
     """-div(sigma(D)): K(v) from its strain D = sym_grad(v), for callers that
     already hold D (phi(v) is the integral of w_density of the same D)."""
-    return -fd.div_tensor(sigma_i(d, mu))
+    kv = fd.div_tensor(sigma_i(d, mu))
+    np.negative(kv.data, out=kv.data)
+    return kv
 
 
 def apply_k(v: VectorField, mu: float) -> VectorField:
@@ -97,7 +103,8 @@ def _check_zero_mean(f: VectorField):
 
 
 def solve_k(f: VectorField, mu: float) -> VectorField:
-    """Mean-free v with K(v) = f, exact per wavenumber.
+    """Mean-free v with K(v) = f, exact per wavenumber, for f one field or a
+    stack of them (one batched transform pair for the stack).
 
     With the central-difference symbol i*s, the in-plane block of K is
     mu (|s|^2 I + s s^T / 3), whose inverse is (I - s s^T / (4|s|^2)) / (mu |s|^2);
@@ -111,11 +118,13 @@ def solve_k(f: VectorField, mu: float) -> VectorField:
     sym = fd.spectral_symbols(grid)
     fh = np.fft.rfft2(f.data)
     inv_mu_s2 = sym.inv_s2 / mu
-    s_dot_f = (sym.sx * fh[0] + sym.sy * fh[1]) * (0.25 * sym.inv_s2)
+    fx, fy, fz = fd.components(fh)
+    s_dot_f = (sym.sx * fx + sym.sy * fy) * (0.25 * sym.inv_s2)
     uh = np.empty_like(fh)
-    uh[0] = (fh[0] - sym.sx * s_dot_f) * inv_mu_s2
-    uh[1] = (fh[1] - sym.sy * s_dot_f) * inv_mu_s2
-    uh[2] = fh[2] * inv_mu_s2
+    ux, uy, uz = fd.components(uh)
+    np.multiply(fx - sym.sx * s_dot_f, inv_mu_s2, out=ux)
+    np.multiply(fy - sym.sy * s_dot_f, inv_mu_s2, out=uy)
+    np.multiply(fz, inv_mu_s2, out=uz)
     return VectorField(grid, np.fft.irfft2(uh, s=grid.shape))
 
 

@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .balance import BarotropicPowerEos, Eos, FluidState, IncompressibleEos
+from .balance import Eos, IncompressibleEos
+from .config import eos_from_json, eos_to_json
 from .fields import Grid2P, ScalarField, VectorField
 from .sben import Path, check_path_times
 
@@ -337,41 +338,25 @@ def load_grid(path: str) -> Grid2P:
             raise ArchiveError(f"{path}: malformed grid sidecar ({exc!r})") from None
 
 
-def _eos_to_json(eos: Eos) -> dict:
-    if isinstance(eos, IncompressibleEos):
-        return {"kind": "incompressible", "rho0": eos.rho0}
-    return {"kind": "barotropic_power", "p0": eos.p0, "rho0": eos.rho0, "gamma": eos.gamma}
-
-
-def _eos_from_json(block: dict) -> Eos:
-    kind = block.get("kind")
-    if kind == "incompressible":
-        return IncompressibleEos(rho0=float(block.get("rho0", 1.0)))
-    if kind == "barotropic_power":
-        return BarotropicPowerEos(p0=float(block.get("p0", 1.0)),
-                                  rho0=float(block.get("rho0", 1.0)),
-                                  gamma=float(block.get("gamma", 1.4)))
-    raise ArchiveError(f"unknown eos kind {kind!r}")
-
-
 def save_path_archive(directory: str, path: Path):
+    """One CSV per slice of the path's velocity (and density) arrays."""
     os.makedirs(directory, exist_ok=True)
     save_grid(os.path.join(directory, "grid.json"), path.grid)
     slices = []
     compressible = path.kind == "compressible"
-    for k, state in enumerate(path.states):
+    for k, t in enumerate(path.times.tolist()):
         v_name = f"v_{k:04d}.csv"
-        save_vector(os.path.join(directory, v_name), state.v)
-        entry = {"index": k, "t": state.t, "v": v_name}
+        save_vector(os.path.join(directory, v_name), VectorField(path.grid, path.V[k]))
+        entry = {"index": k, "t": t, "v": v_name}
         if compressible:
             rho_name = f"rho_{k:04d}.csv"
-            save_scalar(os.path.join(directory, rho_name), state.rho)
+            save_scalar(os.path.join(directory, rho_name), ScalarField(path.grid, path.rho[k]))
             entry["rho"] = rho_name
         slices.append(entry)
     manifest = {
         "format": "sbenflow-path/1",
         "kind": path.kind,
-        "eos": _eos_to_json(path.eos),
+        "eos": eos_to_json(path.eos),
         "slices": slices,
     }
     if path.pressures is not None:
@@ -388,6 +373,8 @@ def save_path_archive(directory: str, path: Path):
 
 def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
                       expect_eos: Optional[Eos] = None) -> Path:
+    """The archived path, its slices read into the path's arrays.  The
+    manifest's eos must name every constant of its kind (eos_from_json)."""
     manifest_file = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_file):
         raise ArchiveError(f"{directory}: no manifest.json")
@@ -405,7 +392,7 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
             f"archive grid {grid.nx}x{grid.ny} does not match configured grid "
             f"{expect_grid.nx}x{expect_grid.ny}")
     try:
-        eos = _eos_from_json(manifest["eos"])
+        eos = eos_from_json(manifest["eos"])
         slices = [(float(entry["t"]), entry["v"], entry.get("rho"))
                   for entry in manifest["slices"]]
         pressure_names = manifest.get("pressures")
@@ -428,17 +415,15 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
     for name in names + (pressure_names or []):
         if not isinstance(name, str):
             raise ArchiveError(f"{manifest_file}: file name {name!r} is not a string")
-    states = []
-    for t, v_name, rho_name in slices:
-        v = load_vector(os.path.join(directory, v_name), grid)
+    V = np.empty((len(slices), 3, *grid.shape))
+    rho = None if incompressible else np.empty((len(slices), *grid.shape))
+    for k, (_, v_name, rho_name) in enumerate(slices):
+        V[k] = load_vector(os.path.join(directory, v_name), grid).data
         if rho_name is not None:
-            rho = load_scalar(os.path.join(directory, rho_name), grid)
-            if (rho.data <= 0).any():
+            rho[k] = load_scalar(os.path.join(directory, rho_name), grid).data
+            if (rho[k] <= 0).any():
                 raise ArchiveError(f"{directory}: {rho_name} has a non-positive density")
-        else:
-            rho = ScalarField.full(grid, eos.rho0)
-        states.append(FluidState(t, v, rho, eos))
-    path = Path(states)
+    path = Path.from_arrays(grid, eos, [t for t, _, _ in slices], V, rho)
     if pressure_names is not None:
         path.pressures = [load_scalar(os.path.join(directory, n), grid)
                           for n in pressure_names]

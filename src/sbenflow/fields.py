@@ -17,6 +17,14 @@ central_differences returns the two in-plane derivative columns, for callers
 that build several operators from one Jacobian (strain_from_columns turns
 them into D); sym_grad and div_tensor each take their six derivatives in one
 such call.
+
+A field's data may carry leading axes: a stack of fields on one grid, such as
+the consecutive slices of a path, components on axis -3.  The arithmetic,
+the differences, grad_scalar, sym_grad, strain_from_columns, div_tensor,
+div_outer, cross, scalar_times_vector, component_means and
+remove_stencil_null act on each field of a stack, and integrate, inner and
+l2_norm give one value per field, each with the bits of the field alone; the
+other operators take one field.
 """
 
 from __future__ import annotations
@@ -81,6 +89,11 @@ class Grid2P:
         return np.broadcast_to(ys[None, :], self.shape).copy()
 
 
+def components(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The component planes of (a stack of) vector or tensor data (..., c, nx, ny), as views."""
+    return tuple(a[..., i, :, :] for i in range(a.shape[-3]))
+
+
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatchError(
@@ -117,11 +130,11 @@ class _FieldOps:
 @dataclass(frozen=True)
 class ScalarField(_FieldOps):
     grid: Grid2P
-    data: np.ndarray  # (nx, ny)
+    data: np.ndarray  # (..., nx, ny)
 
     def __post_init__(self):
-        if self.data.shape != self.grid.shape:
-            raise ValueError(f"scalar data shape {self.data.shape} != grid {self.grid.shape}")
+        if self.data.shape[-2:] != self.grid.shape:
+            raise ValueError(f"scalar data shape {self.data.shape} != (..., {self.grid.nx}, {self.grid.ny})")
 
     @classmethod
     def zeros(cls, grid: Grid2P) -> "ScalarField":
@@ -139,11 +152,11 @@ class ScalarField(_FieldOps):
 @dataclass(frozen=True)
 class VectorField(_FieldOps):
     grid: Grid2P
-    data: np.ndarray  # (3, nx, ny)
+    data: np.ndarray  # (..., 3, nx, ny)
 
     def __post_init__(self):
-        if self.data.shape != (3, *self.grid.shape):
-            raise ValueError(f"vector data shape {self.data.shape} != (3, {self.grid.nx}, {self.grid.ny})")
+        if self.data.shape[-3:] != (3, *self.grid.shape):
+            raise ValueError(f"vector data shape {self.data.shape} != (..., 3, {self.grid.nx}, {self.grid.ny})")
 
     @classmethod
     def zeros(cls, grid: Grid2P) -> "VectorField":
@@ -167,11 +180,11 @@ class SymTensorField(_FieldOps):
     """Symmetric tensor with the six independent components xx, yy, zz, xy, xz, yz."""
 
     grid: Grid2P
-    data: np.ndarray  # (6, nx, ny)
+    data: np.ndarray  # (..., 6, nx, ny)
 
     def __post_init__(self):
-        if self.data.shape != (6, *self.grid.shape):
-            raise ValueError(f"tensor data shape {self.data.shape} != (6, {self.grid.nx}, {self.grid.ny})")
+        if self.data.shape[-3:] != (6, *self.grid.shape):
+            raise ValueError(f"tensor data shape {self.data.shape} != (..., 6, {self.grid.nx}, {self.grid.ny})")
 
     @classmethod
     def zeros(cls, grid: Grid2P) -> "SymTensorField":
@@ -254,9 +267,8 @@ def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] =
 
 def grad_scalar(s: ScalarField) -> VectorField:
     """Gradient of a scalar; the out-of-plane component is identically zero."""
-    g = np.zeros((3, *s.grid.shape))
-    g[0] = _ddx(s.grid, s.data)
-    g[1] = _ddy(s.grid, s.data)
+    g = np.zeros((*s.data.shape[:-2], 3, *s.grid.shape))
+    g[..., 0, :, :], g[..., 1, :, :] = central_differences(s.grid, s.data)
     return VectorField(s.grid, g)
 
 
@@ -280,7 +292,7 @@ def div_tensor(t: SymTensorField) -> VectorField:
     """
     g = t.grid
     d = t.data
-    out, out_y = central_differences(g, d[[XX, XY, XZ]], d[[XY, YY, YZ]])
+    out, out_y = central_differences(g, d[..., [XX, XY, XZ], :, :], d[..., [XY, YY, YZ], :, :])
     out += out_y
     return VectorField(g, out)
 
@@ -316,12 +328,13 @@ def strain_from_columns(grid: Grid2P, jx: np.ndarray, jy: np.ndarray) -> SymTens
     For callers that difference v once and build several operators from it;
     sym_grad(v) is this applied to v's own columns.
     """
-    out = np.zeros((6, *grid.shape))
-    out[XX] = jx[0]
-    out[YY] = jy[1]
-    out[XY] = 0.5 * (jy[0] + jx[1])
-    out[XZ] = 0.5 * jx[2]
-    out[YZ] = 0.5 * jy[2]
+    out = np.zeros((*jx.shape[:-3], 6, *grid.shape))
+    d, x, y = components(out), components(jx), components(jy)
+    d[XX][...] = x[0]
+    d[YY][...] = y[1]
+    d[XY][...] = 0.5 * (y[0] + x[1])
+    d[XZ][...] = 0.5 * x[2]
+    d[YZ][...] = 0.5 * y[2]
     return SymTensorField(grid, out)
 
 
@@ -341,17 +354,18 @@ def div_outer(a: VectorField, b: VectorField) -> VectorField:
     """
     _check_same_grid(a, b)
     g = a.grid
-    return VectorField(g, _ddx(g, a.data[0] * b.data) + _ddy(g, a.data[1] * b.data))
+    return VectorField(g, _ddx(g, a.data[..., :1, :, :] * b.data)
+                       + _ddy(g, a.data[..., 1:2, :, :] * b.data))
 
 
 def cross(a: VectorField, b: VectorField) -> VectorField:
     _check_same_grid(a, b)
-    ax, ay, az = a.data
-    bx, by, bz = b.data
-    out = np.empty((3, *a.grid.shape))
-    out[0] = ay * bz - az * by
-    out[1] = az * bx - ax * bz
-    out[2] = ax * by - ay * bx
+    ax, ay, az = components(a.data)
+    bx, by, bz = components(b.data)
+    out = np.empty(np.broadcast_shapes(a.data.shape, b.data.shape))
+    out[..., 0, :, :] = ay * bz - az * by
+    out[..., 1, :, :] = az * bx - ax * bz
+    out[..., 2, :, :] = ax * by - ay * bx
     return VectorField(a.grid, out)
 
 
@@ -361,9 +375,13 @@ def jac_transpose_dot(j: Tensor33Field, v: VectorField) -> VectorField:
     return VectorField(v.grid, np.einsum("ji...,j...->i...", j.data, v.data))
 
 
-def scalar_times_vector(s: ScalarField, v: VectorField) -> VectorField:
-    _check_same_grid(s, v)
-    return VectorField(v.grid, s.data[None, :, :] * v.data)
+def scalar_times_vector(s, v: VectorField) -> VectorField:
+    """s v for a ScalarField s on v's grid, or a constant s (the bits of the
+    field full of it)."""
+    if isinstance(s, ScalarField):
+        _check_same_grid(s, v)
+        s = s.data[..., None, :, :]
+    return VectorField(v.grid, s * v.data)
 
 
 def dot_vectors(a: VectorField, b: VectorField) -> ScalarField:
@@ -373,15 +391,20 @@ def dot_vectors(a: VectorField, b: VectorField) -> ScalarField:
 
 # --- quadrature -----------------------------------------------------------
 
-def integrate(s: ScalarField) -> float:
+def _per_field(total: np.ndarray):
+    """A float for one field, an array of one value per field for a stack."""
+    return float(total) if total.ndim == 0 else total
+
+
+def integrate(s: ScalarField):
     """Midpoint-rule integral over the periodic box (per unit slab depth)."""
-    return float(s.data.sum() * s.grid.cell_area)
+    return _per_field(s.data.sum(axis=(-2, -1)) * s.grid.cell_area)
 
 
-def inner(u: VectorField, w: VectorField) -> float:
+def inner(u: VectorField, w: VectorField):
     """L2 pairing of two vector fields over the box."""
     _check_same_grid(u, w)
-    return float((u.data * w.data).sum() * u.grid.cell_area)
+    return _per_field((u.data * w.data).sum(axis=(-3, -2, -1)) * u.grid.cell_area)
 
 
 def tensor_inner(s: SymTensorField, t: SymTensorField) -> float:
@@ -391,10 +414,10 @@ def tensor_inner(s: SymTensorField, t: SymTensorField) -> float:
     return float(prod * s.grid.cell_area)
 
 
-def l2_norm(v) -> float:
+def l2_norm(v):
     if isinstance(v, VectorField):
-        return np.sqrt(max(inner(v, v), 0.0))
-    return np.sqrt(max(integrate(ScalarField(v.grid, v.data**2)), 0.0))
+        return np.sqrt(np.maximum(inner(v, v), 0.0))
+    return np.sqrt(np.maximum(integrate(ScalarField(v.grid, v.data**2)), 0.0))
 
 
 def linf_norm(v) -> float:
@@ -436,7 +459,7 @@ def remove_stencil_null(v: VectorField) -> VectorField:
     n = v.grid.nx * v.grid.ny
     for pat in _null_patterns(v.grid):
         coeff = (data * pat).sum(axis=(-2, -1)) / n
-        data -= coeff[:, None, None] * pat
+        data -= coeff[..., None, None] * pat
     return VectorField(v.grid, data)
 
 

@@ -22,6 +22,8 @@ from typing import Mapping
 from .fields import Grid2P, ScalarField, Tensor33Field, VectorField, cross, scalar_times_vector
 
 PRESETS = ("zero", "uniform_gravity", "rigid_rotation")
+# the parameters each preset reads
+PRESET_PARAMETERS = {"zero": (), "uniform_gravity": ("g0",), "rigid_rotation": ("omega",)}
 
 
 class UnknownPresetError(ValueError):
@@ -127,7 +129,8 @@ def eval_coriolis_vector(g: Gravitation, t: float) -> VectorField:
     return g.coriolis_vector(t)
 
 
-def gravitation_force(rho: ScalarField, v: VectorField, g: Gravitation, t: float) -> VectorField:
-    """rho (g - 2 Omega x v), the gravity plus Coriolis force density."""
+def gravitation_force(rho, v: VectorField, g: Gravitation, t: float) -> VectorField:
+    """rho (g - 2 Omega x v), the gravity plus Coriolis force density; rho a
+    ScalarField or a constant."""
     omega = g.coriolis_vector(t)
     return scalar_times_vector(rho, g.gravity(t) - 2.0 * cross(omega, v))

@@ -338,7 +338,8 @@ def initial_state(case: CaseSpec) -> FluidState:
 
 def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
                    n_out: Optional[int] = None) -> Path:
-    """Run the reference stepper and resample its trajectory onto n_out slices.
+    """Run the reference stepper and resample its trajectory onto n_out slices,
+    written into the path's arrays as the steps reach them.
 
     n_out must divide n_ref; defaults to every reference step.
     """
@@ -350,14 +351,24 @@ def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
 
     state = initial_state(case)
     scratch = StepScratch(case.grid)
+    compressible = isinstance(state.eos, BarotropicPowerEos)
     # looked up per run, so that a wrapped stepper is the one called
-    step = step_compressible if isinstance(state.eos, BarotropicPowerEos) else step_incompressible
+    step = step_compressible if compressible else step_incompressible
 
-    states = [state]
+    times, V = [], np.empty((n_out + 1, 3, *case.grid.shape))
+    rho = np.empty((n_out + 1, *case.grid.shape)) if compressible else None
+
+    def keep(state: FluidState):
+        times.append(state.t)
+        V[len(times) - 1] = state.v.data
+        if compressible:
+            rho[len(times) - 1] = state.rho.data
+
+    keep(state)
     for n in range(case.n_ref):
         state = step(state, dt, mu, grav, scratch)
         # snap the clock to the exact multiple so resampled paths stay uniform
         state = FluidState((n + 1) * dt, state.v, state.rho, state.eos)
         if (n + 1) % stride == 0:
-            states.append(state)
-    return Path(states)
+            keep(state)
+    return Path.from_arrays(case.grid, state.eos, times, V, rho)

@@ -18,6 +18,15 @@ incompressible kind): the first part is nonnegative and vanishes exactly on
 trajectories of the viscous flow equations, and the pairing of the null
 parts is the only term that can make the functional negative.
 
+A path is stored along its time axis, as the arrays V (T+1, 3, nx, ny) and
+rho (T+1, nx, ny).  Each interval term depends on the interval's two end
+slices only, so the assembly, the adjoint gradient and the descent work on
+blocks of consecutive intervals, every operator applied once to the stacked
+slices of a block (fields.py: a field's data may carry leading axes).  The
+per-interval entries are per-slice reductions, so every term has the bits of
+the interval computed alone.  A block holds as many slices as fit in
+_BLOCK_BYTES: small grids batch many, 64^2 and larger grids take one.
+
 One matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
 backtracking minimizes both kinds with the initial state pinned: the
 incompressible kind on the divergence-free affine subspace, the compressible
@@ -36,9 +45,10 @@ descent left free to move them drifts every slice's null part to lower it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +64,8 @@ from .gravitation import Gravitation
 
 def leray_project(v: VectorField, out: Optional[np.ndarray] = None
                   ) -> tuple[VectorField, ScalarField]:
-    """Split v = v_df + grad(q) with div(v_df) = 0 on the periodic grid.
+    """Split v = v_df + grad(q) with div(v_df) = 0 on the periodic grid, for
+    v one field or a stack of them (one batched transform pair for the stack).
 
     The pressure Poisson equation laplacian(q) = div(v), with the Laplacian
     composed as div(grad(.)), is solved exactly per wavenumber from the
@@ -62,27 +73,35 @@ def leray_project(v: VectorField, out: Optional[np.ndarray] = None
     the stencil null modes.  The projector is therefore idempotent to
     round-off, and means and the checkerboard modes pass through untouched.
 
-    With out, a C-contiguous (3, nx, ny) array apart from v, the divergence
-    and then v_df are written there; the FFT output is the one temporary.
+    With out, a C-contiguous array of v's shape apart from v, v_df is written
+    there; for one field the divergence is formed there too, and the FFT
+    output is the one temporary.
     """
-    if not np.isfinite(v.data).all():
+    data = v.data
+    if not np.isfinite(data).all():
         raise FloatingPointError("pressure Poisson solve: non-finite input")
-    if out is not None and np.may_share_memory(v.data, out):
+    if out is not None and np.may_share_memory(data, out):
         raise ValueError("leray_project: out must not overlap the input")
     grid = v.grid
     if out is None:
-        out = np.empty_like(v.data)
-    div, div_y = fd.central_differences(grid, v.data[0], v.data[1], out=(out[0], out[1]))
+        out = np.empty_like(data)
+    vx, vy, vz = fd.components(data)
+    ox, oy, oz = fd.components(out)
+    # out's x and y planes hold the divergence and then grad(q); in a stack
+    # of several fields they are strided, and a scratch pair stands in
+    planes = (ox, oy) if ox.flags.c_contiguous else np.empty((2, *vx.shape))
+    div, div_y = fd.central_differences(grid, vx, vy, out=planes)
     div += div_y
     qh = np.fft.rfft2(div)
     np.multiply(qh, fd.spectral_symbols(grid).inv_s2, out=qh)
     np.negative(qh, out=qh)
     q = np.fft.irfft2(qh, s=grid.shape)
-    # v - grad(q): the gradient is differenced into out, then subtracted from
-    # v there; its z component is zero, and v_z - 0 is v_z bit for bit
-    fd.central_differences(grid, q, out=(out[0], out[1]))
-    np.subtract(v.data[:2], out[:2], out=out[:2])
-    out[2] = v.data[2]
+    # v - grad(q): the gradient is differenced into the planes, then
+    # subtracted from v; its z component is zero, and v_z - 0 is v_z bit for bit
+    qx, qy = fd.central_differences(grid, q, out=planes)
+    np.subtract(vx, qx, out=ox)
+    np.subtract(vy, qy, out=oy)
+    oz[...] = vz
     return VectorField(grid, out), ScalarField(grid, q)
 
 
@@ -97,86 +116,124 @@ def check_path_times(times) -> None:
         raise ValueError("path times must increase in uniform steps")
 
 
-@dataclass
+def _stacked(fields) -> np.ndarray:
+    """A list of fields as one array along a new leading axis; an array as it is."""
+    return fields if isinstance(fields, np.ndarray) else np.stack([f.data for f in fields])
+
+
 class Path:
     """Uniformly sampled sequence of states over [0, T]; the first is pinned.
 
-    For the incompressible kind every slice is divergence free and the
-    density is the constant rho0; for the compressible kind the densities
-    ride along with the velocities (slaved to the mass balance when the path
-    is produced by slave_density or the reference steppers)."""
+    The path is stored along its time axis: times (T+1,), the velocities V
+    (T+1, 3, nx, ny) and the densities rho (T+1, nx, ny) of one fluid, eos.
+    For the incompressible kind every slice is divergence free and rho is
+    the constant rho0 (a read-only broadcast); for the compressible kind the
+    densities ride along with the velocities (slaved to the mass balance when
+    the path is produced by slave_density or the reference steppers), and
+    their positivity is checked once, on the array.
 
-    states: list[FluidState]
-    pressures: Optional[list[ScalarField]] = None  # per interval, incompressible only
+    Path(states) stacks a list of FluidStates; path.states gives the slices
+    back as FluidStates whose fields are views of the arrays.
+    """
 
-    def __post_init__(self):
-        check_path_times([s.t for s in self.states])
-        grid = self.states[0].grid
-        eos = self.states[0].eos
-        for s in self.states:
-            if s.grid != grid or s.eos != eos:
+    def __init__(self, states: Sequence[FluidState],
+                 pressures: Optional[list[ScalarField]] = None):
+        check_path_times([s.t for s in states])
+        s0 = states[0]
+        for s in states:
+            if s.grid != s0.grid or s.eos != s0.eos:
                 raise ValueError("all path states must share one grid and one EOS")
+        rho = None
+        if isinstance(s0.eos, IncompressibleEos):
+            if any(np.any(s.rho.data != s0.eos.rho0) for s in states):
+                raise ValueError("an incompressible path's density is its rho0")
+        else:
+            rho = _stacked([s.rho for s in states])
+        self._set(*_checked(s0.grid, s0.eos, [s.t for s in states],
+                            _stacked([s.v for s in states]), rho), pressures)
 
-    @property
-    def grid(self) -> Grid2P:
-        return self.states[0].grid
+    @classmethod
+    def from_arrays(cls, grid: Grid2P, eos: Eos, times, V: np.ndarray,
+                    rho: Optional[np.ndarray] = None) -> "Path":
+        """The path with these arrays (not copied); rho is None for an
+        incompressible fluid, whose density is rho0."""
+        path = cls.__new__(cls)
+        path._set(*_checked(grid, eos, times, V, rho))
+        return path
 
-    @property
-    def eos(self) -> Eos:
-        return self.states[0].eos
+    def _set(self, grid, eos, times, V, rho, pressures=None):
+        self.grid, self.eos, self.times, self.V, self.rho = grid, eos, times, V, rho
+        self.pressures = pressures  # per interval, incompressible only
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    @functools.cached_property
+    def states(self) -> list[FluidState]:
+        return [FluidState(float(t), VectorField(self.grid, v), ScalarField(self.grid, r),
+                           self.eos) for t, v, r in zip(self.times, self.V, self.rho)]
 
     @property
     def dt(self) -> float:
-        return self.states[1].t - self.states[0].t
+        return float(self.times[1] - self.times[0])
 
     @property
     def n_intervals(self) -> int:
-        return len(self.states) - 1
+        return len(self.times) - 1
 
     @property
     def kind(self) -> str:
         return "incompressible" if isinstance(self.eos, IncompressibleEos) else "compressible"
 
-    def velocities(self) -> list[VectorField]:
-        return [s.v for s in self.states]
-
-    def with_velocities(self, new_free: list[VectorField]) -> "Path":
-        """Same path with the free slices (k >= 1) replaced; densities kept."""
+    def with_velocities(self, new_free) -> "Path":
+        """Same path with the free slices (k >= 1) replaced by new_free, a
+        (T, 3, nx, ny) array or a list of T VectorFields; densities kept."""
         if len(new_free) != self.n_intervals:
             raise ValueError("need one velocity per free slice")
-        states = [self.states[0]]
-        for s, v in zip(self.states[1:], new_free):
-            states.append(FluidState(s.t, v, s.rho, s.eos))
-        return Path(states)
+        V = np.concatenate([self.V[:1], _stacked(new_free)])
+        path = Path.__new__(Path)     # the times and densities are checked already
+        path._set(self.grid, self.eos, self.times, V, self.rho)
+        return path
 
 
-def incompressible_path(grid: Grid2P, eos: IncompressibleEos, times,
-                        velocities: list[VectorField]) -> Path:
-    rho = ScalarField.full(grid, eos.rho0)
-    states = [FluidState(float(t), v, rho, eos) for t, v in zip(times, velocities)]
-    return Path(states)
+def _checked(grid: Grid2P, eos: Eos, times, V: np.ndarray, rho: Optional[np.ndarray]):
+    """(grid, eos, times, V, rho) of a valid path, times as an array and, for
+    an incompressible fluid, rho the broadcast constant rho0."""
+    check_path_times(times)
+    shape = (len(times), *grid.shape)
+    if V.shape != (len(times), 3, *grid.shape):
+        raise ValueError(f"velocities of shape {V.shape}, not (T+1, 3, nx, ny) = "
+                         f"{(len(times), 3, *grid.shape)}")
+    if isinstance(eos, IncompressibleEos):
+        rho = np.broadcast_to(np.full(grid.shape, eos.rho0), shape)
+    elif rho is None or rho.shape != shape:
+        raise ValueError(f"a compressible path needs densities of shape {shape}")
+    elif np.any(rho <= 0):
+        raise ValueError("density must be positive everywhere")
+    return grid, eos, np.array(times, dtype=float), V, rho
+
+
+def incompressible_path(grid: Grid2P, eos: IncompressibleEos, times, velocities) -> Path:
+    """The path of these velocities (a list of VectorFields or a (T+1, 3, nx, ny) array)."""
+    return Path.from_arrays(grid, eos, times, _stacked(velocities))
 
 
 _MASS_TOL, _MASS_MAX_ITER = 1e-13, 500   # fixed point: update / density scale, sweeps
 
 
-def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
-                  times) -> list[ScalarField]:
+def slave_density(rho_initial: ScalarField, velocities, times) -> np.ndarray:
     """March the discrete mass balance: each new density solves
     (rho_next - rho_prev)/dt + div(rho_mid v_mid) = 0 (implicit midpoint,
     fixed-point iteration).  Conservative form: total mass is exact.
 
-    Raises DensityError when the fixed point stalls or a density comes out
-    non-positive."""
-    densities = [rho_initial]
-    for k in range(len(velocities) - 1):
+    velocities is a list of VectorFields or a (T+1, 3, nx, ny) array; the
+    densities come back as a (T+1, nx, ny) array.  Raises DensityError when
+    the fixed point stalls or a density comes out non-positive."""
+    grid = rho_initial.grid
+    V = _stacked(velocities)
+    densities = np.empty((len(V), *grid.shape))
+    densities[0] = rho_initial.data
+    for k in range(len(V) - 1):
         dt = float(times[k + 1] - times[k])
-        v_mid = 0.5 * (velocities[k] + velocities[k + 1])
-        rho_prev = densities[-1]
+        v_mid = 0.5 * VectorField(grid, V[k] + V[k + 1])
+        rho_prev = ScalarField(grid, densities[k])
         rho_next = rho_prev.copy()
         scale = float(np.abs(rho_prev.data).max())
         for _ in range(_MASS_MAX_ITER):
@@ -190,18 +247,18 @@ def slave_density(rho_initial: ScalarField, velocities: list[VectorField],
             raise DensityError(f"mass-balance fixed point stalled at interval {k}")
         if np.any(rho_next.data <= 0):
             raise DensityError(f"density became non-positive at interval {k}")
-        densities.append(rho_next)
+        densities[k + 1] = rho_next.data
     return densities
 
 
-def compressible_path(grid: Grid2P, eos: BarotropicPowerEos, times,
-                      velocities: list[VectorField],
-                      densities: Optional[list[ScalarField]] = None) -> Path:
+def compressible_path(grid: Grid2P, eos: BarotropicPowerEos, times, velocities,
+                      densities=None) -> Path:
+    """The path of these velocities and densities (lists of fields or stacked
+    arrays); without densities they are slaved to the mass balance from rho0."""
+    V = _stacked(velocities)
     if densities is None:
-        densities = slave_density(ScalarField.full(grid, eos.rho0), velocities, times)
-    states = [FluidState(float(t), v, rho, eos)
-              for t, v, rho in zip(times, velocities, densities)]
-    return Path(states)
+        densities = slave_density(ScalarField.full(grid, eos.rho0), V, times)
+    return Path.from_arrays(grid, eos, times, V, _stacked(densities))
 
 
 # --- reports ------------------------------------------------------------------
@@ -259,41 +316,64 @@ class SbenReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _IntervalCore:
-    """One interval's terms, as the report, the pressures and the gradient read
-    them; kv = K(v_mid) comes from the one Jacobian of v_mid that
-    _interval_core takes."""
+# --- blocks of intervals ---------------------------------------------------------
 
-    t_mid: float
+# Bytes of the (c, 3, nx, ny) velocity block that one pass of the interval
+# core, the gradient or the free-slice projection works on: c = 16 slices at
+# 16^2, 4 at 32^2 and one from 64^2 up, where a block's temporaries would
+# raise the peak memory by c times a slice's (the sweep is in CHANGES.md).
+_BLOCK_BYTES = 96 * 1024
+
+
+def _blocks(path: Path) -> list[slice]:
+    """Consecutive runs of intervals, as many per run as fit in _BLOCK_BYTES."""
+    n = path.n_intervals
+    c = max(1, _BLOCK_BYTES // path.V[0].nbytes)
+    return [slice(a, min(a + c, n)) for a in range(0, n, c)]
+
+
+@dataclass
+class _Block:
+    """The terms of a block of consecutive intervals, stacked along time, as
+    the pressures and the gradient read them; kv = K(v_mid) comes from the
+    one Jacobian of v_mid that _block_core takes."""
+
+    intervals: slice
     v_mid: VectorField
     accel: VectorField
     f_raw: VectorField      # unprojected conjugate argument
     u: VectorField          # K^(-1) f, f the projected conjugate argument
     kv: VectorField         # K(v_mid)
-    phi_v: float
-    phi_star_f: float
-    pairing: float
-    discarded_mean: float
-    ns_residual: float
 
 
 def _differentiate_midpoint(v_mid: VectorField, mu: float
-                            ) -> tuple[VectorField, float, VectorField]:
+                            ) -> tuple[VectorField, np.ndarray, VectorField]:
     """(v_mid . grad) v_mid, phi(v_mid) and K(v_mid) from one Jacobian of v_mid.
 
     The advection has the operands and order of fd.advect, and phi and K
     share one strain D, so all three equal the separate calls bit for bit.
-    The Jacobian and D are freed on return, before the interval's K^(-1) solve.
+    The Jacobian and D are freed on return, before the K^(-1) solve.
     """
     grid = v_mid.grid
     jx, jy = fd.central_differences(grid, v_mid.data)
-    advection = VectorField(grid, v_mid.data[0] * jx + v_mid.data[1] * jy)
     strain = fd.strain_from_columns(grid, jx, jy)
-    return advection, fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
+    # v_x d/dx v + v_y d/dy v, written over the columns once D is built
+    jx *= v_mid.data[..., :1, :, :]
+    jy *= v_mid.data[..., 1:2, :, :]
+    jx += jy
+    return VectorField(grid, jx), fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
 
 
-def _pressure_force(path: Path, rho_mid: ScalarField) -> Optional[VectorField]:
+def _midpoint_density(path: Path, intervals: slice):
+    """rho_mid of the intervals: the constant rho0 for an incompressible path
+    (0.5 (rho0 + rho0) is rho0 bit for bit), a stacked field otherwise."""
+    if path.kind == "incompressible":
+        return path.eos.rho0
+    rho = path.rho[intervals.start:intervals.stop + 1]
+    return ScalarField(path.grid, 0.5 * (rho[:-1] + rho[1:]))
+
+
+def _pressure_force(path: Path, rho_mid) -> Optional[VectorField]:
     """grad p(rho_mid) from a barotropic EOS; None for the incompressible
     multiplier, which the Leray projection of the conjugate argument removes."""
     if path.kind == "incompressible":
@@ -301,57 +381,66 @@ def _pressure_force(path: Path, rho_mid: ScalarField) -> Optional[VectorField]:
     return fd.grad_scalar(ScalarField(path.grid, path.eos.pressure(rho_mid.data)))
 
 
-def _interval_core(path: Path, k: int, mu: float, grav: Gravitation) -> _IntervalCore:
-    """The interval's terms from f_raw = -pi_I, for both kinds (see the module
-    docstring).  v_mid is differenced once (see _differentiate_midpoint), and
-    the core keeps K(v_mid) for the residual, the pressure and the gradient."""
-    s_prev, s_next = path.states[k], path.states[k + 1]
-    t_mid = 0.5 * (s_prev.t + s_next.t)
-    v_mid = 0.5 * (s_prev.v + s_next.v)
-    rho_mid = 0.5 * (s_prev.rho + s_next.rho)
+def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
+                ) -> tuple[_Block, np.ndarray]:
+    """The block's terms from f_raw = -pi_I, for both kinds (see the module
+    docstring), and its report rows (phi, phi_star, pairing, discarded mean,
+    NS residual), one entry per interval.  v_mid is differenced once (see
+    _differentiate_midpoint), and the block keeps K(v_mid) for the residual,
+    the pressures and the gradient.  Every preset is steady, so gravity and
+    Omega are read once, at the block's first midpoint."""
+    grid = path.grid
+    a, b = intervals.start, intervals.stop
+    v_prev, v_next = path.V[a:b], path.V[a + 1:b + 1]
+    v_mid = v_prev + v_next
+    v_mid *= 0.5
+    v_mid = VectorField(grid, v_mid)
+    rho_mid = _midpoint_density(path, intervals)
     advection, phi_v, kv = _differentiate_midpoint(v_mid, mu)
-    accel = (1.0 / path.dt) * (s_next.v - s_prev.v) + advection
-    pi_i = momentum_residual(rho_mid, accel, v_mid, grav, t_mid,
-                             _pressure_force(path, rho_mid))
-    pairing = fd.inner(pi_i, v_mid)
-    f_raw = -pi_i
-    del pi_i    # freed before the projection and the K^(-1) solve
+    accel = v_next - v_prev
+    accel *= 1.0 / path.dt
+    accel += advection.data
+    accel = VectorField(grid, accel)
+    del advection
+    t_mid = 0.5 * (path.times[a] + path.times[a + 1])
+    f_raw = momentum_residual(rho_mid, accel, v_mid, grav, t_mid,
+                              _pressure_force(path, rho_mid))
+    pairing = fd.inner(f_raw, v_mid)
+    np.negative(f_raw.data, out=f_raw.data)     # pi_I becomes f_raw in place
     f = fd.remove_stencil_null(leray_project(f_raw)[0] if path.kind == "incompressible"
                                else f_raw)
 
-    discarded = float(np.linalg.norm(fd.component_means(f_raw)))
+    discarded = [np.linalg.norm(m) for m in fd.component_means(f_raw)]
     u = solve_k(f, mu)
     phi_star_f = phi(u, mu)
     ns_residual = fd.l2_norm(f - kv)
-    return _IntervalCore(t_mid, v_mid, accel, f_raw, u, kv, phi_v, phi_star_f,
-                         pairing, discarded, ns_residual)
+    terms = np.array([phi_v, phi_star_f, pairing, discarded, ns_residual])
+    return _Block(intervals, v_mid, accel, f_raw, u, kv), terms
 
 
-def _assemble(path: Path, mu: float, grav: Gravitation
-              ) -> tuple[list[_IntervalCore], SbenReport]:
+def _assemble(path: Path, mu: float, grav: Gravitation) -> tuple[list[_Block], SbenReport]:
     start = time.perf_counter()
-    cores = [_interval_core(path, k, mu, grav) for k in range(path.n_intervals)]
+    blocks, terms = zip(*(_block_core(path, b, mu, grav) for b in _blocks(path)))
+    phi_v, phi_star_f, pairing, discarded, ns_residual = np.concatenate(terms, axis=1)
     report = SbenReport(
         kind=path.kind,
-        midpoint_times=np.array([c.t_mid for c in cores]),
-        phi_terms=np.array([c.phi_v for c in cores]),
-        phi_star_terms=np.array([c.phi_star_f for c in cores]),
-        pairing_terms=np.array([c.pairing for c in cores]),
-        ns_residual_norms=np.array([c.ns_residual for c in cores]),
-        discarded_mean_norms=np.array([c.discarded_mean for c in cores]),
+        midpoint_times=0.5 * (path.times[:-1] + path.times[1:]),
+        phi_terms=phi_v, phi_star_terms=phi_star_f, pairing_terms=pairing,
+        ns_residual_norms=ns_residual, discarded_mean_norms=discarded,
         dt=path.dt,
         wall_time=time.perf_counter() - start,
     )
-    return cores, report
+    return list(blocks), report
 
 
-def _recover_pressures(cores: list[_IntervalCore]) -> list[ScalarField]:
+def _recover_pressures(blocks: list[_Block]) -> list[ScalarField]:
     """Multiplier pressure per interval: the potential part of the full
     constitutive balance, grad(p) = f_raw - K(v_mid) at the minimum."""
     pressures = []
-    for c in cores:
-        _, q = leray_project(c.f_raw - c.kv)
-        pressures.append(ScalarField(q.grid, q.data - q.data.mean()))
+    for blk in blocks:
+        _, q = leray_project(blk.f_raw - blk.kv)
+        zero_mean = q.data - q.data.mean(axis=(-2, -1), keepdims=True)
+        pressures.extend(ScalarField(q.grid, p) for p in zero_mean)
     return pressures
 
 
@@ -366,11 +455,11 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation
                   ) -> tuple[SbenReport, Optional[list[ScalarField]]]:
     """Evaluate the space-time functional on a path of either kind and, for the
     incompressible kind, recover the zero-mean multiplier pressure per interval
-    from the same interval cores (None for the compressible kind)."""
-    cores, report = _assemble(path, mu, grav)
+    from the same interval blocks (None for the compressible kind)."""
+    blocks, report = _assemble(path, mu, grav)
     if path.kind != "incompressible":
         return report, None
-    return report, _recover_pressures(cores)
+    return report, _recover_pressures(blocks)
 
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
@@ -390,57 +479,69 @@ def _jacobian_transpose_dot(v: VectorField, w: VectorField) -> VectorField:
     """(grad v)^T w: component i is sum_j w_j d_i v_j, summed in order j = 0, 1, 2,
     from the two in-plane Jacobian columns of v (the z component is zero)."""
     out = np.zeros_like(w.data)
-    wx, wy, wz = w.data
+    wx, wy, wz = fd.components(w.data)
     for i, col in enumerate(fd.central_differences(v.grid, v.data)):
-        out[i] = col[0] * wx + col[1] * wy + col[2] * wz
+        cx, cy, cz = fd.components(col)
+        out[..., i, :, :] = cx * wx + cy * wy + cz * wz
     return VectorField(v.grid, out)
 
 
-def _interval_gradient_pieces(path: Path, k: int, core: _IntervalCore,
-                              grav: Gravitation) -> tuple[VectorField, VectorField]:
-    """Coefficients (E, F) of the interval's first variation
-    d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>."""
-    rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
+def _gradient_pieces(path: Path, blk: _Block, grav: Gravitation
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(dt E / 2, F) of the block's intervals, from the coefficients of each
+    interval's first variation d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>."""
+    rho_mid = _midpoint_density(path, blk.intervals)
     grad_p = _pressure_force(path, rho_mid)
-    w = fd.scalar_times_vector(rho_mid, core.v_mid - core.u)
-    e = (_jacobian_transpose_dot(core.v_mid, w) - fd.div_outer(core.v_mid, w)
-         + core.kv
-         + fd.scalar_times_vector(rho_mid, core.accel - grav.gravity(core.t_mid)))
+    t_mid = 0.5 * (path.times[blk.intervals.start] + path.times[blk.intervals.start + 1])
+    w = fd.scalar_times_vector(rho_mid, blk.v_mid - blk.u)
+    e = (_jacobian_transpose_dot(blk.v_mid, w) - fd.div_outer(blk.v_mid, w)
+         + blk.kv
+         + fd.scalar_times_vector(rho_mid, blk.accel - grav.gravity(t_mid)))
     if grad_p is not None:
         e = e + grad_p
     e = e + 2.0 * fd.scalar_times_vector(
-        rho_mid, fd.cross(grav.coriolis_vector(core.t_mid), core.u))
-    return e, w
+        rho_mid, fd.cross(grav.coriolis_vector(t_mid), blk.u))
+    h = e.data
+    h *= 0.5
+    h *= path.dt
+    return h, w.data
 
 
 def gradient_pi(path: Path, mu: float, grav: Gravitation,
-                cores: Optional[list[_IntervalCore]] = None) -> list[VectorField]:
+                blocks: Optional[list[_Block]] = None) -> VectorField:
     """Exact gradient of the discrete functional with respect to the free
-    velocity slices v_k, k >= 1.  For the incompressible kind each slice is
-    projected onto divergence-free fields (the feasible directions).
+    velocity slices v_k, k >= 1, as a stack of T fields.  For the
+    incompressible kind each slice is projected onto divergence-free fields
+    (the feasible directions).
 
+    Slice k + 1 collects dt E / 2 + F of interval k and dt E / 2 - F of
+    interval k + 1; the blocks run last to first, so each block's slices are
+    complete, and projected in one call, once the next block is done.
     For the compressible kind the density/pressure response is frozen, which
     makes the gradient approximate; see minimize_compressible."""
-    if cores is None:
-        cores = [_interval_core(path, k, mu, grav) for k in range(path.n_intervals)]
-    dt = path.dt
-    n = path.n_intervals
-    grads: list[VectorField] = []
-    pieces = [_interval_gradient_pieces(path, k, cores[k], grav) for k in range(n)]
-    for j in range(1, n + 1):
-        e_prev, f_prev = pieces[j - 1]
-        g = dt * (0.5 * e_prev) + f_prev
-        if j <= n - 1:
-            e_next, f_next = pieces[j]
-            g = g + dt * (0.5 * e_next) - f_next
+    if blocks is None:
+        blocks = [_block_core(path, b, mu, grav)[0] for b in _blocks(path)]
+    grads = np.empty_like(path.V[1:])
+    later = None    # (dt E / 2, F) of the first interval of the block after this one
+    for blk in reversed(blocks):
+        h, f = _gradient_pieces(path, blk, grav)
+        own = grads[blk.intervals]
+        g = np.empty_like(own) if path.kind == "incompressible" else own
+        np.add(h, f, out=g)
+        g[:-1] += h[1:]
+        g[:-1] -= f[1:]
+        if later is not None:
+            g[-1] += later[0]
+            g[-1] -= later[1]
         if path.kind == "incompressible":
-            g, _ = leray_project(g)
-        grads.append(g)
-    return grads
+            leray_project(VectorField(path.grid, g), out=own)
+        later = h[0], f[0]
+    return VectorField(path.grid, grads)
 
 
-def path_dot(a: list[VectorField], b: list[VectorField]) -> float:
-    return sum(fd.inner(x, y) for x, y in zip(a, b))
+def path_dot(a: VectorField, b: VectorField) -> float:
+    """Sum over the slices of two stacks of <a_k, b_k>, added left to right."""
+    return sum(fd.inner(a, b).tolist())
 
 
 # --- minimizer ------------------------------------------------------------------
@@ -465,22 +566,23 @@ class MinimizeResult:
 
 
 def _project_free_slices(path: Path) -> Path:
-    """Project the free slices onto divergence-free fields.
+    """Project the free slices onto divergence-free fields, a block at a time.
 
     A slice that the projection moves only at round-off is already feasible
     and is kept bit for bit: moving it would shift the functional, a sum of
     O(1) terms that cancel on a solution, by their round-off, so a minimizer
     started on a solution would report a different value than evaluating it.
     """
-    free = []
-    for s in path.states[1:]:
-        v_df, _ = leray_project(s.v)
-        moved = fd.linf_norm(v_df - s.v) > 1e-12 * fd.linf_norm(s.v)
-        free.append(v_df if moved else s.v)
-    return path.with_velocities(free)
+    free = path.V[1:]
+    projected = np.empty_like(free)
+    for b in _blocks(path):
+        leray_project(VectorField(path.grid, free[b]), out=projected[b])
+    axes = (-3, -2, -1)
+    moved = np.abs(projected - free).max(axis=axes) > 1e-12 * np.abs(free).max(axis=axes)
+    return path.with_velocities(np.where(moved[:, None, None, None], projected, free))
 
 
-Preconditioner = Callable[[list[VectorField]], list[VectorField]]
+Preconditioner = Callable[[VectorField], VectorField]
 
 
 def _stokes_preconditioner(path: Path, mu: float) -> Preconditioner:
@@ -504,32 +606,32 @@ def _stokes_preconditioner(path: Path, mu: float) -> Preconditioner:
     beta = 0.5 * a - path.eos.rho0 / path.dt
     scale = a / path.dt
 
-    def apply(grads: list[VectorField]) -> list[VectorField]:
-        h = np.fft.rfft2(np.stack([g.data for g in grads]))
-        n = len(grads)
+    def apply(grads: VectorField) -> VectorField:
+        h = np.fft.rfft2(grads.data)
+        n = len(h)
         h[n - 1] /= alpha
         for k in range(n - 2, -1, -1):      # B^T y = g, upper bidiagonal
             h[k] = (h[k] - beta * h[k + 1]) / alpha
         h[0] /= alpha
         for k in range(1, n):               # B z = y, lower bidiagonal
             h[k] = (h[k] - beta * h[k - 1]) / alpha
-        out = np.fft.irfft2(h * scale, s=grid.shape)
-        return [VectorField(grid, z) for z in out]
+        return VectorField(grid, np.fft.irfft2(h * scale, s=grid.shape))
 
     return apply
 
 
-def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
+def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
              grav: Gravitation, opts: MinimizeConfig,
              on_iteration: Optional[Callable[[int, float, float], None]] = None,
              precondition: Optional[Preconditioner] = None
-             ) -> tuple[Path, list[_IntervalCore], SbenReport, bool, str]:
+             ) -> tuple[Path, list[_Block], SbenReport, bool, str]:
     """Nonlinear conjugate gradient (Polak-Ribiere+, periodic restart) with
     Armijo backtracking over the free slices of a feasible start path.
 
-    build(free) makes the trial path from the free velocities; a trial it
-    cannot make (DensityError) is a rejected step, like an Armijo failure.
-    With a preconditioner P the direction is -P g + beta d, with
+    The gradients and directions are stacks of the T free slices.
+    build(free) makes the trial path from the (T, 3, nx, ny) free velocities;
+    a trial it cannot make (DensityError) is a rejected step, like an Armijo
+    failure.  With a preconditioner P the direction is -P g + beta d, with
     beta = <g+, P g+ - P g> / <g, P g>, a non-descent direction resets to
     -P g, and every line search starts at the unit step.  Without one
     (P = identity) the first step is half the path's velocity scale along
@@ -537,23 +639,23 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
     The gradient norm (the relative tolerance and the history) leaves out
     the stencil null modes when P is given: P never moves them, so their part
     of the gradient never shrinks.
-    Returns the last accepted path, its cores and report (with the gradient
+    Returns the last accepted path, its blocks and report (with the gradient
     norm history and iteration count), and the convergence flag and message.
     """
-    def norm(grads: list[VectorField]) -> float:
+    def norm(grads: VectorField) -> float:
         if precondition is not None:
-            grads = [fd.remove_stencil_null(g) for g in grads]
+            grads = fd.remove_stencil_null(grads)
         return np.sqrt(max(path_dot(grads, grads), 0.0))
 
-    cores, report = _assemble(path, mu, grav)
+    blocks, report = _assemble(path, mu, grav)
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
-    grad = gradient_pi(path, mu, grav, cores=cores)
+    grad = gradient_pi(path, mu, grav, blocks=blocks)
     pgrad = grad if precondition is None else precondition(grad)
     gnorm0 = norm(grad)
     history = [gnorm0]
 
-    direction = [-p for p in pgrad]
+    direction = -pgrad
     alpha_prev = None
     converged = False
     message = "max_iter reached"
@@ -570,7 +672,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
 
         slope = path_dot(grad, direction)
         if slope >= 0:
-            direction = [-p for p in pgrad]
+            direction = -pgrad
             slope = -path_dot(grad, pgrad)
 
         dnorm = np.sqrt(max(path_dot(direction, direction), 0.0))
@@ -580,8 +682,8 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
         if precondition is not None:
             alpha = 1.0
         elif alpha_prev is None:
-            vel_scale = max(np.sqrt(sum(fd.inner(s.v, s.v) for s in path.states)
-                                    / len(path.states)), 1e-12)
+            velocities = VectorField(path.grid, path.V)
+            vel_scale = max(np.sqrt(path_dot(velocities, velocities) / len(path.V)), 1e-12)
             alpha = 0.5 * vel_scale / dnorm
         else:
             alpha = 2.0 * alpha_prev
@@ -589,12 +691,11 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
         accepted = False
         for _ in range(opts.max_backtracks):
             try:
-                trial = build([path.states[j + 1].v + alpha * direction[j]
-                               for j in range(path.n_intervals)])
+                trial = build(path.V[1:] + alpha * direction.data)
             except DensityError:
                 alpha *= opts.backtrack_factor
                 continue
-            trial_cores, trial_report = _assemble(trial, mu, grav)
+            trial_blocks, trial_report = _assemble(trial, mu, grav)
             if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
                 accepted = True
                 break
@@ -604,15 +705,15 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
             break
 
         alpha_prev = alpha
-        new_grad = gradient_pi(trial, mu, grav, cores=trial_cores)
+        new_grad = gradient_pi(trial, mu, grav, blocks=trial_blocks)
         new_pgrad = new_grad if precondition is None else precondition(new_grad)
         beta = max(0.0, (path_dot(new_grad, new_pgrad) - path_dot(new_grad, pgrad))
                    / max(path_dot(grad, pgrad), 1e-300))
         if (it + 1) % opts.restart_every == 0:
             beta = 0.0
-        direction = [-p + beta * d for p, d in zip(new_pgrad, direction)]
+        direction = -new_pgrad + beta * direction
 
-        path, cores, report = trial, trial_cores, trial_report
+        path, blocks, report = trial, trial_blocks, trial_report
         pi_val = report.total_pi
         grad, pgrad = new_grad, new_pgrad
         history.append(norm(grad))
@@ -624,7 +725,7 @@ def _descend(path: Path, build: Callable[[list[VectorField]], Path], mu: float,
 
     report.grad_norm_history = [float(g) for g in history]
     report.iterations = iters
-    return path, cores, report, converged, message
+    return path, blocks, report, converged, message
 
 
 def minimize(path0: Path, mu: float, grav: Gravitation,
@@ -645,10 +746,10 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
                          "see minimize_compressible for barotropic paths")
     start = time.perf_counter()
     path = _project_free_slices(path0)
-    path, cores, report, converged, message = _descend(
+    path, blocks, report, converged, message = _descend(
         path, path.with_velocities, mu, grav, opts, on_iteration,
         _stokes_preconditioner(path, mu))
-    path.pressures = _recover_pressures(cores)
+    path.pressures = _recover_pressures(blocks)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)
 
@@ -665,14 +766,14 @@ def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
     if path0.kind != "compressible":
         raise ValueError("minimize_compressible needs a barotropic path")
     start = time.perf_counter()
-    s0 = path0.states[0]
+    rho_initial = ScalarField(path0.grid, path0.rho[0])
 
-    def rebuild(free: list[VectorField]) -> Path:
-        velocities = [s0.v] + free
-        densities = slave_density(s0.rho, velocities, path0.times)
-        return compressible_path(path0.grid, path0.eos, path0.times, velocities, densities)
+    def rebuild(free: np.ndarray) -> Path:
+        V = np.concatenate([path0.V[:1], free])
+        return Path.from_arrays(path0.grid, path0.eos, path0.times, V,
+                                slave_density(rho_initial, V, path0.times))
 
     path, _, report, converged, message = _descend(
-        rebuild([s.v for s in path0.states[1:]]), rebuild, mu, grav, opts)
+        rebuild(path0.V[1:]), rebuild, mu, grav, opts)
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)

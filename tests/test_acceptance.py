@@ -183,10 +183,11 @@ def test_criterion_6_gradient_correctness():
     grads = gradient_pi(path, MU, grav)
     worst = 0.0
     for _ in range(5):
-        d = [random_solenoidal(grid, rng, kmax=2) for _ in range(path.n_intervals)]
+        d = VectorField(grid, np.stack([random_solenoidal(grid, rng, kmax=2).data
+                                        for _ in range(path.n_intervals)]))
         eps = 1e-5
-        plus = path.with_velocities([s.v + eps * dk for s, dk in zip(path.states[1:], d)])
-        minus = path.with_velocities([s.v - eps * dk for s, dk in zip(path.states[1:], d)])
+        plus = path.with_velocities(path.V[1:] + eps * d.data)
+        minus = path.with_velocities(path.V[1:] - eps * d.data)
         fd_val = (functional_report(plus, MU, grav, "incompressible").total_pi
                   - functional_report(minus, MU, grav, "incompressible").total_pi) / (2 * eps)
         rel = abs(path_dot(grads, d) - fd_val) / abs(fd_val)

@@ -111,6 +111,13 @@ MALFORMED_ARCHIVE = {
     "density on an incompressible slice": ("manifest.json", _set_slice(1, "rho", "v_0001.csv")),
     "kind disagrees with eos": ("manifest.json",
                                 _edit_manifest(lambda m: m.update(kind="compressible"))),
+    # the config's eos defaults are not a manifest's: every constant is written
+    "eos without rho0": ("manifest.json", _edit_manifest(lambda m: m["eos"].pop("rho0"))),
+    "eos with an unknown key": ("manifest.json",
+                                _edit_manifest(lambda m: m["eos"].update(gamma=1.4))),
+    "eos of an unknown kind": ("manifest.json",
+                               _edit_manifest(lambda m: m["eos"].update(kind="ideal_gas"))),
+    "boolean rho0": ("manifest.json", _edit_manifest(lambda m: m["eos"].update(rho0=True))),
 }
 
 
@@ -167,8 +174,9 @@ class TestPathArchive:
 
     @pytest.mark.parametrize("edit", [
         _edit_manifest(lambda m: m["slices"][1].pop("rho")),
-        _edit_manifest(lambda m: m.update(kind="incompressible"))],
-        ids=["slice without density", "kind disagrees with eos"])
+        _edit_manifest(lambda m: m.update(kind="incompressible")),
+        _edit_manifest(lambda m: m["eos"].pop("gamma"))],
+        ids=["slice without density", "kind disagrees with eos", "eos without gamma"])
     def test_malformed_compressible_manifest(self, tmp_path, grid16, rng, edit):
         vels = [random_vector(grid16, rng, amplitude=0.1) for _ in range(2)]
         d = tmp_path / "arch"
@@ -396,7 +404,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("restart_every", 0), ("max_iter", "abc"), ("backtrack_factor", 0),
         ("backtrack_factor", 1.5), ("max_iter", 2.5), ("max_iter", True),
-        ("max_backtracks", 3.0)])
+        ("max_backtracks", 3.0), ("tol_pi_rel", True)])
     def test_bad_minimizer_setting_exits_config(self, tmp_path, key, value):
         cfg = _write_config(tmp_path, overrides={f"minimizer.{key}": value})
         with pytest.raises(ConfigError, match=f"minimizer.{key}"):
@@ -411,7 +419,11 @@ class TestCli:
         ("case.parameters", {"omega": 2.0}, "omega"),
         ("case.parameters", {"rho0": 2.0}, "rho0"),
         ("case.parameters", {"gamma": 1.4}, "gamma"),
-        ("gravitation.parameters", 5, "gravitation.parameters")])
+        ("gravitation.parameters", 5, "gravitation.parameters"),
+        # each preset reads its own parameter, and the zero preset none
+        ("gravitation", {"preset": "rigid_rotation", "parameters": {"omgea": 3.0}}, "omgea"),
+        ("gravitation", {"preset": "uniform_gravity", "parameters": {"omega": 1.0}}, "omega"),
+        ("gravitation", {"preset": "zero", "parameters": {"g0": 1.0}}, "g0")])
     def test_bad_case_or_gravitation_exits_config(self, tmp_path, key, value, match):
         cfg = _write_config(tmp_path, overrides={key: value})
         with pytest.raises(ConfigError, match=match):
@@ -428,7 +440,12 @@ class TestCli:
         ("viscosity.mu", float("nan"), "viscosity"),
         ("eos.rho0", float("nan"), "eos"),
         ("eos", {"kind": "barotropic_power", "gamma": float("nan")}, "eos"),
-        ("eos", {"kind": "barotropic_power", "p0": float("inf")}, "eos")])
+        ("eos", {"kind": "barotropic_power", "p0": float("inf")}, "eos"),
+        # a JSON boolean is not a number: it used to run as 1.0
+        ("viscosity.mu", True, "viscosity.mu"), ("grid.lx", False, "grid.lx"),
+        ("time.t_final", True, "time.t_final"), ("eos.rho0", True, "eos.rho0"),
+        ("case.parameters", {"amplitude": True}, "case.parameters.amplitude"),
+        ("eos", {"kind": "incompressible", "gamma": 1.4}, "eos.gamma")])
     def test_bad_number_exits_config(self, tmp_path, key, value, match):
         cfg = _write_config(tmp_path, overrides={key: value})
         with pytest.raises(ConfigError, match=match):
@@ -633,6 +650,16 @@ class TestCli:
             csv.unlink()
         with pytest.raises(ArchiveError, match="uniform"):
             load_path_archive(str(d))
+
+    def test_overflowing_amplitude_exits_numerical(self, tmp_path, capsys):
+        # the analytic pressure's amplitude**2 overflows a float
+        cfg = _write_config(tmp_path, overrides={
+            "case.parameters": {"nu": 0.1, "amplitude": 1e200}})
+        for argv in (["reference", "--out", str(tmp_path / "r")],
+                     ["minimize", "--out", str(tmp_path / "m")]):
+            assert main([argv[0], "--config", cfg, *argv[1:]]) == 3
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "Traceback" not in err
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})
