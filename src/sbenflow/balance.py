@@ -137,19 +137,23 @@ def mass_residual(s_prev: FluidState, s_next: FluidState) -> ScalarField:
 def material_derivative(s_prev: FluidState, s_next: FluidState) -> VectorField:
     """Dv/Dt = dv/dt + (v . grad) v at the interval midpoint."""
     dt, _, v_mid, _ = _interval(s_prev, s_next)
+    return _material_derivative(s_prev, s_next, dt, v_mid)
+
+
+def _material_derivative(s_prev: FluidState, s_next: FluidState, dt: float,
+                         v_mid: VectorField) -> VectorField:
     dv = (1.0 / dt) * (s_next.v - s_prev.v)
     return dv + fd.advect(v_mid, v_mid)
 
 
-def _midpoint_pressure(s_prev: FluidState, s_next: FluidState,
+def _midpoint_pressure(eos: Eos, rho_mid: ScalarField,
                        pressure: Optional[ScalarField]) -> ScalarField:
-    rho_mid = 0.5 * (s_prev.rho + s_next.rho)
-    if isinstance(s_prev.eos, IncompressibleEos):
+    if isinstance(eos, IncompressibleEos):
         if pressure is None:
             raise PressureUndefinedError(
                 "incompressible state pair needs the multiplier pressure field")
         return pressure
-    return ScalarField(rho_mid.grid, s_prev.eos.pressure(rho_mid.data))
+    return ScalarField(rho_mid.grid, eos.pressure(rho_mid.data))
 
 
 def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
@@ -159,10 +163,16 @@ def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
     Vanishes exactly on inviscid barotropic trajectories; on viscous ones it
     equals the divergence of the viscous stress.
     """
-    _, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
-    p = _midpoint_pressure(s_prev, s_next, pressure)
-    return momentum_residual(rho_mid, material_derivative(s_prev, s_next), v_mid, grav,
-                             t_mid, fd.grad_scalar(p))
+    return _pi_i_residual(s_prev, s_next, _interval(s_prev, s_next), grav, pressure)
+
+
+def _pi_i_residual(s_prev: FluidState, s_next: FluidState, interval: tuple,
+                   grav: Gravitation, pressure: Optional[ScalarField]) -> VectorField:
+    """pi_i_residual from the pair's _interval, whose midpoints it reuses."""
+    dt, t_mid, v_mid, rho_mid = interval
+    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
+    return momentum_residual(rho_mid, _material_derivative(s_prev, s_next, dt, v_mid), v_mid,
+                             grav, t_mid, fd.grad_scalar(p))
 
 
 def momentum_residual(rho: Union[ScalarField, float], accel: VectorField, v: VectorField,
@@ -184,8 +194,8 @@ def head_loss(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
     The Coriolis force is pointwise workless, so this equals
     inner(pi_i_residual, v_mid) exactly.
     """
-    _, _, v_mid, _ = _interval(s_prev, s_next)
-    return fd.inner(pi_i_residual(s_prev, s_next, grav, pressure), v_mid)
+    interval = _interval(s_prev, s_next)
+    return fd.inner(_pi_i_residual(s_prev, s_next, interval, grav, pressure), interval[2])
 
 
 def raw_momentum_residual(s_prev: FluidState, s_next: FluidState,
@@ -200,7 +210,7 @@ def raw_momentum_residual(s_prev: FluidState, s_next: FluidState,
     rho (v + A)); the gravitation Jacobian itself is analytic.
     """
     dt, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
-    p = _midpoint_pressure(s_prev, s_next, pressure)
+    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
     pi_mid = 0.5 * (pi_prev.pi + pi_next.pi)
     dpi = (1.0 / dt) * (pi_next.pi - pi_prev.pi)
 
@@ -254,7 +264,7 @@ def energy_residual(s_prev: FluidState, s_next: FluidState,
     Zero (at second order) only for reversible exact trajectories.
     """
     dt, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
-    p = _midpoint_pressure(s_prev, s_next, pressure)
+    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
     h_prev = _hamiltonian_density(s_prev, pi_prev, grav)
     h_next = _hamiltonian_density(s_next, pi_next, grav)
     h_mid = 0.5 * (h_prev + h_next)

@@ -15,6 +15,7 @@ overflowing value, a density that cannot be computed), 4 invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,10 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it as it was, and it holds no handlers."""
     parser = argparse.ArgumentParser(
         prog="sbenflow",
         description="evaluate and minimize the space-time functional of viscous flow")

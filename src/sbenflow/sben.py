@@ -26,6 +26,10 @@ slices of a block (fields.py: a field's data may carry leading axes).  The
 per-interval entries are per-slice reductions, so every term has the bits of
 the interval computed alone.  A block holds as many slices as fit in
 _BLOCK_BYTES: small grids batch many, 64^2 and larger grids take one.
+evaluate_path reduces each block to its report rows and pressures as soon as
+it is built, and gradient_pi builds its blocks one at a time, so their peak
+memory is one block's temporaries, whatever the number of intervals; only
+the descent keeps every block of a path, for its gradient and pressures.
 
 One matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
 backtracking minimizes both kinds with the initial state pinned: the
@@ -320,8 +324,11 @@ class SbenReport:
 
 # Bytes of the (c, 3, nx, ny) velocity block that one pass of the interval
 # core, the gradient or the free-slice projection works on: c = 16 slices at
-# 16^2, 4 at 32^2 and one from 64^2 up, where a block's temporaries would
-# raise the peak memory by c times a slice's (the sweep is in CHANGES.md).
+# 16^2, 4 at 32^2 and one from 64^2 up.  A core's temporaries, about ten
+# fields of the block's size, are what evaluate_path and gradient_pi hold at
+# their peak, so the budget bounds their memory; more slices per block would
+# raise it by c times a slice's (the sweep is in CHANGES.md).  The descent
+# keeps five fields per interval of each path it holds, whatever the budget.
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -352,7 +359,8 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
 
     The advection has the operands and order of fd.advect, and phi and K
     share one strain D, so all three equal the separate calls bit for bit.
-    The Jacobian and D are freed on return, before the K^(-1) solve.
+    The column jy is freed before K is built from D, and D on return, before
+    the K^(-1) solve.
     """
     grid = v_mid.grid
     jx, jy = fd.central_differences(grid, v_mid.data)
@@ -361,7 +369,9 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
     jx *= v_mid.data[..., :1, :, :]
     jy *= v_mid.data[..., 1:2, :, :]
     jx += jy
-    return VectorField(grid, jx), fd.integrate(w_density(strain, mu)), k_of_strain(strain, mu)
+    del jy
+    phi_v = fd.integrate(w_density(strain, mu))
+    return VectorField(grid, jx), phi_v, k_of_strain(strain, mu)
 
 
 def _midpoint_density(path: Path, intervals: slice):
@@ -411,18 +421,28 @@ def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
                                else f_raw)
 
     discarded = [np.linalg.norm(m) for m in fd.component_means(f_raw)]
-    u = solve_k(f, mu)
-    phi_star_f = phi(u, mu)
     ns_residual = fd.l2_norm(f - kv)
+    u = solve_k(f, mu)
+    del f       # before phi(u), the core's largest set of temporaries
+    phi_star_f = phi(u, mu)
     terms = np.array([phi_v, phi_star_f, pairing, discarded, ns_residual])
     return _Block(intervals, v_mid, accel, f_raw, u, kv), terms
 
 
-def _assemble(path: Path, mu: float, grav: Gravitation) -> tuple[list[_Block], SbenReport]:
+def _assemble(path: Path, mu: float, grav: Gravitation,
+              take: Callable[[_Block], object]) -> SbenReport:
+    """The functional's one block loop: build each block's core, keep its
+    report rows and hand the block to take, which keeps it (the descent) or
+    reduces it (evaluate_path), before the next block is built."""
     start = time.perf_counter()
-    blocks, terms = zip(*(_block_core(path, b, mu, grav) for b in _blocks(path)))
+    terms = []
+    for b in _blocks(path):
+        blk, rows = _block_core(path, b, mu, grav)
+        terms.append(rows)
+        take(blk)
+        del blk     # unless take kept it, the block is freed here
     phi_v, phi_star_f, pairing, discarded, ns_residual = np.concatenate(terms, axis=1)
-    report = SbenReport(
+    return SbenReport(
         kind=path.kind,
         midpoint_times=0.5 * (path.times[:-1] + path.times[1:]),
         phi_terms=phi_v, phi_star_terms=phi_star_f, pairing_terms=pairing,
@@ -430,7 +450,6 @@ def _assemble(path: Path, mu: float, grav: Gravitation) -> tuple[list[_Block], S
         dt=path.dt,
         wall_time=time.perf_counter() - start,
     )
-    return list(blocks), report
 
 
 def _recover_pressures(blocks: list[_Block]) -> list[ScalarField]:
@@ -451,15 +470,23 @@ def multiplier_pressures(path: Path, mu: float, grav: Gravitation) -> list[Scala
     return evaluate_path(path, mu, grav)[1]
 
 
+def _discard(blk: _Block) -> None:
+    """The take of _assemble for a caller that needs the report only."""
+
+
 def evaluate_path(path: Path, mu: float, grav: Gravitation
                   ) -> tuple[SbenReport, Optional[list[ScalarField]]]:
     """Evaluate the space-time functional on a path of either kind and, for the
     incompressible kind, recover the zero-mean multiplier pressure per interval
-    from the same interval blocks (None for the compressible kind)."""
-    blocks, report = _assemble(path, mu, grav)
+    from the same interval blocks (None for the compressible kind).  Each
+    block is reduced to its report rows and pressures as soon as it is built,
+    so a block's temporaries, not the path's, bound the memory."""
     if path.kind != "incompressible":
-        return report, None
-    return report, _recover_pressures(blocks)
+        return _assemble(path, mu, grav, _discard), None
+    pressures = []
+    report = _assemble(path, mu, grav,
+                       lambda blk: pressures.extend(_recover_pressures([blk])))
+    return report, pressures
 
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
@@ -469,8 +496,7 @@ def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
     (perfbench/workloads.py), which call it with this signature."""
     if path.kind != "incompressible":
         raise ValueError("path carries a compressible EOS")
-    _, report = _assemble(path, mu, grav)
-    return report
+    return _assemble(path, mu, grav, _discard)
 
 
 # --- gradient -----------------------------------------------------------------
@@ -517,13 +543,17 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation,
     Slice k + 1 collects dt E / 2 + F of interval k and dt E / 2 - F of
     interval k + 1; the blocks run last to first, so each block's slices are
     complete, and projected in one call, once the next block is done.
+    Without blocks, each block's core is built in that order and freed once
+    its slices are done, so one block's temporaries bound the memory.
     For the compressible kind the density/pressure response is frozen, which
     makes the gradient approximate; see minimize_compressible."""
     if blocks is None:
-        blocks = [_block_core(path, b, mu, grav)[0] for b in _blocks(path)]
+        blocks = (_block_core(path, b, mu, grav)[0] for b in reversed(_blocks(path)))
+    else:
+        blocks = reversed(blocks)
     grads = np.empty_like(path.V[1:])
     later = None    # (dt E / 2, F) of the first interval of the block after this one
-    for blk in reversed(blocks):
+    for blk in blocks:
         h, f = _gradient_pieces(path, blk, grav)
         own = grads[blk.intervals]
         g = np.empty_like(own) if path.kind == "incompressible" else own
@@ -536,6 +566,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation,
         if path.kind == "incompressible":
             leray_project(VectorField(path.grid, g), out=own)
         later = h[0], f[0]
+        del blk, g      # before the next block's core is built
     return VectorField(path.grid, grads)
 
 
@@ -647,7 +678,8 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             grads = fd.remove_stencil_null(grads)
         return np.sqrt(max(path_dot(grads, grads), 0.0))
 
-    blocks, report = _assemble(path, mu, grav)
+    blocks = []
+    report = _assemble(path, mu, grav, blocks.append)
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
     grad = gradient_pi(path, mu, grav, blocks=blocks)
@@ -695,7 +727,8 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             except DensityError:
                 alpha *= opts.backtrack_factor
                 continue
-            trial_blocks, trial_report = _assemble(trial, mu, grav)
+            trial_blocks = []
+            trial_report = _assemble(trial, mu, grav, trial_blocks.append)
             if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
                 accepted = True
                 break

@@ -533,6 +533,21 @@ class TestCli:
         assert main(["--seed", "7", "check", "--config", _write_config(tmp_path)]) == 0
         assert seen == [7]
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        # an earlier call's options and usage error leave nothing behind
+        seen = []
+        monkeypatch.setattr(checks, "run_all", lambda config: seen.append(config.seed) or [])
+        cfg = _write_config(tmp_path)
+        assert main(["--seed", "7", "check", "--config", cfg]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", cfg])
+        assert exc.value.code == 2
+        assert "required: --archive, --out" in capsys.readouterr().err
+        assert main(["check", "--config", cfg]) == 0
+        assert seen == [7, 42]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_conjugate_block_is_checked_and_changes_no_output(self, tmp_path, capsys):
         # the settings of a former iterative solve: still type-checked ...
         for key in ("conjugate.tol", "conjugate.max_iter"):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,6 +484,39 @@ class TestTimeBatching:
         assert batched.report.iterations == 3
         assert batched.report.grad_norm_history == sliced.report.grad_norm_history
         assert batched.path.V.tobytes() == sliced.path.V.tobytes()
+
+
+def _traced_peak(run):
+    """(peak bytes allocated while run() runs, its result); a first call
+    builds the per-grid caches outside the measurement."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedBlocks:
+    def test_peak_memory_does_not_grow_with_the_intervals(self):
+        # at 64^2 a block is one slice: evaluate_path and gradient_pi without
+        # blocks hold one block's temporaries at a time, so apart from their
+        # outputs (the pressures, the gradient) the peak is the same for 4
+        # and for 16 intervals
+        grid = Grid2P(64, 64, TWO_PI, TWO_PI)
+        grav = Gravitation(grid, "zero")
+        evaluate, gradient = {}, {}
+        for n in (4, 16):
+            path = _random_path(grid, "incompressible", n, np.random.default_rng(n))
+            assert len(sben._blocks(path)) == n
+            peak, (_, pressures) = _traced_peak(lambda: evaluate_path(path, 0.1, grav))
+            evaluate[n] = peak - sum(p.data.nbytes for p in pressures)
+            peak, grads = _traced_peak(lambda: gradient_pi(path, 0.1, grav))
+            gradient[n] = peak - grads.data.nbytes
+        assert evaluate[16] <= 1.25 * evaluate[4], evaluate
+        assert gradient[16] <= 1.25 * gradient[4], gradient
 
 
 class TestOneJacobianPerInterval:

@@ -8,7 +8,8 @@ gravitation preset on a 16^2 grid: ``reference``, ``evaluate`` on its
 archive, a cold-start ``minimize`` and a ``minimize`` warm-started from the
 reference with seeded noise; then ``evaluate`` and a warm-started
 ``minimize`` on a noisy 32^2 path of ten intervals, which spans several
-blocks of the functional's time batching.
+blocks of the functional's time batching, and on a noisy 64^2 path of three
+intervals, where every block is one slice.
 Each command writes below OUT/<case>/; its exit code and printed lines go to
 OUT/<case>/<command>.log.  The ``wall_time`` entry of ``report.json`` and
 the ``wall time`` line of ``report.txt``, the only measurements among the
@@ -113,17 +114,18 @@ def run_matrix(out: str):
             _noisy(ref, warm, seed=3, kmax=3)
             _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", warm,
                                       "--out", os.path.join(d, "min-warm")])
-    d = os.path.join(out, "noisy-32")
-    os.makedirs(d)
     eos, case = FLUIDS["incompressible"]
-    cfg = _config(d, 32, eos, case, GRAVITATION["rigid_rotation"], n_intervals=10, n_ref=40)
-    ref, noisy = os.path.join(d, "ref"), os.path.join(d, "noisy")
-    _run(out, d, "reference", ["reference", "--config", cfg, "--out", ref])
-    _noisy(ref, noisy, seed=5, kmax=8)
-    _run(out, d, "evaluate", ["evaluate", "--config", cfg, "--archive", noisy,
-                              "--out", os.path.join(d, "eval")])
-    _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", noisy,
-                                   "--out", os.path.join(d, "min-warm")])
+    for nx, preset, n_intervals, n_ref in ((32, "rigid_rotation", 10, 40), (64, "zero", 3, 21)):
+        d = os.path.join(out, f"noisy-{nx}")
+        os.makedirs(d)
+        cfg = _config(d, nx, eos, case, GRAVITATION[preset], n_intervals, n_ref)
+        ref, noisy = os.path.join(d, "ref"), os.path.join(d, "noisy")
+        _run(out, d, "reference", ["reference", "--config", cfg, "--out", ref])
+        _noisy(ref, noisy, seed=5, kmax=8)
+        _run(out, d, "evaluate", ["evaluate", "--config", cfg, "--archive", noisy,
+                                  "--out", os.path.join(d, "eval")])
+        _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", noisy,
+                                       "--out", os.path.join(d, "min-warm")])
 
 
 if __name__ == "__main__":
