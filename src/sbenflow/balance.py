@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fields as fd
-from .fields import ScalarField, VectorField
+from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation, gravitation_force
 
 
@@ -99,9 +99,6 @@ class FluidState:
     def grid(self):
         return self.v.grid
 
-    def pressure(self) -> ScalarField:
-        return ScalarField(self.grid, self.eos.pressure(self.rho.data))
-
 
 @dataclass(frozen=True)
 class Momentum:
@@ -117,43 +114,92 @@ def consistent_momentum(state: FluidState, grav: Gravitation) -> Momentum:
     return Momentum(fd.scalar_times_vector(state.rho, state.v + a))
 
 
-def _interval(s_prev: FluidState, s_next: FluidState):
-    dt = s_next.t - s_prev.t
-    if dt <= 0:
-        raise ValueError(f"state pair must be time ordered, got dt = {dt}")
-    v_mid = 0.5 * (s_prev.v + s_next.v)
-    rho_mid = 0.5 * (s_prev.rho + s_next.rho)
-    t_mid = 0.5 * (s_prev.t + s_next.t)
-    return dt, t_mid, v_mid, rho_mid
+class Midpoint:
+    """The midpoint rule of one interval, or of a block of consecutive
+    intervals given as stacked end slices (v_ends, rho_ends: views, as
+    (previous, next) pairs of arrays): spatial terms at their average v and
+    rho (the constant rho0 for an incompressible fluid), time derivatives by
+    their difference over dt, formed when asked for.  t is the midpoint time
+    (a block's first: every preset is steady); the pressure is p(rho) from a
+    barotropic EOS, or the multiplier a caller supplies."""
+
+    def __init__(self, grid: Grid2P, eos: Eos, t: float, dt: float, v_ends: tuple,
+                 rho_ends: tuple, multiplier: Optional[ScalarField] = None):
+        if not dt > 0:
+            raise ValueError(f"state pair must be time ordered, got dt = {dt}")
+        self.grid, self.eos, self.t, self.dt = grid, eos, t, dt
+        self.v_ends, self.rho_ends, self.multiplier = v_ends, rho_ends, multiplier
+        self.v = VectorField(grid, self.mean(*v_ends))
+        self.rho = (eos.rho0 if isinstance(eos, IncompressibleEos)
+                    else ScalarField(grid, self.mean(*rho_ends)))
+
+    @classmethod
+    def of_pair(cls, s_prev: FluidState, s_next: FluidState,
+                multiplier: Optional[ScalarField] = None) -> "Midpoint":
+        return cls(s_prev.grid, s_prev.eos, 0.5 * (s_prev.t + s_next.t), s_next.t - s_prev.t,
+                   (s_prev.v.data, s_next.v.data), (s_prev.rho.data, s_next.rho.data),
+                   multiplier)
+
+    @staticmethod
+    def mean(prev, next):
+        """The average of two end values (arrays or fields)."""
+        m = prev + next
+        m *= 0.5
+        return m
+
+    def rate(self, prev, next):
+        """The time difference of two end values (arrays or fields) over dt."""
+        d = next - prev
+        d *= 1.0 / self.dt
+        return d
+
+    def material_derivative(self, advection: Optional[VectorField] = None) -> VectorField:
+        """Dv/Dt = dv/dt + (v . grad) v; advection, when given, is (v . grad) v."""
+        if advection is None:
+            advection = fd.advect(self.v, self.v)
+        accel = self.rate(*self.v_ends)
+        accel += advection.data
+        return VectorField(self.grid, accel)
+
+    def pressure(self) -> Optional[ScalarField]:
+        """p(rho) from a barotropic EOS, else the multiplier (None: left out)."""
+        if isinstance(self.eos, IncompressibleEos):
+            return self.multiplier
+        return ScalarField(self.grid, self.eos.pressure(self.rho.data))
+
+    def residual(self, grav: Gravitation, accel: Optional[VectorField] = None) -> VectorField:
+        """pi_I = rho accel + grad p - rho (g - 2 Omega x v) (momentum_residual),
+        accel the material derivative unless given."""
+        if accel is None:
+            accel = self.material_derivative()
+        p = self.pressure()
+        return momentum_residual(self.rho, accel, self.v, grav, self.t,
+                                 None if p is None else fd.grad_scalar(p))
+
+    def mass_residual(self) -> ScalarField:
+        """d(rho)/dt + div(rho v)."""
+        drho = ScalarField(self.grid, self.rate(*self.rho_ends))
+        return drho + fd.div_vector(fd.scalar_times_vector(self.rho, self.v))
+
+
+def pair_midpoint(s_prev: FluidState, s_next: FluidState,
+                  pressure: Optional[ScalarField] = None) -> Midpoint:
+    """The Midpoint of a state pair for a residual that holds the pressure:
+    an incompressible pair's is the multiplier, which the caller supplies."""
+    if pressure is None and isinstance(s_prev.eos, IncompressibleEos):
+        raise PressureUndefinedError(
+            "incompressible state pair needs the multiplier pressure field")
+    return Midpoint.of_pair(s_prev, s_next, pressure)
 
 
 def mass_residual(s_prev: FluidState, s_next: FluidState) -> ScalarField:
     """d(rho)/dt + div(rho v) at the interval midpoint."""
-    dt, _, v_mid, rho_mid = _interval(s_prev, s_next)
-    drho = (1.0 / dt) * (s_next.rho - s_prev.rho)
-    return drho + fd.div_vector(fd.scalar_times_vector(rho_mid, v_mid))
+    return Midpoint.of_pair(s_prev, s_next).mass_residual()
 
 
 def material_derivative(s_prev: FluidState, s_next: FluidState) -> VectorField:
     """Dv/Dt = dv/dt + (v . grad) v at the interval midpoint."""
-    dt, _, v_mid, _ = _interval(s_prev, s_next)
-    return _material_derivative(s_prev, s_next, dt, v_mid)
-
-
-def _material_derivative(s_prev: FluidState, s_next: FluidState, dt: float,
-                         v_mid: VectorField) -> VectorField:
-    dv = (1.0 / dt) * (s_next.v - s_prev.v)
-    return dv + fd.advect(v_mid, v_mid)
-
-
-def _midpoint_pressure(eos: Eos, rho_mid: ScalarField,
-                       pressure: Optional[ScalarField]) -> ScalarField:
-    if isinstance(eos, IncompressibleEos):
-        if pressure is None:
-            raise PressureUndefinedError(
-                "incompressible state pair needs the multiplier pressure field")
-        return pressure
-    return ScalarField(rho_mid.grid, eos.pressure(rho_mid.data))
+    return Midpoint.of_pair(s_prev, s_next).material_derivative()
 
 
 def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
@@ -163,16 +209,7 @@ def pi_i_residual(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
     Vanishes exactly on inviscid barotropic trajectories; on viscous ones it
     equals the divergence of the viscous stress.
     """
-    return _pi_i_residual(s_prev, s_next, _interval(s_prev, s_next), grav, pressure)
-
-
-def _pi_i_residual(s_prev: FluidState, s_next: FluidState, interval: tuple,
-                   grav: Gravitation, pressure: Optional[ScalarField]) -> VectorField:
-    """pi_i_residual from the pair's _interval, whose midpoints it reuses."""
-    dt, t_mid, v_mid, rho_mid = interval
-    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
-    return momentum_residual(rho_mid, _material_derivative(s_prev, s_next, dt, v_mid), v_mid,
-                             grav, t_mid, fd.grad_scalar(p))
+    return pair_midpoint(s_prev, s_next, pressure).residual(grav)
 
 
 def momentum_residual(rho: Union[ScalarField, float], accel: VectorField, v: VectorField,
@@ -189,13 +226,10 @@ def momentum_residual(rho: Union[ScalarField, float], accel: VectorField, v: Vec
 
 def head_loss(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
               pressure: Optional[ScalarField] = None) -> float:
-    """Pairing [rho Dv/Dt + grad p - rho g] . v integrated over the box.
-
-    The Coriolis force is pointwise workless, so this equals
-    inner(pi_i_residual, v_mid) exactly.
-    """
-    interval = _interval(s_prev, s_next)
-    return fd.inner(_pi_i_residual(s_prev, s_next, interval, grav, pressure), interval[2])
+    """Pairing [rho Dv/Dt + grad p - rho g] . v integrated over the box: the
+    Coriolis force is pointwise workless, so it is inner(pi_I, v_mid)."""
+    mid = pair_midpoint(s_prev, s_next, pressure)
+    return fd.inner(mid.residual(grav), mid.v)
 
 
 def raw_momentum_residual(s_prev: FluidState, s_next: FluidState,
@@ -209,39 +243,32 @@ def raw_momentum_residual(s_prev: FluidState, s_next: FluidState,
     Sampled pi must be periodic (supply A = 0 presets when building pi as
     rho (v + A)); the gravitation Jacobian itself is analytic.
     """
-    dt, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
-    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
-    pi_mid = 0.5 * (pi_prev.pi + pi_next.pi)
-    dpi = (1.0 / dt) * (pi_next.pi - pi_prev.pi)
-
-    grad_a_v = fd.jac_transpose_dot(grav.grad_A(t_mid), v_mid)
-    potential = fd.scalar_times_vector(rho_mid, grad_a_v - grav.grad_phi(t_mid))
-    return -dpi - fd.grad_scalar(p) - fd.div_outer(v_mid, pi_mid) + potential
+    return _raw_momentum_residual(pair_midpoint(s_prev, s_next, pressure),
+                                  pi_prev, pi_next, grav)
 
 
-def reduced_momentum_residual(s_prev: FluidState, s_next: FluidState,
-                              grav: Gravitation,
-                              pressure: Optional[ScalarField] = None) -> VectorField:
-    """-rho Dv/Dt + div sigma_R + rho (g - 2 Omega x v); the negative of pi_i_residual."""
-    return -pi_i_residual(s_prev, s_next, grav, pressure)
+def _raw_momentum_residual(mid: Midpoint, pi_prev: Momentum, pi_next: Momentum,
+                           grav: Gravitation) -> VectorField:
+    pi_mid = mid.mean(pi_prev.pi, pi_next.pi)
+    dpi = mid.rate(pi_prev.pi, pi_next.pi)
+    grad_a_v = fd.jac_transpose_dot(grav.grad_A(mid.t), mid.v)
+    potential = fd.scalar_times_vector(mid.rho, grad_a_v - grav.grad_phi(mid.t))
+    return -dpi - fd.grad_scalar(mid.pressure()) - fd.div_outer(mid.v, pi_mid) + potential
 
 
 def momentum_reduction_gap(s_prev: FluidState, s_next: FluidState, grav: Gravitation,
                            pressure: Optional[ScalarField] = None) -> VectorField:
-    """Difference between the raw and reduced momentum balances once the mass
-    balance is credited: raw - reduced + mass_residual (v + A).
+    """Difference between the raw and reduced (-pi_I) momentum balances once
+    the mass balance is credited: raw + pi_I + mass_residual (v + A).
 
     Identically zero in the continuum for pi = rho (v + A); discretely it
     decays at second order for smooth fields.
     """
-    dt, t_mid, v_mid, _ = _interval(s_prev, s_next)
-    pi_prev = consistent_momentum(s_prev, grav)
-    pi_next = consistent_momentum(s_next, grav)
-    raw = raw_momentum_residual(s_prev, s_next, pi_prev, pi_next, grav, pressure)
-    reduced = reduced_momentum_residual(s_prev, s_next, grav, pressure)
-    carrier = v_mid + grav.vector_potential(t_mid)
-    mass_term = fd.scalar_times_vector(mass_residual(s_prev, s_next), carrier)
-    return raw - reduced + mass_term
+    mid = pair_midpoint(s_prev, s_next, pressure)
+    raw = _raw_momentum_residual(mid, consistent_momentum(s_prev, grav),
+                                 consistent_momentum(s_next, grav), grav)
+    carrier = mid.v + grav.vector_potential(mid.t)
+    return raw + mid.residual(grav) + fd.scalar_times_vector(mid.mass_residual(), carrier)
 
 
 def _hamiltonian_density(state: FluidState, pi: Momentum, grav: Gravitation) -> ScalarField:
@@ -263,16 +290,12 @@ def energy_residual(s_prev: FluidState, s_next: FluidState,
 
     Zero (at second order) only for reversible exact trajectories.
     """
-    dt, t_mid, v_mid, rho_mid = _interval(s_prev, s_next)
-    p = _midpoint_pressure(s_prev.eos, rho_mid, pressure)
+    mid = pair_midpoint(s_prev, s_next, pressure)
     h_prev = _hamiltonian_density(s_prev, pi_prev, grav)
     h_next = _hamiltonian_density(s_next, pi_next, grav)
-    h_mid = 0.5 * (h_prev + h_next)
-    dh = (1.0 / dt) * (h_next - h_prev)
-
     # sigma_R . v = -p v for a barotropic/incompressible fluid
-    flux = fd.scalar_times_vector(h_mid + p, v_mid)
-    da_dt = grav.dA_dt(t_mid)
-    source_data = rho_mid.data * (grav.dphi_dt(t_mid).data
-                                  - np.einsum("i...,i...->...", da_dt.data, v_mid.data))
-    return dh + fd.div_vector(flux) - ScalarField(rho_mid.grid, source_data)
+    flux = fd.scalar_times_vector(mid.mean(h_prev, h_next) + mid.pressure(), mid.v)
+    rho = mid.rho.data if isinstance(mid.rho, ScalarField) else mid.rho
+    source = rho * (grav.dphi_dt(mid.t).data
+                    - np.einsum("i...,i...->...", grav.dA_dt(mid.t).data, mid.v.data))
+    return mid.rate(h_prev, h_next) + fd.div_vector(flux) - ScalarField(mid.grid, source)

@@ -144,10 +144,6 @@ class ScalarField(_FieldOps):
     def full(cls, grid: Grid2P, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: Grid2P, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(grid.x(), grid.y()), dtype=float))
-
 
 @dataclass(frozen=True)
 class VectorField(_FieldOps):

@@ -1,9 +1,10 @@
 """Space-time functional for viscous flow paths and its minimization.
 
 For a time-sampled velocity path the functional accumulates, per interval and
-at the interval midpoint, the Fenchel gap of the irreversible momentum
-residual pi_I = rho Dv/Dt + grad p - rho (g - 2 Omega x v)
-(balance.momentum_residual), one formula for both kinds:
+at its balance.Midpoint (the package's one midpoint rule), the Fenchel gap of
+the irreversible momentum residual Midpoint.residual,
+pi_I = rho Dv/Dt + grad p - rho (g - 2 Omega x v), one formula for both kinds
+that is the interval's symplectic gap symplectic.constitutive_gap:
 
     phi(v) + phi_star(f) + <pi_I, v>,      f = N(P f_raw),  f_raw = -pi_I
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import fields as fd
 from .balance import (BarotropicPowerEos, DensityError, Eos, FluidState, IncompressibleEos,
-                      momentum_residual)
+                      Midpoint)
 from .dissipation import ConjugateSolve, k_of_strain, phi, solve_k, w_density
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
@@ -185,6 +186,13 @@ class Path:
     @property
     def kind(self) -> str:
         return "incompressible" if isinstance(self.eos, IncompressibleEos) else "compressible"
+
+    def midpoint(self, intervals: slice) -> Midpoint:
+        """The Midpoint of a block of consecutive intervals (views of V and rho)."""
+        a, b = intervals.start, intervals.stop
+        return Midpoint(self.grid, self.eos, 0.5 * (self.times[a] + self.times[a + 1]),
+                        self.dt, (self.V[a:b], self.V[a + 1:b + 1]),
+                        (self.rho[a:b], self.rho[a + 1:b + 1]))
 
     def with_velocities(self, new_free) -> "Path":
         """Same path with the free slices (k >= 1) replaced by new_free, a
@@ -343,10 +351,10 @@ def _blocks(path: Path) -> list[slice]:
 class _Block:
     """The terms of a block of consecutive intervals, stacked along time, as
     the pressures and the gradient read them; kv = K(v_mid) comes from the
-    one Jacobian of v_mid that _block_core takes."""
+    one Jacobian of v_mid = mid.v that _block_core takes."""
 
     intervals: slice
-    v_mid: VectorField
+    mid: Midpoint
     accel: VectorField
     f_raw: VectorField      # unprojected conjugate argument
     u: VectorField          # K^(-1) f, f the projected conjugate argument
@@ -374,48 +382,20 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
     return VectorField(grid, jx), phi_v, k_of_strain(strain, mu)
 
 
-def _midpoint_density(path: Path, intervals: slice):
-    """rho_mid of the intervals: the constant rho0 for an incompressible path
-    (0.5 (rho0 + rho0) is rho0 bit for bit), a stacked field otherwise."""
-    if path.kind == "incompressible":
-        return path.eos.rho0
-    rho = path.rho[intervals.start:intervals.stop + 1]
-    return ScalarField(path.grid, 0.5 * (rho[:-1] + rho[1:]))
-
-
-def _pressure_force(path: Path, rho_mid) -> Optional[VectorField]:
-    """grad p(rho_mid) from a barotropic EOS; None for the incompressible
-    multiplier, which the Leray projection of the conjugate argument removes."""
-    if path.kind == "incompressible":
-        return None
-    return fd.grad_scalar(ScalarField(path.grid, path.eos.pressure(rho_mid.data)))
-
-
 def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
                 ) -> tuple[_Block, np.ndarray]:
     """The block's terms from f_raw = -pi_I, for both kinds (see the module
     docstring), and its report rows (phi, phi_star, pairing, discarded mean,
     NS residual), one entry per interval.  v_mid is differenced once (see
     _differentiate_midpoint), and the block keeps K(v_mid) for the residual,
-    the pressures and the gradient.  Every preset is steady, so gravity and
-    Omega are read once, at the block's first midpoint."""
-    grid = path.grid
-    a, b = intervals.start, intervals.stop
-    v_prev, v_next = path.V[a:b], path.V[a + 1:b + 1]
-    v_mid = v_prev + v_next
-    v_mid *= 0.5
-    v_mid = VectorField(grid, v_mid)
-    rho_mid = _midpoint_density(path, intervals)
-    advection, phi_v, kv = _differentiate_midpoint(v_mid, mu)
-    accel = v_next - v_prev
-    accel *= 1.0 / path.dt
-    accel += advection.data
-    accel = VectorField(grid, accel)
+    the pressures and the gradient.  The incompressible multiplier is left
+    out of pi_I: the Leray projection of f removes it."""
+    mid = path.midpoint(intervals)
+    advection, phi_v, kv = _differentiate_midpoint(mid.v, mu)
+    accel = mid.material_derivative(advection)     # after the Jacobian's peak
     del advection
-    t_mid = 0.5 * (path.times[a] + path.times[a + 1])
-    f_raw = momentum_residual(rho_mid, accel, v_mid, grav, t_mid,
-                              _pressure_force(path, rho_mid))
-    pairing = fd.inner(f_raw, v_mid)
+    f_raw = mid.residual(grav, accel)
+    pairing = fd.inner(f_raw, mid.v)
     np.negative(f_raw.data, out=f_raw.data)     # pi_I becomes f_raw in place
     f = fd.remove_stencil_null(leray_project(f_raw)[0] if path.kind == "incompressible"
                                else f_raw)
@@ -426,7 +406,7 @@ def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
     del f       # before phi(u), the core's largest set of temporaries
     phi_star_f = phi(u, mu)
     terms = np.array([phi_v, phi_star_f, pairing, discarded, ns_residual])
-    return _Block(intervals, v_mid, accel, f_raw, u, kv), terms
+    return _Block(intervals, mid, accel, f_raw, u, kv), terms
 
 
 def _assemble(path: Path, mu: float, grav: Gravitation,
@@ -480,12 +460,14 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation
     incompressible kind, recover the zero-mean multiplier pressure per interval
     from the same interval blocks (None for the compressible kind).  Each
     block is reduced to its report rows and pressures as soon as it is built,
-    so a block's temporaries, not the path's, bound the memory."""
-    if path.kind != "incompressible":
-        return _assemble(path, mu, grav, _discard), None
-    pressures = []
-    report = _assemble(path, mu, grav,
+    so a block's temporaries, not the path's, bound the memory.  A report
+    entry that is not finite (an overflow) is a FloatingPointError."""
+    pressures = [] if path.kind == "incompressible" else None
+    report = _assemble(path, mu, grav, _discard if pressures is None else
                        lambda blk: pressures.extend(_recover_pressures([blk])))
+    if not np.isfinite([*report.gap_terms, *report.ns_residual_norms, report.total_pi,
+                        *report.discarded_mean_norms, report.dissipation_integral]).all():
+        raise FloatingPointError("the functional is not finite on this path")
     return report, pressures
 
 
@@ -516,17 +498,16 @@ def _gradient_pieces(path: Path, blk: _Block, grav: Gravitation
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(dt E / 2, F) of the block's intervals, from the coefficients of each
     interval's first variation d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>."""
-    rho_mid = _midpoint_density(path, blk.intervals)
-    grad_p = _pressure_force(path, rho_mid)
-    t_mid = 0.5 * (path.times[blk.intervals.start] + path.times[blk.intervals.start + 1])
-    w = fd.scalar_times_vector(rho_mid, blk.v_mid - blk.u)
-    e = (_jacobian_transpose_dot(blk.v_mid, w) - fd.div_outer(blk.v_mid, w)
+    mid = blk.mid
+    w = fd.scalar_times_vector(mid.rho, mid.v - blk.u)
+    e = (_jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w)
          + blk.kv
-         + fd.scalar_times_vector(rho_mid, blk.accel - grav.gravity(t_mid)))
-    if grad_p is not None:
-        e = e + grad_p
+         + fd.scalar_times_vector(mid.rho, blk.accel - grav.gravity(mid.t)))
+    p = mid.pressure()
+    if p is not None:
+        e = e + fd.grad_scalar(p)
     e = e + 2.0 * fd.scalar_times_vector(
-        rho_mid, fd.cross(grav.coriolis_vector(t_mid), blk.u))
+        mid.rho, fd.cross(grav.coriolis_vector(mid.t), blk.u))
     h = e.data
     h *= 0.5
     h *= path.dt

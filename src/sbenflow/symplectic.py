@@ -6,10 +6,13 @@ the canonical form is
     omega(z, z') = integral( v . pidot' - pidot . v' ).
 
 Splitting a state pair into reversible plus irreversible parts gives
-zeta_I = (v_I, pi_I) with v_I = v - pi/rho + A and pi_I the barotropic
-momentum residual.  Because the dissipation potential ignores the momentum
-rate, the symplectic conjugate collapses to an indicator: it is
-phi_star(-pi_I) when v_I vanishes and infinite otherwise.
+zeta_I = (v_I, pi_I) at the pair's balance.Midpoint: v_I the average over the
+end slices of v - pi/rho + A, which vanishes on consistent momenta, and pi_I
+the midpoint's momentum residual.  Because the dissipation potential ignores
+the momentum rate, the symplectic conjugate collapses to an indicator: it is
+phi_star(-pi_I) when v_I vanishes and infinite otherwise.  At zeta = (v_mid,
+dpi/dt), with an incompressible pair's multiplier as its pressure, the gap is
+the space-time functional's interval term Pi_k (sben).
 """
 
 from __future__ import annotations
@@ -18,21 +21,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import fields as fd
-from .balance import FluidState, Momentum, pi_i_residual
+from .balance import FluidState, Momentum, pair_midpoint
 from .dissipation import phi, phi_star
 from .fields import ScalarField, VectorField
 from .gravitation import Gravitation
+
+# |v_I|_inf above which the symplectic conjugate is infinite (absolute)
+V_I_TOL = 1e-8
 
 
 class InfinitePolarValue(Exception):
     """Signals an infinite symplectic conjugate; carries the offending |v_I|."""
 
-    def __init__(self, v_i_norm: float, threshold: float):
+    def __init__(self, v_i_norm: float):
         super().__init__(
             f"symplectic conjugate is infinite: |v_I|_inf = {v_i_norm:.3e} "
-            f"exceeds the indicator threshold {threshold:.3e}")
+            f"exceeds the indicator threshold {V_I_TOL:.3e}")
         self.v_i_norm = v_i_norm
-        self.threshold = threshold
 
 
 @dataclass(frozen=True)
@@ -59,41 +64,34 @@ def decompose(s_prev: FluidState, s_next: FluidState,
               pi_prev: Momentum, pi_next: Momentum,
               grav: Gravitation,
               pressure: Optional[ScalarField] = None) -> PhaseDecomposition:
-    """Irreversible part of the interval's phase velocity.
-
-    v_I = v - pi/rho + A uses midpoint averages; pi_I is the barotropic
-    momentum residual of the pair.
-    """
-    t_mid = 0.5 * (s_prev.t + s_next.t)
-    v_mid = 0.5 * (s_prev.v + s_next.v)
-    rho_mid = 0.5 * (s_prev.rho + s_next.rho)
-    pi_mid = 0.5 * (pi_prev.pi + pi_next.pi)
-
-    pi_over_rho = VectorField(v_mid.grid, pi_mid.data / rho_mid.data[None])
-    v_i = v_mid - pi_over_rho + grav.vector_potential(t_mid)
-    return PhaseDecomposition(v_i, pi_i_residual(s_prev, s_next, grav, pressure))
+    """Irreversible part of the interval's phase velocity, from the pair's
+    Midpoint: v_I is the average over the end slices of v - pi/rho + A, and
+    pi_I the momentum residual of that midpoint."""
+    mid = pair_midpoint(s_prev, s_next, pressure)
+    a = grav.vector_potential(mid.t).data
+    ends = [v + a - pi.pi.data / rho[..., None, :, :]
+            for v, pi, rho in zip(mid.v_ends, (pi_prev, pi_next), mid.rho_ends)]
+    return PhaseDecomposition(VectorField(mid.grid, mid.mean(*ends)), mid.residual(grav))
 
 
-def symplectic_polar(z_i: PhaseDecomposition, mu: float,
-                     v_tol: float = 1e-8, v_scale: float = 1.0) -> float:
+def symplectic_polar(z_i: PhaseDecomposition, mu: float) -> float:
     """Symplectic conjugate of the dissipation potential at zeta_I.
 
     Finite branch: phi_star of the mean-projected -pi_I, taken when
-    |v_I|_inf <= v_tol * v_scale; otherwise raises InfinitePolarValue.
+    |v_I|_inf <= V_I_TOL; otherwise raises InfinitePolarValue.
     """
-    threshold = v_tol * max(v_scale, 1e-300)
     v_i_norm = fd.linf_norm(z_i.v_i)
-    if v_i_norm > threshold:
-        raise InfinitePolarValue(v_i_norm, threshold)
+    if v_i_norm > V_I_TOL:
+        raise InfinitePolarValue(v_i_norm)
     return phi_star(fd.remove_mean(-z_i.pi_i), mu)
 
 
-def constitutive_gap(z: PhasePoint, z_i: PhaseDecomposition, mu: float,
-                     v_tol: float = 1e-8, v_scale: float = 1.0) -> float:
+def constitutive_gap(z: PhasePoint, z_i: PhaseDecomposition, mu: float) -> float:
     """phi(v) + polar(zeta_I) - omega(zeta_I, zeta); zero exactly on the
-    dissipative constitutive manifold, +inf when the indicator trips."""
+    dissipative constitutive manifold, +inf when the indicator trips.  At
+    an interval's midpoint it is the functional's interval term Pi_k."""
     try:
-        polar = symplectic_polar(z_i, mu, v_tol=v_tol, v_scale=v_scale)
+        polar = symplectic_polar(z_i, mu)
     except InfinitePolarValue:
         return float("inf")
     pairing = fd.inner(z_i.v_i, z.pidot) - fd.inner(z_i.pi_i, z.v)

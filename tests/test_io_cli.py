@@ -262,6 +262,32 @@ class TestCli:
         assert rc == 0
         assert "invariants hold" in out
 
+    @pytest.mark.parametrize("overrides", [
+        {"grid.nx": 4, "grid.ny": 4},          # the random fields' modes fit below Nyquist
+        {"grid.nx": 5, "grid.ny": 7},
+        {"grid.nx": 9, "grid.ny": 9},          # orders measured on 16^2 and 32^2
+        {"grid.nx": 128, "grid.ny": 96},
+        # the sample fields are periodic on a box that is not (2 pi)^2
+        {"grid.lx": 3.0, "grid.ly": 5.0, "case": {"id": "rigid_rotation", "parameters": {}},
+         "gravitation": {"preset": "rigid_rotation", "parameters": {"omega": 1.0}}}])
+    def test_check_passes_on_every_valid_grid(self, tmp_path, capsys, overrides):
+        rc = main(["check", "--config", _write_config(tmp_path, overrides=overrides)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "all 13 invariants hold" in out
+
+    def test_evaluate_of_an_overflowing_functional_exits_3(self, tmp_path, capsys):
+        # dt = 2.5e-301: the accelerations (about 1e284) are finite, their
+        # norms and phi_star overflow
+        cfg = _write_config(tmp_path, overrides={"time.t_final": 1e-300})
+        ref = str(tmp_path / "ref")
+        assert main(["reference", "--config", cfg, "--out", ref]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["evaluate", "--config", cfg, "--archive", ref,
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+
     def test_check_rejects_bad_viscosity(self, tmp_path):
         rc = main(["check", "--config",
                    _write_config(tmp_path, overrides={"viscosity.mu": 0.0})])

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.balance import IncompressibleEos, consistent_momentum
+from sbenflow.balance import FluidState, IncompressibleEos, Midpoint, consistent_momentum
 from sbenflow.dissipation import apply_k, fenchel_gap, phi
-from sbenflow.fields import Grid2P, VectorField
+from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
-from sbenflow.oracle import taylor_green_analytic
-from sbenflow.sampling import random_vector
+from sbenflow.oracle import CaseSpec, reference_path, taylor_green_analytic
+from sbenflow.sampling import random_scalar, random_solenoidal, random_vector
+from sbenflow.sben import evaluate_path
 from sbenflow.symplectic import (InfinitePolarValue, PhaseDecomposition, PhasePoint,
                                  constitutive_gap, decompose, omega, symplectic_polar)
 
@@ -57,11 +58,72 @@ def _vortex_pair(nx, nu, dt, t0=0.1):
     return g, s0, s1, p_mid, grav
 
 
+PRESETS = {"zero": {}, "uniform_gravity": {"g0": 0.5}, "rigid_rotation": {"omega": 0.8}}
+
+
+def _path(kind, preset, noisy):
+    """A 16^2 RK2 reference path of 8 intervals, or it with solenoidal noise
+    at a tenth of each free slice's norm (the densities kept)."""
+    grid = Grid2P(16, 16, TWO_PI, TWO_PI)
+    grav = Gravitation(grid, preset, PRESETS[preset])
+    case_id = "compressible_smooth" if kind == "compressible" else "taylor_green"
+    path = reference_path(CaseSpec(case_id, grid, 0.25, 32, {"amplitude": 0.05}), 0.1, grav,
+                          n_out=8)
+    if noisy:
+        rng = np.random.default_rng(7)
+        noise = np.stack([random_solenoidal(grid, rng, kmax=5).data for _ in path.V[1:]])
+        scale = np.sqrt((path.V[1:] ** 2).sum() / (noise ** 2).sum())
+        path = path.with_velocities(path.V[1:] + 0.1 * scale * noise)
+    return path, grav
+
+
+def _pairs(path, grav, pressures=None):
+    """(midpoint, decomposition, phase point) per interval; the phase point
+    is (v_mid, d pi / dt) of the consistent momenta."""
+    states = path.states
+    momenta = [consistent_momentum(s, grav) for s in states]
+    for k in range(path.n_intervals):
+        mid = Midpoint.of_pair(states[k], states[k + 1])
+        z_i = decompose(states[k], states[k + 1], momenta[k], momenta[k + 1], grav,
+                        pressure=None if pressures is None else pressures[k])
+        yield mid, z_i, PhasePoint(mid.v, mid.rate(momenta[k].pi, momenta[k + 1].pi))
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("preset", ["zero", "rigid_rotation"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_consistent_momentum_kills_v_i_at_variable_density(self, preset, noisy):
+        path, grav = _path("compressible", preset, noisy)
+        for mid, z_i, _ in _pairs(path, grav):
+            assert fd.linf_norm(z_i.v_i) <= 1e-13 * fd.linf_norm(mid.v)
+
+    def test_noisy_density_pair(self, grid16, rng):
+        # consistent momenta at an arbitrary positive density, under rotation
+        path, grav = _path("compressible", "rigid_rotation", noisy=True)
+        s0, s1 = path.states[:2]
+        states = [FluidState(s.t, s.v + 0.1 * random_vector(grid16, rng),
+                             s.rho + 0.3 * random_scalar(grid16, rng, amplitude=0.5), s.eos)
+                  for s in (s0, s1)]
+        z_i = decompose(*states, *(consistent_momentum(s, grav) for s in states), grav)
+        v_mid = Midpoint.of_pair(*states).v
+        assert fd.linf_norm(z_i.v_i) <= 1e-13 * fd.linf_norm(v_mid)
+
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_constitutive_gap_is_the_interval_term(self, kind, preset, noisy):
+        # the symplectic Fenchel gap of each interval is the functional's
+        # interval term Pi_k (incompressible: with evaluate_path's pressures)
+        path, grav = _path(kind, preset, noisy)
+        report, pressures = evaluate_path(path, MU, grav)
+        for k, (mid, z_i, z) in enumerate(_pairs(path, grav, pressures)):
+            gap = constitutive_gap(z, z_i, MU)
+            scale = (report.phi_terms[k] + report.phi_star_terms[k]
+                     + fd.l2_norm(z_i.pi_i) * fd.l2_norm(mid.v))
+            assert abs(gap - report.gap_terms[k]) <= 1e-13 * scale
+
     def test_consistent_momentum_kills_v_i(self, grid32, rng):
         eos = IncompressibleEos()
-        from sbenflow.balance import FluidState
-        from sbenflow.fields import ScalarField
         rho = ScalarField.full(grid32, eos.rho0)
         s0 = FluidState(0.0, random_vector(grid32, rng), rho, eos)
         s1 = FluidState(0.1, random_vector(grid32, rng), rho, eos)
@@ -110,7 +172,7 @@ class TestSymplecticPolar:
         v_i = random_vector(grid32, rng)
         z_i = PhaseDecomposition(v_i, VectorField.zeros(grid32))
         with pytest.raises(InfinitePolarValue) as err:
-            symplectic_polar(z_i, MU, v_tol=1e-8, v_scale=1.0)
+            symplectic_polar(z_i, MU)
         assert err.value.v_i_norm == pytest.approx(fd.linf_norm(v_i))
 
 

@@ -7,9 +7,9 @@ runs, with this checkout's ``src``, for both kinds of fluid under each
 gravitation preset on a 16^2 grid: ``reference``, ``evaluate`` on its
 archive, a cold-start ``minimize`` and a ``minimize`` warm-started from the
 reference with seeded noise; then ``evaluate`` and a warm-started
-``minimize`` on a noisy 32^2 path of ten intervals, which spans several
-blocks of the functional's time batching, and on a noisy 64^2 path of three
-intervals, where every block is one slice.
+``minimize`` on noisy 32^2 paths of ten intervals of both kinds, which span
+three blocks of the functional's time batching, and on a noisy 64^2 path of
+three intervals, where every block is one slice.
 Each command writes below OUT/<case>/; its exit code and printed lines go to
 OUT/<case>/<command>.log.  The ``wall_time`` entry of ``report.json`` and
 the ``wall time`` line of ``report.txt``, the only measurements among the
@@ -114,9 +114,12 @@ def run_matrix(out: str):
             _noisy(ref, warm, seed=3, kmax=3)
             _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", warm,
                                       "--out", os.path.join(d, "min-warm")])
-    eos, case = FLUIDS["incompressible"]
-    for nx, preset, n_intervals, n_ref in ((32, "rigid_rotation", 10, 40), (64, "zero", 3, 21)):
-        d = os.path.join(out, f"noisy-{nx}")
+    for kind, nx, preset, n_intervals, n_ref in (
+            ("incompressible", 32, "rigid_rotation", 10, 40),
+            ("incompressible", 64, "zero", 3, 21),
+            ("compressible", 32, "rigid_rotation", 10, 40)):
+        eos, case = FLUIDS[kind]
+        d = os.path.join(out, f"noisy-{nx}" if kind == "incompressible" else f"noisy-{kind}-{nx}")
         os.makedirs(d)
         cfg = _config(d, nx, eos, case, GRAVITATION[preset], n_intervals, n_ref)
         ref, noisy = os.path.join(d, "ref"), os.path.join(d, "noisy")
