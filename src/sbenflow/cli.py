@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error (a bad config file, a malformed
 archive, or an --out that cannot be written, such as an existing regular file
 or a path below one), 3 numerical failure (an unstable step, a non-finite or
-overflowing value, a density that cannot be computed), 4 invariant failure.
+overflowing value, a division by zero, a density that cannot be computed),
+4 invariant failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import checks
 from .balance import FluidState
@@ -158,12 +161,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) is not None:  # before any loading or computing
             os.makedirs(args.out, exist_ok=True)
-        return handlers[args.command](args)
+        with np.errstate(all="ignore"):   # the commands check finiteness where it matters
+            return handlers[args.command](args)
     except (ConfigError, ArchiveError, OSError) as exc:
         # OSError: a missing input, or an --out that cannot be a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnstableStepError, FloatingPointError, OverflowError) as exc:
+    except (UnstableStepError, ArithmeticError) as exc:   # overflow, zero division, ...
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,29 +1,32 @@
 """Run configuration: a JSON file with one block per subsystem.
 
 Blocks: grid, eos, viscosity, gravitation, time, case, minimizer, plus a
-top-level seed.  The eos block is the run's fluid: the case block becomes
-the oracle.CaseSpec that the commands run, with that fluid as case.eos, and
-CaseSpec's rules are ConfigErrors.  Unknown presets, missing blocks,
-non-numeric or non-finite numbers, float fields that are JSON booleans, int
-fields that are not JSON integers, gravitation parameters that the preset
-does not read and out-of-range values raise ConfigError naming the offending
-field path.  eos_to_json and eos_from_json are the one JSON form of a fluid,
-for the eos block and for a path archive's manifest.  An
-optional conjugate block (tol, max_iter), the settings of a former iterative
-solve, is still type-checked so that old configs load as before, and then
-ignored: the K^(-1) and pressure solves are exact.
+top-level seed.  _read reads each block into the dataclass it becomes
+(Grid2P, the eos kind's class, Viscosity, Gravitation, TimeBlock,
+oracle.CaseSpec, MinimizeConfig, and RunConfig for the seed): the block's
+keys are that class's fields, an int field takes a JSON integer, a float
+field a finite JSON number that is not a boolean, a missing key the
+field's default, and the class's own __post_init__ rules are the range
+checks.  An unknown block or key, a missing one without a default, a value
+of the wrong type and a broken rule are ConfigErrors naming the key.  The
+eos block is the run's fluid: the case block becomes the CaseSpec that the
+commands run, with that fluid as case.eos.  eos_to_json and eos_from_json
+are the one JSON form of a fluid, for the eos block and for a path
+archive's manifest.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .balance import BarotropicPowerEos, Eos, IncompressibleEos
 from .dissipation import Viscosity
 from .fields import Grid2P
-from .gravitation import PRESET_PARAMETERS, PRESETS, Gravitation
+from .gravitation import PRESET_PARAMETERS, Gravitation
 from .oracle import CaseSpec
 from .sben import MinimizeConfig
 
@@ -36,15 +39,17 @@ class ConfigError(ValueError):
 class TimeBlock:
     t_final: float
     n_intervals: int
-    n_ref: int
+    n_ref: Optional[int] = None     # the reference steps; None: one per interval
 
     def __post_init__(self):
+        if self.n_ref is None:
+            object.__setattr__(self, "n_ref", self.n_intervals)
         if not 0 < self.t_final < math.inf:
-            raise ConfigError(f"time.t_final must be positive and finite, got {self.t_final}")
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.n_intervals < 1:
-            raise ConfigError("time.n_intervals must be >= 1")
+            raise ValueError(f"n_intervals must be >= 1, got {self.n_intervals}")
         if self.n_ref % self.n_intervals != 0:
-            raise ConfigError("time.n_ref must be a multiple of time.n_intervals")
+            raise ValueError(f"n_ref must be a multiple of n_intervals, got {self.n_ref}")
 
 
 @dataclass(frozen=True)
@@ -57,66 +62,89 @@ class RunConfig:
     minimizer: MinimizeConfig
     seed: int = 42
 
-
-def _need(raw: dict, key: str, default: dict | None = None) -> dict:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing config block {key!r}")
-        return default
-    block = raw[key]
-    if not isinstance(block, dict):
-        raise ConfigError(f"config block {key!r} must be an object")
-    return block
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _get(block: dict, path: str, key: str, cast, default=None):
-    """block[key] through cast; an int field takes only a JSON integer."""
-    name = f"{path}.{key}" if path else key
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"missing config field {name}")
-        return default
-    cast = {int: _integer, float: _real}.get(cast, cast)
-    try:
-        return cast(block[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {name}: {exc}") from exc
-
-
-def _real(value) -> float:
-    """A JSON number: not a bool."""
-    if isinstance(value, bool):
+def _number(value) -> float:
+    """A finite JSON number: not a boolean, string or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
     return float(value)
 
 
-def _finite(value) -> float:
-    x = _real(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{x} is not finite")
-    return x
-
-
 def _integer(value) -> int:
-    """A JSON integer: not a bool, fraction or string."""
+    """A JSON integer: not a boolean, fraction or string."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not an integer")
     return value
 
 
-def _seed(value) -> int:
-    """A random seed: a JSON integer >= 0."""
-    if _integer(value) < 0:
-        raise ValueError(f"{value!r} is not an integer >= 0")
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
     return value
 
 
-def _params(block: dict, path: str) -> dict[str, float]:
-    """The optional "parameters" object of a block: finite numbers by name."""
-    params = block.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.parameters must be an object")
-    return {key: _get(params, f"{path}.parameters", key, _finite) for key in params}
+_CASTS = {float: _number, int: _integer, str: _string}
+_KEYS = {"case_id": "id", "params": "parameters"}   # a field's key, where it is not its name
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _known(block, path: str, keys) -> None:
+    """Check that block is a JSON object of no keys but keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path or 'the config'} must be an object")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown key {_join(path, key)}; {path or 'a config'} takes "
+                              f"{', '.join(keys) or 'none'}")
+
+
+def _value(hint, value, name: str):
+    """A JSON value as a field annotated hint; name is its key in errors."""
+    if hint in _CASTS:
+        try:
+            return _CASTS[hint](value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {name}: {exc}") from exc
+    if get_origin(hint) is Union:               # Optional[X]: a JSON null is not an X
+        return _value(get_args(hint)[0], value, name)
+    if not isinstance(value, dict):             # Mapping[str, X]: parameters by name
+        raise ConfigError(f"{name} must be an object")
+    return {key: _value(get_args(hint)[1], x, _join(name, key)) for key, x in value.items()}
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """cls's fields by their config key, each with its evaluated annotation."""
+    hints = get_type_hints(cls)
+    return {_KEYS.get(f.name, f.name): (f, hints[f.name]) for f in fields(cls)}
+
+
+def _read(cls, block, path: str, defaults: bool = True, **given):
+    """The cls of the config block at path.  The block's keys are the fields
+    of cls that are not given, each cast by its annotation; a missing key
+    takes the field's default, unless not defaults.  A ValueError of cls,
+    one of its rules, names the key its message begins with."""
+    keys = {key: (f, hint) for key, (f, hint) in _fields(cls).items() if f.name not in given}
+    _known(block, path, keys)
+    for key, (f, hint) in keys.items():
+        if key in block:
+            given[f.name] = _value(hint, block[key], _join(path, key))
+        elif not defaults or (f.default is MISSING and f.default_factory is MISSING):
+            raise ConfigError(f"missing key {_join(path, key)}")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        first = str(exc).split(" ", 1)[0]
+        raise ConfigError(_join(path, exc) if first in keys else f"{path}: {exc}") from exc
 
 
 _EOS_KINDS = {"incompressible": IncompressibleEos, "barotropic_power": BarotropicPowerEos}
@@ -139,92 +167,35 @@ def eos_from_json(block, defaults: bool = False) -> Eos:
     kind = block.get("kind")
     if kind not in _EOS_KINDS:
         raise ConfigError(f"eos.kind must be 'incompressible' or 'barotropic_power', got {kind!r}")
-    names = [f.name for f in fields(_EOS_KINDS[kind])]
-    for key in block:
-        if key not in ("kind", *names):
-            raise ConfigError(f"unknown key eos.{key}; a {kind} eos has {', '.join(names)}")
-    constants = {}
-    for name in names:
-        if name in block:
-            constants[name] = _get(block, "eos", name, float)
-        elif not defaults:
-            raise ConfigError(f"missing eos.{name}")
-    try:
-        return _EOS_KINDS[kind](**constants)
-    except ValueError as exc:
-        raise ConfigError(f"eos: {exc}") from exc
+    constants = {key: value for key, value in block.items() if key != "kind"}
+    return _read(_EOS_KINDS[kind], constants, "eos", defaults)
 
 
-def parse_config(raw: dict) -> RunConfig:
-    gb = _need(raw, "grid")
-    try:
-        grid = Grid2P(_get(gb, "grid", "nx", int), _get(gb, "grid", "ny", int),
-                      _get(gb, "grid", "lx", float), _get(gb, "grid", "ly", float))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+_BLOCKS = ("grid", "eos", "viscosity", "gravitation", "time", "case", "minimizer")
 
-    eos = eos_from_json(_need(raw, "eos"), defaults=True)
 
-    vb = _need(raw, "viscosity")
-    try:
-        viscosity = Viscosity(mu=_get(vb, "viscosity", "mu", float))
-    except ValueError as exc:
-        raise ConfigError(f"viscosity: {exc}") from exc
-
-    grav_b = _need(raw, "gravitation", {})
-    preset = _get(grav_b, "gravitation", "preset", str, "zero")
-    if preset not in PRESETS:
-        raise ConfigError(f"gravitation.preset must be one of {PRESETS}, got {preset!r}")
-    grav_params = _params(grav_b, "gravitation")
-    for key in grav_params:
-        if key not in PRESET_PARAMETERS[preset]:
-            raise ConfigError(f"unknown parameter gravitation.parameters.{key}; {preset} reads "
-                              f"{', '.join(PRESET_PARAMETERS[preset]) or 'none'}")
-    gravitation = Gravitation(grid, preset, grav_params)
-
-    tb = _need(raw, "time")
-    n_intervals = _get(tb, "time", "n_intervals", int)
-    time_block = TimeBlock(t_final=_get(tb, "time", "t_final", float),
-                           n_intervals=n_intervals,
-                           n_ref=_get(tb, "time", "n_ref", int, n_intervals))
-
-    cb = _need(raw, "case")
-    case_id, params = _get(cb, "case", "id", str), _params(cb, "case")
-    try:
-        case = CaseSpec(case_id, grid, time_block.t_final, time_block.n_ref, params, eos)
-    except ValueError as exc:
-        raise ConfigError(f"case: {exc}") from exc
-
-    conj_b = _need(raw, "conjugate", {})
-    _get(conj_b, "conjugate", "tol", float, 1e-10)
-    _get(conj_b, "conjugate", "max_iter", int, 50_000)
-
-    min_b = _need(raw, "minimizer", {})
-    defaults = MinimizeConfig()
-    minimizer = MinimizeConfig(**{
-        f.name: _get(min_b, "minimizer", f.name, type(getattr(defaults, f.name)),
-                     getattr(defaults, f.name))
-        for f in fields(MinimizeConfig)})
-    m = minimizer
-    for key, ok, allowed in (
-            ("tol_pi_rel", 0 <= m.tol_pi_rel < math.inf, "finite and >= 0"),
-            ("tol_grad_rel", 0 <= m.tol_grad_rel < math.inf, "finite and >= 0"),
-            ("max_iter", m.max_iter >= 0, ">= 0"),
-            ("restart_every", m.restart_every >= 1, ">= 1"),
-            ("armijo_c", 0 < m.armijo_c < 1, "in (0, 1)"),
-            ("backtrack_factor", 0 < m.backtrack_factor < 1, "in (0, 1)"),
-            ("max_backtracks", m.max_backtracks >= 1, ">= 1")):
-        if not ok:
-            raise ConfigError(f"minimizer.{key} must be {allowed}, got {getattr(m, key)}")
-
-    return RunConfig(grid=grid, viscosity=viscosity, gravitation=gravitation,
-                     time=time_block, case=case, minimizer=minimizer,
-                     seed=_get(raw, "", "seed", _seed, 42))
+def parse_config(raw) -> RunConfig:
+    """The run of a config file's JSON object."""
+    _known(raw, "", (*_BLOCKS, "seed"))
+    block = {key: raw.get(key, {}) for key in _BLOCKS}
+    grid = _read(Grid2P, block["grid"], "grid")
+    eos = eos_from_json(block["eos"], defaults=True)
+    viscosity = _read(Viscosity, block["viscosity"], "viscosity")
+    gravitation = _read(Gravitation, block["gravitation"], "gravitation", grid=grid)
+    _known(gravitation.params, "gravitation.parameters", PRESET_PARAMETERS[gravitation.preset])
+    time = _read(TimeBlock, block["time"], "time")
+    case = _read(CaseSpec, block["case"], "case", grid=grid, t_final=time.t_final,
+                 n_ref=time.n_ref, eos=eos)
+    minimizer = _read(MinimizeConfig, block["minimizer"], "minimizer")
+    return _read(RunConfig, {k: v for k, v in raw.items() if k not in _BLOCKS}, "",
+                 grid=grid, viscosity=viscosity, gravitation=gravitation, time=time,
+                 case=case, minimizer=minimizer)
 
 
 def with_seed(config: RunConfig, seed) -> RunConfig:
-    """The config with its seed replaced, checked by the rule of the file's seed."""
-    return replace(config, seed=_get({"seed": seed}, "", "seed", _seed))
+    """The config with its seed replaced, read by the rule of the file's seed."""
+    others = {name: value for name, value in vars(config).items() if name != "seed"}
+    return _read(RunConfig, {"seed": seed}, "", **others)
 
 
 def load_config(path: str) -> RunConfig:
@@ -235,6 +206,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except ValueError as exc:   # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
     return parse_config(raw)

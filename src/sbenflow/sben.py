@@ -465,10 +465,15 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation
     pressures = [] if path.kind == "incompressible" else None
     report = _assemble(path, mu, grav, _discard if pressures is None else
                        lambda blk: pressures.extend(_recover_pressures([blk])))
-    if not np.isfinite([*report.gap_terms, *report.ns_residual_norms, report.total_pi,
-                        *report.discarded_mean_norms, report.dissipation_integral]).all():
+    if not _finite(report):
         raise FloatingPointError("the functional is not finite on this path")
     return report, pressures
+
+
+def _finite(report: SbenReport) -> bool:
+    """Whether every entry of the report is finite: none overflowed."""
+    return bool(np.isfinite([*report.gap_terms, *report.ns_residual_norms, report.total_pi,
+                             *report.discarded_mean_norms, report.dissipation_integral]).all())
 
 
 def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
@@ -563,10 +568,21 @@ class MinimizeConfig:
     tol_pi_rel: float = 1e-8       # on the initial path's dissipation integral
     tol_grad_rel: float = 1e-6
     max_iter: int = 500
-    restart_every: int = 20
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
+
+    def __post_init__(self):
+        for name in ("tol_pi_rel", "tol_grad_rel"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+
+
+# The line search: the Armijo constant c1 and halving of Nocedal & Wright,
+# Numerical Optimization, section 3.1, and a periodic restart of the NCG.
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
+_RESTART_EVERY = 20
 
 
 @dataclass
@@ -642,12 +658,14 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
 
     The gradients and directions are stacks of the T free slices.
     build(free) makes the trial path from the (T, 3, nx, ny) free velocities;
-    a trial it cannot make (DensityError) is a rejected step, like an Armijo
-    failure.  With a preconditioner P the direction is -P g + beta d, with
-    beta = <g+, P g+ - P g> / <g, P g>, a non-descent direction resets to
-    -P g, and every line search starts at the unit step.  Without one
-    (P = identity) the first step is half the path's velocity scale along
-    the direction and each later one starts at twice the last accepted step.
+    a trial it cannot make (DensityError) or whose report is not finite is a
+    rejected step, like an Armijo failure; a start whose report or gradient
+    is not finite is a FloatingPointError.  With a preconditioner P the
+    direction is -P g + beta d, with beta = <g+, P g+ - P g> / <g, P g>, a
+    non-descent direction resets to -P g, and every line search starts at
+    the unit step.  Without one (P = identity) the first step is half the
+    path's velocity scale along the direction and each later one starts at
+    twice the last accepted step.
     The gradient norm (the relative tolerance and the history) leaves out
     the stencil null modes when P is given: P never moves them, so their part
     of the gradient never shrinks.
@@ -666,6 +684,8 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
     grad = gradient_pi(path, mu, grav, blocks=blocks)
     pgrad = grad if precondition is None else precondition(grad)
     gnorm0 = norm(grad)
+    if not (_finite(report) and np.isfinite(gnorm0)):
+        raise FloatingPointError("the functional or its gradient is not finite on the start path")
     history = [gnorm0]
 
     direction = -pgrad
@@ -702,18 +722,19 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             alpha = 2.0 * alpha_prev
 
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = build(path.V[1:] + alpha * direction.data)
             except DensityError:
-                alpha *= opts.backtrack_factor
+                alpha *= _BACKTRACK_FACTOR
                 continue
             trial_blocks = []
             trial_report = _assemble(trial, mu, grav, trial_blocks.append)
-            if trial_report.total_pi <= pi_val + opts.armijo_c * alpha * slope:
+            armijo = trial_report.total_pi <= pi_val + _ARMIJO_C * alpha * slope
+            if armijo and _finite(trial_report):
                 accepted = True
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
         if not accepted:
             message = "line search failed; returning last accepted path"
             break
@@ -723,7 +744,7 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
         new_pgrad = new_grad if precondition is None else precondition(new_grad)
         beta = max(0.0, (path_dot(new_grad, new_pgrad) - path_dot(new_grad, pgrad))
                    / max(path_dot(grad, pgrad), 1e-300))
-        if (it + 1) % opts.restart_every == 0:
+        if (it + 1) % _RESTART_EVERY == 0:
             beta = 0.0
         direction = -new_pgrad + beta * direction
 

@@ -26,7 +26,6 @@ BASE_CONFIG = {
     "gravitation": {"preset": "zero"},
     "time": {"t_final": 0.25, "n_intervals": 4, "n_ref": 16},
     "case": {"id": "taylor_green", "parameters": {"nu": 0.1, "amplitude": 1.0}},
-    "conjugate": {"tol": 1e-10, "max_iter": 50000},
     "minimizer": {"max_iter": 40},
     "seed": 42,
 }
@@ -249,6 +248,12 @@ class TestConfig:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_readme_example_config_loads(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(example))
+        assert (cfg.grid.nx, cfg.time.n_intervals, cfg.minimizer.max_iter) == (32, 10, 500)
+
     def test_defaults(self):
         cfg = parse_config(json.loads(json.dumps(BASE_CONFIG)))
         assert cfg.minimizer.max_iter == 40
@@ -282,11 +287,33 @@ class TestCli:
         cfg = _write_config(tmp_path, overrides={"time.t_final": 1e-300})
         ref = str(tmp_path / "ref")
         assert main(["reference", "--config", cfg, "--out", ref]) == 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["evaluate", "--config", cfg, "--archive", ref,
-                       "--out", str(tmp_path / "eval")])
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", cfg, "--archive", ref, "--out", str(tmp_path / "eval")])
         assert rc == 3
-        assert "not finite" in capsys.readouterr().err
+        # the one line of the exit, no numpy warning before it
+        assert capsys.readouterr().err == ("numerical failure: the functional is not "
+                                           "finite on this path\n")
+
+    def test_minimize_from_a_non_finite_start_exits_3(self, tmp_path, capsys):
+        # the start's functional and gradient overflow: inf <= tol * inf used
+        # to report convergence, with an infinite gradient norm in report.json
+        huge_mu = _write_config(tmp_path, overrides={"viscosity.mu": 1e300})
+        assert main(["minimize", "--config", huge_mu, "--out", str(tmp_path / "m1")]) == 3
+        tiny_t = _write_config(tmp_path, overrides={"time.t_final": 1e-300})
+        ref = str(tmp_path / "ref")
+        assert main(["reference", "--config", tiny_t, "--out", ref]) == 0
+        assert main(["minimize", "--config", tiny_t, "--warm-start", ref,
+                     "--out", str(tmp_path / "m2")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("numerical failure: the functional or its gradient is not finite") == 2
+        assert not os.path.exists(tmp_path / "m1" / "report.json")
+
+    def test_tiny_box_exits_3(self, tmp_path, capsys):
+        # dx**2 underflows to 0 in the stable step size: a ZeroDivisionError
+        cfg = _write_config(tmp_path, overrides={
+            "grid.lx": 1e-300, "grid.ly": 1e-300, "case": {"id": "rigid_rotation"}})
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == "numerical failure: float division by zero\n"
 
     def test_check_rejects_bad_viscosity(self, tmp_path):
         rc = main(["check", "--config",
@@ -428,9 +455,9 @@ class TestCli:
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
 
     @pytest.mark.parametrize("key, value", [
-        ("restart_every", 0), ("max_iter", "abc"), ("backtrack_factor", 0),
-        ("backtrack_factor", 1.5), ("max_iter", 2.5), ("max_iter", True),
-        ("max_backtracks", 3.0), ("tol_pi_rel", True)])
+        ("max_iter", -1), ("max_iter", "abc"), ("max_iter", 2.5), ("max_iter", True),
+        ("max_iter", None), ("tol_pi_rel", True), ("tol_pi_rel", -1e-8),
+        ("tol_grad_rel", float("inf")), ("tol_grad_rel", "1e-6")])
     def test_bad_minimizer_setting_exits_config(self, tmp_path, key, value):
         cfg = _write_config(tmp_path, overrides={f"minimizer.{key}": value})
         with pytest.raises(ConfigError, match=f"minimizer.{key}"):
@@ -574,40 +601,27 @@ class TestCli:
         assert seen == [7, 42]
         assert cli.build_parser() is cli.build_parser()
 
-    def test_conjugate_block_is_checked_and_changes_no_output(self, tmp_path, capsys):
-        # the settings of a former iterative solve: still type-checked ...
-        for key in ("conjugate.tol", "conjugate.max_iter"):
-            bad = _write_config(tmp_path, overrides={key: "x"})
-            assert main(["check", "--config", bad]) == 2
-            assert f"bad value for {key}" in capsys.readouterr().err
-        # ... and ignored: check and evaluate write the same bytes with a loose
-        # tolerance as with no block at all
-        ref = str(tmp_path / "ref")
-        assert main(["reference", "--config", _write_config(tmp_path), "--out", ref]) == 0
-        outputs = []
-        for name, cfg in (("loose", {"overrides": {"conjugate.tol": 1e-3}}),
-                          ("absent", {"drop": "conjugate"})):
-            work = tmp_path / name
-            work.mkdir()
-            config = _write_config(work, **cfg)
-            capsys.readouterr()
-            assert main(["check", "--config", config]) == 0
-            check_out = capsys.readouterr().out
-            out = str(work / "eval")
-            assert main(["evaluate", "--config", config, "--archive", ref, "--out", out]) == 0
-            files = {}
-            for n in sorted(os.listdir(out)):
-                lines = open(os.path.join(out, n), "rb").read().splitlines()
-                # the wall-time lines are measurements
-                files[n] = [ln for ln in lines if b"wall" not in ln]
-            outputs.append((check_out, files))
-        assert "pressure_0000.csv" in outputs[0][1]
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("key, value", [
+        # the settings of a former iterative solve, and of the line search
+        ("conjugate", {"tol": 1e-10, "max_iter": 50000}), ("minimizer.restart_every", 20),
+        ("minimizer.armijo_c", 1e-4), ("minimizer.backtrack_factor", 0.5),
+        ("minimizer.max_backtracks", 60),
+        # misspelt blocks and keys, which used to be dropped
+        ("minimiser", {"max_iter": 5}), ("time.n_interval", 4), ("case.param", {"amplitude": 3}),
+        ("grid.nz", 16), ("viscosity.lambda", 0.0), ("gravitation.parameter", {"g0": 1.0}),
+        ("eos.gama", 1.4)])
+    def test_unknown_key_exits_config_naming_it(self, tmp_path, capsys, key, value):
+        cfg = _write_config(tmp_path, overrides={key: value})
+        with pytest.raises(ConfigError, match=f"unknown key {key}; .* takes "):
+            load_config(cfg)
+        for argv in (["check"], ["reference", "--out", str(tmp_path / "r")],
+                     ["minimize", "--out", str(tmp_path / "m")]):
+            assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        assert capsys.readouterr().err.count(f"unknown key {key}") == 3
 
     def test_inaccurate_conjugate_solve_fails_invariants(self, tmp_path, monkeypatch):
-        # a solve off by 1e-3 cannot satisfy the 1e-8 conjugacy identities,
-        # whatever the conjugate block says
-        cfg = _write_config(tmp_path, overrides={"conjugate.tol": 1e-3})
+        # a solve off by 1e-3 cannot satisfy the 1e-8 conjugacy identities
+        cfg = _write_config(tmp_path)
         exact = checks.solve_k
         monkeypatch.setattr(checks, "solve_k", lambda f, mu: (1.0 + 1e-3) * exact(f, mu))
         assert main(["check", "--config", cfg]) == 4

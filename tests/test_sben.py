@@ -703,6 +703,14 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(path, 0.1, Gravitation(grid16, "zero"))
 
+    @pytest.mark.parametrize("setting, match", [
+        ({"max_iter": -1}, "max_iter must be >= 0"),
+        ({"tol_pi_rel": -1e-8}, "tol_pi_rel must be finite and >= 0"),
+        ({"tol_grad_rel": float("nan")}, "tol_grad_rel must be finite and >= 0")])
+    def test_settings_out_of_range_are_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            MinimizeConfig(**setting)
+
     def test_frozen_start_descends_monotonically(self, grid16):
         grav = Gravitation(grid16, "zero")
         s0, _ = taylor_green_analytic(0.0, 0.1, grid16)
