@@ -18,8 +18,7 @@ from .gravitation import Gravitation, eval_coriolis_vector, eval_gravity, gravit
 from .oracle import (CaseSpec, reference_path, step_compressible, step_incompressible,
                      taylor_green_analytic)
 from .sben import (MinimizeConfig, Path, SbenReport, evaluate_path, gradient_pi,
-                   incompressible_path, leray_project, minimize, minimize_compressible,
-                   slave_density)
+                   incompressible_path, leray_project, minimize, slave_density)
 from .symplectic import (InfinitePolarValue, PhaseDecomposition, PhasePoint,
                          constitutive_gap, decompose, omega, symplectic_polar)
 

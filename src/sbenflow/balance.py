@@ -92,7 +92,10 @@ class FluidState:
 
     def __post_init__(self):
         fd._check_same_grid(self.v, self.rho)
-        if np.any(self.rho.data <= 0):
+        if isinstance(self.eos, IncompressibleEos):
+            if np.any(self.rho.data != self.eos.rho0):
+                raise ValueError("an incompressible fluid's density is its rho0")
+        elif np.any(self.rho.data <= 0):
             raise ValueError("density must be positive everywhere")
 
     @property

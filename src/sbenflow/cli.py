@@ -7,10 +7,10 @@ Subcommands:
   minimize   descend the functional, write the minimized archive and report
 
 Exit codes: 0 success, 2 configuration error (a bad config file, a malformed
-archive, or an --out that cannot be written, such as an existing regular file
-or a path below one), 3 numerical failure (an unstable step, a non-finite or
-overflowing value, a division by zero, a density that cannot be computed),
-4 invariant failure.
+archive, an --out that cannot be written, such as an existing regular file or
+a path below one, or a run whose arrays the machine cannot allocate), 3
+numerical failure (an unstable step, a non-finite or overflowing value, a
+division by zero, a density that cannot be computed), 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import sys
 import numpy as np
 
 from . import checks
-from .balance import FluidState
 from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
+from .fields import ScalarField
 from .oracle import UnstableStepError, initial_state, reference_path
-from .sben import Path, SbenReport, evaluate_path, minimize, minimize_compressible
+from .sben import Path, SbenReport, evaluate_path, minimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,8 +92,8 @@ def cmd_evaluate(args) -> int:
                              expect_eos=config.case.eos)
     report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation)
     _write_report(args.out, report)
-    for k, p in enumerate(pressures or []):
-        save_scalar(os.path.join(args.out, f"pressure_{k:04d}.csv"), p)
+    for k, p in enumerate([] if pressures is None else pressures):
+        save_scalar(os.path.join(args.out, f"pressure_{k:04d}.csv"), ScalarField(path.grid, p))
     print(f"total functional {report.total_pi:.12e} "
           f"(dissipation integral {report.dissipation_integral:.6e})")
     return EXIT_OK
@@ -105,18 +105,12 @@ def cmd_minimize(args) -> int:
         start = load_path_archive(args.warm_start, expect_grid=config.grid,
                                   expect_eos=config.case.eos)
     else:
-        # replicate the case's initial state across all slices
-        s0 = initial_state(config.case)
-        dt = config.time.t_final / config.time.n_intervals
-        states = [FluidState(k * dt, s0.v, s0.rho, s0.eos)
-                  for k in range(config.time.n_intervals + 1)]
-        start = Path(states)
-
-    if start.kind == "incompressible":
-        result = minimize(start, config.viscosity.mu, config.gravitation, config.minimizer)
-    else:
-        result = minimize_compressible(start, config.viscosity.mu, config.gravitation,
-                                       config.minimizer)
+        # the case's initial state at every time sample
+        s0, n = initial_state(config.case), config.time.n_intervals
+        start = Path(s0.grid, s0.eos, np.arange(n + 1) * (config.time.t_final / n),
+                     np.repeat(s0.v.data[None], n + 1, axis=0),
+                     np.repeat(s0.rho.data[None], n + 1, axis=0))
+    result = minimize(start, config.viscosity.mu, config.gravitation, config.minimizer)
     save_path_archive(args.out, result.path)
     _write_report(args.out, result.report)
     print(f"{result.message}; functional {result.report.total_pi:.12e} "
@@ -163,8 +157,8 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         with np.errstate(all="ignore"):   # the commands check finiteness where it matters
             return handlers[args.command](args)
-    except (ConfigError, ArchiveError, OSError) as exc:
-        # OSError: a missing input, or an --out that cannot be a directory
+    except (ConfigError, ArchiveError, OSError, MemoryError) as exc:
+        # a missing input, an --out that cannot be a directory, arrays too large
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnstableStepError, ArithmeticError) as exc:   # overflow, zero division, ...

@@ -19,7 +19,8 @@ the grid and every cell must appear exactly once.  Any malformed input (bytes
 that are not UTF-8, a wrong header, a non-numeric cell, a missing column, an
 index out of range, a repeated or missing cell, a non-finite value, a
 non-positive density, a truncated or incomplete ``grid.json`` or
-``manifest.json``, slice times not uniformly increasing) raises ArchiveError
+``manifest.json``, slice times not uniformly increasing, pressures that are
+not one file per interval of an incompressible path) raises ArchiveError
 naming the file, which the CLI reports with exit code 2.
 """
 
@@ -363,7 +364,7 @@ def save_path_archive(directory: str, path: Path):
         names = []
         for k, p in enumerate(path.pressures):
             name = f"p_{k:04d}.csv"
-            save_scalar(os.path.join(directory, name), p)
+            save_scalar(os.path.join(directory, name), ScalarField(path.grid, p))
             names.append(name)
         manifest["pressures"] = names
     with open(os.path.join(directory, "manifest.json"), "w") as f:
@@ -401,9 +402,11 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
         raise ArchiveError(f"{manifest_file}: malformed manifest ({exc!r})") from None
     if expect_eos is not None and eos != expect_eos:
         raise ArchiveError(f"archive eos {eos} does not match configured eos {expect_eos}")
-    if pressure_names is not None and not isinstance(pressure_names, list):
-        raise ArchiveError(f"{manifest_file}: pressures {pressure_names!r} is not a list")
     incompressible = isinstance(eos, IncompressibleEos)
+    if pressure_names is not None and not (incompressible and isinstance(pressure_names, list)
+                                           and len(pressure_names) == len(slices) - 1):
+        raise ArchiveError(f"{manifest_file}: pressures {pressure_names!r} is not a list of "
+                           f"one file per interval of an incompressible path")
     kind = "incompressible" if incompressible else "compressible"
     if manifest.get("kind") != kind:
         raise ArchiveError(
@@ -423,8 +426,7 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
             rho[k] = load_scalar(os.path.join(directory, rho_name), grid).data
             if (rho[k] <= 0).any():
                 raise ArchiveError(f"{directory}: {rho_name} has a non-positive density")
-    path = Path.from_arrays(grid, eos, [t for t, _, _ in slices], V, rho)
-    if pressure_names is not None:
-        path.pressures = [load_scalar(os.path.join(directory, n), grid)
-                          for n in pressure_names]
-    return path
+    pressures = None if pressure_names is None else np.empty((len(pressure_names), *grid.shape))
+    for k, name in enumerate(pressure_names or []):
+        pressures[k] = load_scalar(os.path.join(directory, name), grid).data
+    return Path(grid, eos, [t for t, _, _ in slices], V, rho, pressures)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -129,46 +129,40 @@ def _stacked(fields) -> np.ndarray:
 class Path:
     """Uniformly sampled sequence of states over [0, T]; the first is pinned.
 
-    The path is stored along its time axis: times (T+1,), the velocities V
-    (T+1, 3, nx, ny) and the densities rho (T+1, nx, ny) of one fluid, eos.
-    For the incompressible kind every slice is divergence free and rho is
-    the constant rho0 (a read-only broadcast); for the compressible kind the
-    densities ride along with the velocities (slaved to the mass balance when
-    the path is produced by slave_density or the reference steppers), and
-    their positivity is checked once, on the array.
-
-    Path(states) stacks a list of FluidStates; path.states gives the slices
-    back as FluidStates whose fields are views of the arrays.
+    A path is its arrays along the time axis, taken as they are: times
+    (T+1,), the velocities V (T+1, 3, nx, ny) and the densities rho (T+1,
+    nx, ny) of one fluid, eos.  For the incompressible kind every slice is
+    divergence free, rho is the constant rho0 (a read-only broadcast; a rho
+    given must equal it) and pressures, when known, are the (T, nx, ny)
+    multipliers of the intervals.  For the compressible kind the densities
+    ride along with the velocities (slaved to the mass balance by
+    slave_density or the reference steppers) and are checked positive once,
+    on the array.  path.states gives the slices as FluidStates whose fields
+    are views of the arrays.
     """
 
-    def __init__(self, states: Sequence[FluidState],
-                 pressures: Optional[list[ScalarField]] = None):
-        check_path_times([s.t for s in states])
-        s0 = states[0]
-        for s in states:
-            if s.grid != s0.grid or s.eos != s0.eos:
-                raise ValueError("all path states must share one grid and one EOS")
-        rho = None
-        if isinstance(s0.eos, IncompressibleEos):
-            if any(np.any(s.rho.data != s0.eos.rho0) for s in states):
+    def __init__(self, grid: Grid2P, eos: Eos, times, V: np.ndarray,
+                 rho: Optional[np.ndarray] = None, pressures: Optional[np.ndarray] = None):
+        check_path_times(times)
+        shape = (len(times), *grid.shape)
+        if V.shape != (len(times), 3, *grid.shape):
+            raise ValueError(f"velocities of shape {V.shape}, not (T+1, 3, nx, ny) = "
+                             f"{(len(times), 3, *grid.shape)}")
+        if isinstance(eos, IncompressibleEos):
+            if rho is not None and np.any(rho != eos.rho0):
                 raise ValueError("an incompressible path's density is its rho0")
-        else:
-            rho = _stacked([s.rho for s in states])
-        self._set(*_checked(s0.grid, s0.eos, [s.t for s in states],
-                            _stacked([s.v for s in states]), rho), pressures)
-
-    @classmethod
-    def from_arrays(cls, grid: Grid2P, eos: Eos, times, V: np.ndarray,
-                    rho: Optional[np.ndarray] = None) -> "Path":
-        """The path with these arrays (not copied); rho is None for an
-        incompressible fluid, whose density is rho0."""
-        path = cls.__new__(cls)
-        path._set(*_checked(grid, eos, times, V, rho))
-        return path
-
-    def _set(self, grid, eos, times, V, rho, pressures=None):
-        self.grid, self.eos, self.times, self.V, self.rho = grid, eos, times, V, rho
-        self.pressures = pressures  # per interval, incompressible only
+            rho = np.broadcast_to(np.full(grid.shape, eos.rho0), shape)
+        elif rho is None or rho.shape != shape:
+            raise ValueError(f"a compressible path needs densities of shape {shape}")
+        elif np.any(rho <= 0):
+            raise ValueError("density must be positive everywhere")
+        if pressures is not None and not (isinstance(eos, IncompressibleEos) and
+                                          pressures.shape == (shape[0] - 1, *grid.shape)):
+            raise ValueError(f"pressures of shape {pressures.shape}: only an incompressible "
+                             f"path has them, (T, nx, ny) = {(shape[0] - 1, *grid.shape)}")
+        self.grid, self.eos, self.times, self.V, self.rho = (
+            grid, eos, np.array(times, dtype=float), V, rho)
+        self.pressures = pressures
 
     @functools.cached_property
     def states(self) -> list[FluidState]:
@@ -196,35 +190,19 @@ class Path:
 
     def with_velocities(self, new_free) -> "Path":
         """Same path with the free slices (k >= 1) replaced by new_free, a
-        (T, 3, nx, ny) array or a list of T VectorFields; densities kept."""
+        (T, 3, nx, ny) array or a list of T VectorFields; densities kept,
+        no pressures."""
         if len(new_free) != self.n_intervals:
             raise ValueError("need one velocity per free slice")
-        V = np.concatenate([self.V[:1], _stacked(new_free)])
-        path = Path.__new__(Path)     # the times and densities are checked already
-        path._set(self.grid, self.eos, self.times, V, self.rho)
+        path = Path.__new__(Path)     # shares the checked times and densities
+        path.grid, path.eos, path.times, path.rho = self.grid, self.eos, self.times, self.rho
+        path.V, path.pressures = np.concatenate([self.V[:1], _stacked(new_free)]), None
         return path
-
-
-def _checked(grid: Grid2P, eos: Eos, times, V: np.ndarray, rho: Optional[np.ndarray]):
-    """(grid, eos, times, V, rho) of a valid path, times as an array and, for
-    an incompressible fluid, rho the broadcast constant rho0."""
-    check_path_times(times)
-    shape = (len(times), *grid.shape)
-    if V.shape != (len(times), 3, *grid.shape):
-        raise ValueError(f"velocities of shape {V.shape}, not (T+1, 3, nx, ny) = "
-                         f"{(len(times), 3, *grid.shape)}")
-    if isinstance(eos, IncompressibleEos):
-        rho = np.broadcast_to(np.full(grid.shape, eos.rho0), shape)
-    elif rho is None or rho.shape != shape:
-        raise ValueError(f"a compressible path needs densities of shape {shape}")
-    elif np.any(rho <= 0):
-        raise ValueError("density must be positive everywhere")
-    return grid, eos, np.array(times, dtype=float), V, rho
 
 
 def incompressible_path(grid: Grid2P, eos: IncompressibleEos, times, velocities) -> Path:
     """The path of these velocities (a list of VectorFields or a (T+1, 3, nx, ny) array)."""
-    return Path.from_arrays(grid, eos, times, _stacked(velocities))
+    return Path(grid, eos, times, _stacked(velocities))
 
 
 _MASS_TOL, _MASS_MAX_ITER = 1e-13, 500   # fixed point: update / density scale, sweeps
@@ -270,7 +248,7 @@ def compressible_path(grid: Grid2P, eos: BarotropicPowerEos, times, velocities,
     V = _stacked(velocities)
     if densities is None:
         densities = slave_density(ScalarField.full(grid, eos.rho0), V, times)
-    return Path.from_arrays(grid, eos, times, V, _stacked(densities))
+    return Path(grid, eos, times, V, _stacked(densities))
 
 
 # --- reports ------------------------------------------------------------------
@@ -432,19 +410,18 @@ def _assemble(path: Path, mu: float, grav: Gravitation,
     )
 
 
-def _recover_pressures(blocks: list[_Block]) -> list[ScalarField]:
-    """Multiplier pressure per interval: the potential part of the full
-    constitutive balance, grad(p) = f_raw - K(v_mid) at the minimum."""
-    pressures = []
+def _recover_pressures(blocks: list[_Block], out: np.ndarray) -> np.ndarray:
+    """Multiplier pressure per interval, the potential part of the full
+    constitutive balance, grad(p) = f_raw - K(v_mid) at the minimum, zero
+    mean, written into the blocks' rows of out (T, nx, ny)."""
     for blk in blocks:
         _, q = leray_project(blk.f_raw - blk.kv)
-        zero_mean = q.data - q.data.mean(axis=(-2, -1), keepdims=True)
-        pressures.extend(ScalarField(q.grid, p) for p in zero_mean)
-    return pressures
+        np.subtract(q.data, q.data.mean(axis=(-2, -1), keepdims=True), out=out[blk.intervals])
+    return out
 
 
-def multiplier_pressures(path: Path, mu: float, grav: Gravitation) -> list[ScalarField]:
-    """Zero-mean multiplier pressure per interval of an incompressible path."""
+def multiplier_pressures(path: Path, mu: float, grav: Gravitation) -> np.ndarray:
+    """Zero-mean multiplier pressure per interval of an incompressible path, (T, nx, ny)."""
     if path.kind != "incompressible":
         raise ValueError("multiplier pressure is defined for the incompressible kind")
     return evaluate_path(path, mu, grav)[1]
@@ -455,16 +432,17 @@ def _discard(blk: _Block) -> None:
 
 
 def evaluate_path(path: Path, mu: float, grav: Gravitation
-                  ) -> tuple[SbenReport, Optional[list[ScalarField]]]:
+                  ) -> tuple[SbenReport, Optional[np.ndarray]]:
     """Evaluate the space-time functional on a path of either kind and, for the
-    incompressible kind, recover the zero-mean multiplier pressure per interval
-    from the same interval blocks (None for the compressible kind).  Each
-    block is reduced to its report rows and pressures as soon as it is built,
-    so a block's temporaries, not the path's, bound the memory.  A report
-    entry that is not finite (an overflow) is a FloatingPointError."""
-    pressures = [] if path.kind == "incompressible" else None
+    incompressible kind, recover the zero-mean multiplier pressures (T, nx,
+    ny) from the same interval blocks (None for the compressible kind).
+    Each block is reduced to its report rows and pressures as soon as it is
+    built, so a block's temporaries, not the path's, bound the memory.  A
+    report entry that is not finite (an overflow) is a FloatingPointError."""
+    pressures = (np.empty((path.n_intervals, *path.grid.shape))
+                 if path.kind == "incompressible" else None)
     report = _assemble(path, mu, grav, _discard if pressures is None else
-                       lambda blk: pressures.extend(_recover_pressures([blk])))
+                       lambda blk: _recover_pressures([blk], pressures))
     if not _finite(report):
         raise FloatingPointError("the functional is not finite on this path")
     return report, pressures
@@ -532,7 +510,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation,
     Without blocks, each block's core is built in that order and freed once
     its slices are done, so one block's temporaries bound the memory.
     For the compressible kind the density/pressure response is frozen, which
-    makes the gradient approximate; see minimize_compressible."""
+    makes the gradient approximate; see minimize."""
     if blocks is None:
         blocks = (_block_core(path, b, mu, grav)[0] for b in reversed(_blocks(path)))
     else:
@@ -767,48 +745,43 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
              opts: MinimizeConfig = MinimizeConfig(),
              on_iteration: Optional[Callable[[int, float, float], None]] = None
              ) -> MinimizeResult:
-    """Descend the functional over the free slices of an incompressible path.
+    """Descend the functional over the free slices of a path of either kind,
+    the initial state pinned; accepted values of the functional never rise.
 
-    All iterates stay on the divergence-free affine subspace with the initial
-    state pinned; the pressures of the result are the recovered multipliers.
-    The accepted-step values of the functional are monotone non-increasing.
-    The descent is preconditioned by the exact Stokes Hessian inverse
-    (_stokes_preconditioner), so each line search starts at the unit step
-    and the stencil null modes of the free slices keep the start's values.
+    Incompressible: the iterates stay divergence free, the descent is
+    preconditioned by the exact Stokes Hessian inverse, so each line search
+    starts at the unit step and the stencil null modes of the free slices
+    keep the start's values, and the result carries the recovered
+    multiplier pressures.  Barotropic: every trial path's densities are
+    re-slaved to the mass balance (a trial they cannot be is a rejected
+    step), and the gradient freezes the density/pressure response.
     """
-    if path0.kind != "incompressible":
-        raise ValueError("minimize handles the incompressible kind; "
-                         "see minimize_compressible for barotropic paths")
     start = time.perf_counter()
-    path = _project_free_slices(path0)
+    if path0.kind == "incompressible":
+        path = _project_free_slices(path0)
+        build, precondition = path.with_velocities, _stokes_preconditioner(path, mu)
+    else:
+        rho_initial = ScalarField(path0.grid, path0.rho[0])
+
+        def build(free: np.ndarray) -> Path:
+            V = np.concatenate([path0.V[:1], free])
+            return Path(path0.grid, path0.eos, path0.times, V,
+                        slave_density(rho_initial, V, path0.times))
+
+        path, precondition = build(path0.V[1:]), None
     path, blocks, report, converged, message = _descend(
-        path, path.with_velocities, mu, grav, opts, on_iteration,
-        _stokes_preconditioner(path, mu))
-    path.pressures = _recover_pressures(blocks)
+        path, build, mu, grav, opts, on_iteration, precondition)
+    if path.kind == "incompressible":
+        path.pressures = _recover_pressures(
+            blocks, np.empty((path.n_intervals, *path.grid.shape)))
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)
 
 
 def minimize_compressible(path0: Path, mu: float, grav: Gravitation,
                           opts: MinimizeConfig = MinimizeConfig()) -> MinimizeResult:
-    """Descend the functional over the free slices of a barotropic path.
-
-    The densities are re-slaved to the mass balance for every trial path, a
-    trial whose densities cannot be re-slaved is a rejected step, and the
-    gradient freezes the density/pressure response, so the search directions
-    are approximate; Armijo still guarantees monotone decrease.
-    """
+    """minimize on a barotropic path.  The name stays for the benchmark's
+    tracer (perfbench/tracer.py), which looks it up."""
     if path0.kind != "compressible":
         raise ValueError("minimize_compressible needs a barotropic path")
-    start = time.perf_counter()
-    rho_initial = ScalarField(path0.grid, path0.rho[0])
-
-    def rebuild(free: np.ndarray) -> Path:
-        V = np.concatenate([path0.V[:1], free])
-        return Path.from_arrays(path0.grid, path0.eos, path0.times, V,
-                                slave_density(rho_initial, V, path0.times))
-
-    path, _, report, converged, message = _descend(
-        rebuild(path0.V[1:]), rebuild, mu, grav, opts)
-    report.wall_time = time.perf_counter() - start
-    return MinimizeResult(path, report, converged, message)
+    return minimize(path0, mu, grav, opts)

@@ -56,6 +56,17 @@ def test_state_requires_positive_density(grid16):
         FluidState(0.0, VectorField.zeros(grid16), ScalarField.full(grid16, 1.0) * 0.0, eos)
 
 
+def test_incompressible_state_density_is_rho0():
+    # balance's residuals take rho0 for an incompressible fluid, so a state
+    # with another density field would be read with a density it does not have
+    g = Grid2P(8, 8, TWO_PI, TWO_PI)
+    v = VectorField.from_components(g, np.sin(g.x()), 0.0 * g.x())
+    with pytest.raises(ValueError, match="rho0"):
+        FluidState(0.0, v, ScalarField.full(g, 2.0), IncompressibleEos(1.0))
+    state = FluidState(0.0, v, ScalarField.full(g, 2.0), IncompressibleEos(2.0))
+    assert state.rho.data.max() == 2.0
+
+
 def test_time_ordering_enforced(grid16):
     eos = IncompressibleEos()
     s = FluidState(0.0, VectorField.zeros(grid16), ScalarField.full(grid16, 1.0), eos)

@@ -107,6 +107,7 @@ MALFORMED_ARCHIVE = {
     "non-string v": ("manifest.json", _set_slice(1, "v", 7)),
     "non-list pressures": ("manifest.json", _set_pressures(5)),
     "non-string pressure": ("manifest.json", _set_pressures(["p_0000.csv", None])),
+    "one pressure for two intervals": ("manifest.json", _set_pressures(["p_0000.csv"])),
     "density on an incompressible slice": ("manifest.json", _set_slice(1, "rho", "v_0001.csv")),
     "kind disagrees with eos": ("manifest.json",
                                 _edit_manifest(lambda m: m.update(kind="compressible"))),
@@ -174,8 +175,10 @@ class TestPathArchive:
     @pytest.mark.parametrize("edit", [
         _edit_manifest(lambda m: m["slices"][1].pop("rho")),
         _edit_manifest(lambda m: m.update(kind="incompressible")),
-        _edit_manifest(lambda m: m["eos"].pop("gamma"))],
-        ids=["slice without density", "kind disagrees with eos", "eos without gamma"])
+        _edit_manifest(lambda m: m["eos"].pop("gamma")),
+        _set_pressures(["p_0000.csv"])],
+        ids=["slice without density", "kind disagrees with eos", "eos without gamma",
+             "pressures listed"])
     def test_malformed_compressible_manifest(self, tmp_path, grid16, rng, edit):
         vels = [random_vector(grid16, rng, amplitude=0.1) for _ in range(2)]
         d = tmp_path / "arch"
@@ -684,7 +687,7 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError("ran before --out was checked")
         for name in ("load_config", "load_path_archive", "reference_path", "evaluate_path",
-                     "minimize", "minimize_compressible"):
+                     "minimize"):
             monkeypatch.setattr(cli, name, never)
         (tmp_path / "a_file").write_text("not a directory")
         out = str(tmp_path / out)
@@ -705,6 +708,17 @@ class TestCli:
             csv.unlink()
         with pytest.raises(ArchiveError, match="uniform"):
             load_path_archive(str(d))
+
+    def test_allocation_that_cannot_be_made_exits_config(self, tmp_path, capsys):
+        # 10**15 intervals: the first array of either command (the reference's
+        # slices, the cold start's times) is petabytes, more than a process
+        # can map, so its allocation fails at once
+        cfg = _write_config(tmp_path, overrides={"time.n_intervals": 10**15,
+                                                 "time.n_ref": 10**15})
+        for command in ("reference", "minimize"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     def test_overflowing_amplitude_exits_numerical(self, tmp_path, capsys):
         # the analytic pressure's amplitude**2 overflows a float

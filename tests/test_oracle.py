@@ -10,8 +10,7 @@ from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import (CaseSpec, StepScratch, UnstableStepError, _compressible_rhs,
                              _incompressible_rhs, initial_state, reference_path,
-                             shear_decay_analytic, stable_dt_compressible,
-                             stable_dt_incompressible, step_compressible,
+                             shear_decay_analytic, stable_dt, step_compressible,
                              step_incompressible, taylor_green_analytic)
 from sbenflow.sampling import random_scalar, random_vector
 from sbenflow.sben import leray_project
@@ -236,8 +235,6 @@ class TestRightHandSides:
         step = self._stepper(kind)
         want = shared = fresh = self._state(kind)
         scratch = StepScratch(self.grid)
-        stable_dt = (stable_dt_incompressible if kind == "incompressible"
-                     else stable_dt_compressible)
         dt = 0.25 * stable_dt(want, self.mu)
         for _ in range(6):
             want = _reference_step(want, dt, self.mu, grav)
@@ -254,7 +251,7 @@ class TestRightHandSides:
         # from 20 random states per preset: |dv| <= 3.4e-16 |v|.
         grav = Gravitation(self.grid, preset, GRAVITATIONS[preset])
         got = want = self._state("incompressible")
-        dt = 0.25 * stable_dt_incompressible(want, self.mu)
+        dt = 0.25 * stable_dt(want, self.mu)
         for _ in range(6):
             got = step_incompressible(got, dt, self.mu, grav)
             want = _three_projection_step(want, dt, self.mu, grav)
@@ -429,6 +426,48 @@ class TestCompressibleStepper:
         state = self._rest_state(grid16)
         with pytest.raises(UnstableStepError):
             step_compressible(state, 1.0, 0.05, grav)
+
+
+def _former_stable_dt_incompressible(state, mu):
+    g = state.grid
+    nu = mu / float(state.rho.data.min())
+    adv = (np.abs(state.v.data[0]).max() / g.dx + np.abs(state.v.data[1]).max() / g.dy)
+    diff = nu * (1.0 / g.dx**2 + 1.0 / g.dy**2)
+    return 0.5 / max(adv + diff, 1e-300)
+
+
+def _former_stable_dt_compressible(state, mu):
+    g = state.grid
+    c = float(state.eos.sound_speed(state.rho.data).max())
+    nu = mu / float(state.rho.data.min())
+    adv = ((np.abs(state.v.data[0]).max() + c) / g.dx
+           + (np.abs(state.v.data[1]).max() + c) / g.dy)
+    diff = nu * (4.0 / 3.0) * (1.0 / g.dx**2 + 1.0 / g.dy**2)
+    return 0.5 / max(adv + diff, 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+def test_stable_dt_is_the_former_bound_of_each_kind(kind):
+    # the two per-kind formulas stable_dt replaced, kept as its reference
+    rng = np.random.default_rng(23)
+    for shape in ((16, 16, TWO_PI, TWO_PI), (12, 10, 1.5, 3.0), (8, 20, 0.2, 7.0)):
+        grid = Grid2P(*shape)
+        for _ in range(10):
+            v = random_vector(grid, rng, amplitude=10.0 ** rng.uniform(-3, 1))
+            mu = 10.0 ** rng.uniform(-4, 0)
+            rho0 = rng.uniform(0.5, 2.0)
+            if kind == "incompressible":
+                state = FluidState(0.0, v, ScalarField.full(grid, rho0), IncompressibleEos(rho0))
+                want = _former_stable_dt_incompressible(state, mu)
+            else:
+                s = random_scalar(grid, rng).data
+                rho = ScalarField(grid, rho0 * (1.0 + 0.5 * s / np.abs(s).max()))
+                eos = BarotropicPowerEos(p0=rng.uniform(0.5, 2.0), rho0=rho0,
+                                         gamma=rng.uniform(1.0, 2.0))
+                state = FluidState(0.0, v, rho, eos)
+                want = _former_stable_dt_compressible(state, mu)
+            got = stable_dt(state, mu)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestReferencePath:

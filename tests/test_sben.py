@@ -6,7 +6,7 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow import sben
-from sbenflow.balance import (BarotropicPowerEos, DensityError, FluidState, IncompressibleEos,
+from sbenflow.balance import (BarotropicPowerEos, DensityError, IncompressibleEos,
                               momentum_residual)
 from sbenflow.dissipation import ConjugateSolve, apply_k, phi, solve_k
 from sbenflow.fields import Grid2P, ScalarField, VectorField
@@ -55,18 +55,23 @@ class TestLerayProjection:
 
 class TestPath:
     def test_needs_two_states(self, grid16):
-        eos = IncompressibleEos()
-        s = FluidState(0.0, VectorField.zeros(grid16), ScalarField.full(grid16, 1.0), eos)
         with pytest.raises(ValueError):
-            Path([s])
+            Path(grid16, IncompressibleEos(), [0.0], np.zeros((1, 3, *grid16.shape)))
 
     def test_uniform_dt_enforced(self, grid16):
-        eos = IncompressibleEos()
-        rho = ScalarField.full(grid16, 1.0)
-        states = [FluidState(t, VectorField.zeros(grid16), rho, eos)
-                  for t in (0.0, 0.1, 0.3)]
         with pytest.raises(ValueError, match="uniform"):
-            Path(states)
+            Path(grid16, IncompressibleEos(), [0.0, 0.1, 0.3], np.zeros((3, 3, *grid16.shape)))
+
+    def test_pressures_are_one_array_of_the_intervals(self, grid16):
+        times, V = [0.0, 0.1, 0.2], np.zeros((3, 3, *grid16.shape))
+        path = Path(grid16, IncompressibleEos(), times, V, pressures=np.ones((2, *grid16.shape)))
+        assert path.pressures.shape == (2, *grid16.shape)
+        for shape in ((1, *grid16.shape), (2, 8, 8)):
+            with pytest.raises(ValueError, match="pressures of shape"):
+                Path(grid16, IncompressibleEos(), times, V, pressures=np.ones(shape))
+        with pytest.raises(ValueError, match="only an incompressible"):
+            Path(grid16, BarotropicPowerEos(), times, V, np.ones((3, *grid16.shape)),
+                 np.ones((2, *grid16.shape)))
 
     def test_kind_dispatch(self, grid16):
         times = [0.0, 0.1, 0.2]
@@ -173,7 +178,7 @@ class TestAssembly:
         rep = functional_report(path, 0.1, grav, "incompressible")
         shift = VectorField.from_components(grid16, np.full(grid16.shape, 0.7),
                                             np.full(grid16.shape, 0.0))
-        boosted = Path([FluidState(s.t, s.v + shift, s.rho, s.eos) for s in path.states])
+        boosted = incompressible_path(grid16, path.eos, path.times, path.V + shift.data)
         rep_b = functional_report(boosted, 0.1, grav, "incompressible")
         assert np.allclose(rep.phi_terms, rep_b.phi_terms, rtol=1e-10, atol=1e-12)
 
@@ -402,9 +407,8 @@ def _assert_same_bits(path, mu, grav, expected):
     for name in REPORT_NAMES:
         assert getattr(report, name).tobytes() == expected_report[name].tobytes(), name
     if path.kind == "incompressible":
-        assert len(pressures) == len(expected_pressures)
-        for p, q in zip(pressures, expected_pressures):
-            assert p.data.tobytes() == q.tobytes()
+        assert pressures.shape == (path.n_intervals, *path.grid.shape)
+        assert pressures.tobytes() == np.stack(expected_pressures).tobytes()
     else:
         assert pressures is None and expected_pressures is None
     assert grads.data.tobytes() == expected_grads.tobytes()
@@ -451,7 +455,8 @@ class TestTimeBatching:
         a = path.with_velocities(free)
         b = path.with_velocities([VectorField(grid16, v) for v in free])
         assert a.V.tobytes() == b.V.tobytes() and a.rho is path.rho
-        rebuilt = Path(path.states)
+        rebuilt = Path(grid16, path.eos, path.times, np.stack([s.v.data for s in path.states]),
+                       np.stack([s.rho.data for s in path.states]))
         assert rebuilt.V.tobytes() == path.V.tobytes()
         assert rebuilt.rho.tobytes() == path.rho.tobytes()
         with pytest.raises(ValueError, match="one velocity per free slice"):
@@ -462,11 +467,10 @@ class TestTimeBatching:
         rho = path.rho.copy()
         rho[2, 3, 4] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            Path.from_arrays(grid16, path.eos, path.times, path.V, rho)
-        states = _random_path(grid16, "incompressible", 1, rng, rho0=1.3).states
-        other = [FluidState(s.t, s.v, ScalarField.full(grid16, 1.0), s.eos) for s in states]
+            Path(grid16, path.eos, path.times, path.V, rho)
+        path = _random_path(grid16, "incompressible", 1, rng, rho0=1.3)
         with pytest.raises(ValueError, match="rho0"):
-            Path(other)
+            Path(grid16, path.eos, path.times, path.V, np.ones((2, *grid16.shape)))
 
     @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
     def test_minimizer_over_several_blocks(self, grid16, kind):
@@ -475,12 +479,11 @@ class TestTimeBatching:
         grav = Gravitation(grid16, "rigid_rotation", {"omega": 0.8})
         n_intervals = sben._BLOCK_BYTES // (3 * 16 * 16 * 8) + 3
         path = _random_path(grid16, kind, n_intervals, np.random.default_rng(2))
-        run = minimize if kind == "incompressible" else minimize_compressible
         opts = MinimizeConfig(max_iter=3)
-        batched = run(path, 0.1, grav, opts)
+        batched = minimize(path, 0.1, grav, opts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sben, "_BLOCK_BYTES", 1)
-            sliced = run(path, 0.1, grav, opts)
+            sliced = minimize(path, 0.1, grav, opts)
         assert batched.report.iterations == 3
         assert batched.report.grad_norm_history == sliced.report.grad_norm_history
         assert batched.path.V.tobytes() == sliced.path.V.tobytes()
@@ -512,7 +515,7 @@ class TestStreamedBlocks:
             path = _random_path(grid, "incompressible", n, np.random.default_rng(n))
             assert len(sben._blocks(path)) == n
             peak, (_, pressures) = _traced_peak(lambda: evaluate_path(path, 0.1, grav))
-            evaluate[n] = peak - sum(p.data.nbytes for p in pressures)
+            evaluate[n] = peak - pressures.nbytes
             peak, grads = _traced_peak(lambda: gradient_pi(path, 0.1, grav))
             gradient[n] = peak - grads.data.nbytes
         assert evaluate[16] <= 1.25 * evaluate[4], evaluate
@@ -541,8 +544,7 @@ class TestOneJacobianPerInterval:
             assert getattr(report, name).tobytes() == getattr(expected_report, name).tobytes()
         assert report.phi_terms.min() > 0 and report.ns_residual_norms.min() > 0
         if kind == "incompressible":
-            for p, q in zip(pressures, expected_pressures, strict=True):
-                assert p.data.tobytes() == q.data.tobytes()
+            assert pressures.tobytes() == expected_pressures.tobytes()
         else:
             assert pressures is None and expected_pressures is None
         assert grads.data.tobytes() == expected_grads.data.tobytes()
@@ -649,7 +651,7 @@ class TestOneFormulaForBothKinds:
         expected_report, expected_pressures, expected_grads = expected
         pairs = list(zip(grads.data, expected_grads, strict=True))
         if kind == "incompressible":
-            pairs += [(p.data, q) for p, q in zip(pressures, expected_pressures, strict=True)]
+            pairs += list(zip(pressures, expected_pressures, strict=True))
         # round-off of the largest terms, which cancel in the gap
         scale = (expected_report["phi_terms"] + expected_report["phi_star_terms"]
                  + np.abs(expected_report["pairing_terms"])).max()
@@ -696,12 +698,18 @@ class TestOneFormulaForBothKinds:
 
 
 class TestMinimize:
-    def test_requires_incompressible(self, grid16):
-        eos = BarotropicPowerEos()
-        path = compressible_path(grid16, eos, [0.0, 0.1],
-                                 [VectorField.zeros(grid16)] * 2)
-        with pytest.raises(ValueError):
-            minimize(path, 0.1, Gravitation(grid16, "zero"))
+    def test_barotropic_accepted_values_monotone(self, grid16):
+        # one minimize for both kinds: a barotropic path reports every
+        # accepted value too, and they never increase
+        grav = Gravitation(grid16, "rigid_rotation", {"omega": 0.8})
+        path = _random_path(grid16, "compressible", 3, np.random.default_rng(4))
+        pis = [functional_report(path, 0.05, grav, "compressible").total_pi]
+        result = minimize(path, 0.05, grav, MinimizeConfig(max_iter=6),
+                          on_iteration=lambda it, pi, g: pis.append(pi))
+        assert result.report.iterations == 6 and len(pis) == 7
+        assert all(b <= a for a, b in zip(pis, pis[1:]))
+        assert pis[-1] == result.report.total_pi < pis[0]
+        assert result.path.pressures is None
 
     @pytest.mark.parametrize("setting, match", [
         ({"max_iter": -1}, "max_iter must be >= 0"),
@@ -734,8 +742,7 @@ class TestMinimize:
         result = minimize(path, 0.1, grav)
         assert result.converged
         assert result.report.iterations == 0
-        assert result.path.pressures is not None
-        assert len(result.path.pressures) == path.n_intervals
+        assert result.path.pressures.shape == (path.n_intervals, *grid16.shape)
 
     def test_recovers_from_small_noise(self, grid16, rng):
         grav = Gravitation(grid16, "zero")
@@ -840,9 +847,8 @@ class TestMultiplierPressure:
         path = reference_path(case, 0.1, grav, n_out=4)
         pressures = multiplier_pressures(path, 0.1, grav)
         _, p_exact = taylor_green_analytic(path.dt / 2, 0.1, grid32)
-        p0 = pressures[0]
         exact_centered = p_exact.data - p_exact.data.mean()
-        rel = np.abs(p0.data - exact_centered).max() / np.abs(exact_centered).max()
+        rel = np.abs(pressures[0] - exact_centered).max() / np.abs(exact_centered).max()
         print("pressure recovery relative error:", rel)
         assert rel < 0.05
 
@@ -861,8 +867,7 @@ class TestMultiplierPressure:
         report, pressures = evaluate_path(path, 0.1, grav)
         assert built == list(range(path.n_intervals))
         assert np.array_equal(report.gap_terms, expected_report.gap_terms)
-        for p, q in zip(pressures, expected_pressures, strict=True):
-            assert np.array_equal(p.data, q.data)
+        assert np.array_equal(pressures, expected_pressures)
 
     def test_evaluate_path_has_no_pressure_for_compressible(self, grid16, rng):
         eos = BarotropicPowerEos()

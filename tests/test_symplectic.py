@@ -85,7 +85,8 @@ def _pairs(path, grav, pressures=None):
     for k in range(path.n_intervals):
         mid = Midpoint.of_pair(states[k], states[k + 1])
         z_i = decompose(states[k], states[k + 1], momenta[k], momenta[k + 1], grav,
-                        pressure=None if pressures is None else pressures[k])
+                        pressure=None if pressures is None
+                        else ScalarField(path.grid, pressures[k]))
         yield mid, z_i, PhasePoint(mid.v, mid.rate(momenta[k].pi, momenta[k + 1].pi))
 
 

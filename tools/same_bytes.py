@@ -5,8 +5,10 @@ wall times, so that two checkouts can be compared file by file.
 
 runs, with this checkout's ``src``, for both kinds of fluid under each
 gravitation preset on a 16^2 grid: ``reference``, ``evaluate`` on its
-archive, a cold-start ``minimize`` and a ``minimize`` warm-started from the
-reference with seeded noise; then ``evaluate`` and a warm-started
+archive, a cold-start ``minimize``, ``evaluate`` on its archive and a
+``minimize`` warm-started from it (an incompressible one holds pressure
+CSVs, so they are read back and written again), and a ``minimize``
+warm-started from the reference with seeded noise; then ``evaluate`` and a warm-started
 ``minimize`` on noisy 32^2 paths of ten intervals of both kinds, which span
 three blocks of the functional's time batching, and on a noisy 64^2 path of
 three intervals, where every block is one slice.
@@ -109,8 +111,14 @@ def run_matrix(out: str):
             _run(out, d, "reference", ["reference", "--config", cfg, "--out", ref])
             _run(out, d, "evaluate", ["evaluate", "--config", cfg, "--archive", ref,
                                  "--out", os.path.join(d, "eval")])
-            _run(out, d, "minimize-cold", ["minimize", "--config", cfg,
-                                      "--out", os.path.join(d, "min-cold")])
+            cold = os.path.join(d, "min-cold")
+            _run(out, d, "minimize-cold", ["minimize", "--config", cfg, "--out", cold])
+            # a minimized incompressible archive holds its pressures: read them back
+            _run(out, d, "evaluate-cold", ["evaluate", "--config", cfg, "--archive", cold,
+                                           "--out", os.path.join(d, "eval-cold")])
+            _run(out, d, "minimize-from-cold", ["minimize", "--config", cfg,
+                                                "--warm-start", cold,
+                                                "--out", os.path.join(d, "min-from-cold")])
             _noisy(ref, warm, seed=3, kmax=3)
             _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", warm,
                                       "--out", os.path.join(d, "min-warm")])
