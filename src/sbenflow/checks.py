@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as fd
+from .balance import (BarotropicPowerEos, FluidState, Midpoint, consistent_momentum,
+                      momentum_reduction_gap)
 from .config import RunConfig
 from .dissipation import apply_k, fenchel_gap, phi, phi_star, sigma_i, solve_k
 from .fields import Grid2P, ScalarField, VectorField
 from .gravitation import Gravitation
 from .sampling import random_scalar, random_solenoidal, random_vector
-from .sben import leray_project
-from .symplectic import PhasePoint, omega
+from .sben import Path, evaluate_path, leray_project
+from .symplectic import PhasePoint, constitutive_gap, decompose, omega
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,6 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     out.append(CheckResult("conjugate two-formula agreement", two <= 1e-10, two, 1e-10))
 
     # raw/reduced momentum balance reduction under the mass balance
-    from .balance import BarotropicPowerEos, FluidState, momentum_reduction_gap
     gaps = []
     for g in refinement:
         eos = BarotropicPowerEos(p0=1.0, rho0=1.0, gamma=1.4)
@@ -153,5 +154,28 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     u0 = solve_k(apply_k(v0, mu), mu)
     rt = fd.l2_norm(u0 - fd.remove_mean(v0)) / max(fd.l2_norm(v0), 1e-300)
     out.append(CheckResult("conjugate solve round trip", rt <= 1e-8, rt, 1e-8))
+
+    # the symplectic Fenchel gap of each interval is the functional's interval
+    # term, on a path of the config's fluid: solenoidal slices at rho0 keep
+    # the mass balance of either kind
+    times = np.arange(3) * (config.time.t_final / config.time.n_intervals)
+    path = Path(grid, config.case.eos, times,
+                np.stack([random_solenoidal(grid, rng, kmax).data for _ in times]),
+                np.full((len(times), *grid.shape), config.case.eos.rho0))
+    report, pressures = evaluate_path(path, mu, config.gravitation)
+    states = path.states
+    momenta = [consistent_momentum(s, config.gravitation) for s in states]
+    errs = []
+    for k in range(path.n_intervals):
+        z_i = decompose(states[k], states[k + 1], momenta[k], momenta[k + 1],
+                        config.gravitation,
+                        None if pressures is None else ScalarField(grid, pressures[k]))
+        mid = Midpoint.of_pair(states[k], states[k + 1])
+        gap = constitutive_gap(PhasePoint(mid.v, mid.rate(momenta[k].pi, momenta[k + 1].pi)),
+                               z_i, mu)
+        errs.append(abs(gap - report.gap_terms[k])
+                    / (report.phi_terms[k] + report.phi_star_terms[k] + 1.0))
+    worst = float(np.max(errs))     # NaN stays NaN and fails
+    out.append(CheckResult("constitutive gap = interval term", worst <= 1e-12, worst, 1e-12))
 
     return out

@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
 from .fields import ScalarField
 from .oracle import UnstableStepError, initial_state, reference_path
-from .sben import Path, SbenReport, evaluate_path, minimize
+from .sben import MinimizeResult, Path, SbenReport, evaluate_path, minimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,9 +43,15 @@ def _load(args) -> RunConfig:
     return config
 
 
-def _write_report(out_dir: str, report: SbenReport):
+def _write_report(out_dir: str, report: SbenReport, result: MinimizeResult | None = None):
+    """report.txt and report.json; a minimize run's (``result``) also say
+    whether it converged and why it stopped."""
+    stop = {} if result is None else {"converged": result.converged, "message": result.message}
     with open(os.path.join(out_dir, "report.txt"), "w") as f:
         f.write(report.summary_text())
+        if stop:
+            f.write(f"converged            : {json.dumps(result.converged)}\n"
+                    f"message              : {result.message}\n")
     table = {
         "total_pi": report.total_pi,
         "dissipation_integral": report.dissipation_integral,
@@ -58,6 +64,7 @@ def _write_report(out_dir: str, report: SbenReport):
         "iterations": report.iterations,
         "grad_norm_history": report.grad_norm_history,
         "wall_time": report.wall_time,
+        **stop,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(table, f, indent=1)
@@ -112,7 +119,7 @@ def cmd_minimize(args) -> int:
                      np.repeat(s0.rho.data[None], n + 1, axis=0))
     result = minimize(start, config.viscosity.mu, config.gravitation, config.minimizer)
     save_path_archive(args.out, result.path)
-    _write_report(args.out, result.report)
+    _write_report(args.out, result.report, result)
     print(f"{result.message}; functional {result.report.total_pi:.12e} "
           f"after {result.report.iterations} iterations")
     return EXIT_OK

@@ -282,7 +282,7 @@ class TestCli:
         rc = main(["check", "--config", _write_config(tmp_path, overrides=overrides)])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "all 13 invariants hold" in out
+        assert "all 14 invariants hold" in out
 
     def test_evaluate_of_an_overflowing_functional_exits_3(self, tmp_path, capsys):
         # dt = 2.5e-301: the accelerations (about 1e284) are finite, their
@@ -347,6 +347,25 @@ class TestCli:
                      "--out", min_dir]) == 0
         min_report = json.loads(open(os.path.join(min_dir, "report.json")).read())
         assert min_report["total_pi"] <= report["total_pi"] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("max_iter, converged", [(1, False), (40, True)])
+    def test_minimize_report_says_why_it_stopped(self, tmp_path, capsys, max_iter, converged):
+        cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": max_iter})
+        out = str(tmp_path / "min")
+        assert main(["minimize", "--config", cfg, "--out", out]) == 0
+        message = capsys.readouterr().out.split(";")[0]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert (report["converged"], report["message"]) == (converged, message)
+        if not converged:
+            assert message == "max_iter reached"
+        text = open(os.path.join(out, "report.txt")).read()
+        assert f"converged            : {json.dumps(converged)}\n" in text
+        assert f"message              : {message}\n" in text
+        # an evaluate report has no stopping reason
+        ev = str(tmp_path / "eval")
+        assert main(["evaluate", "--config", cfg, "--archive", out, "--out", ev]) == 0
+        assert not {"converged", "message"} & set(json.loads(
+            open(os.path.join(ev, "report.json")).read()))
 
     def test_evaluate_grid_mismatch(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -628,6 +647,15 @@ class TestCli:
         exact = checks.solve_k
         monkeypatch.setattr(checks, "solve_k", lambda f, mu: (1.0 + 1e-3) * exact(f, mu))
         assert main(["check", "--config", cfg]) == 4
+
+    def test_constitutive_gap_off_the_interval_term_fails_invariants(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        cfg = _write_config(tmp_path)
+        exact = checks.constitutive_gap
+        monkeypatch.setattr(checks, "constitutive_gap",
+                            lambda z, z_i, mu: (1.0 + 1e-9) * exact(z, z_i, mu))
+        assert main(["check", "--config", cfg]) == 4
+        assert "[FAIL] constitutive gap = interval term" in capsys.readouterr().out
 
     def test_evaluate_non_finite_archive_exits_config(self, tmp_path, grid16, rng):
         eos = IncompressibleEos()

@@ -26,8 +26,8 @@ def test_same_bytes_matrix_is_deterministic(tmp_path):
         trees.append(_tree(tmp_path / name))
     assert trees[0] == trees[1]
     logs = [p for p in trees[0] if p.endswith(".log")]
-    assert len(logs) == 6 * 6 + 3 * 3
+    assert len(logs) == 6 * 6 + 4 * 3
     assert all(trees[0][p].startswith(b"exit 0\n") for p in logs)
     reports = [p for p in trees[0] if p.endswith("report.json")]
-    assert len(reports) == 6 * 5 + 3 * 2
+    assert len(reports) == 6 * 5 + 4 * 2
     assert all("wall_time" not in json.loads(trees[0][p]) for p in reports)

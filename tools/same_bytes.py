@@ -10,8 +10,9 @@ archive, a cold-start ``minimize``, ``evaluate`` on its archive and a
 CSVs, so they are read back and written again), and a ``minimize``
 warm-started from the reference with seeded noise; then ``evaluate`` and a warm-started
 ``minimize`` on noisy 32^2 paths of ten intervals of both kinds, which span
-three blocks of the functional's time batching, and on a noisy 64^2 path of
-three intervals, where every block is one slice.
+three blocks of the functional's time batching, on a noisy 64^2 path of
+three intervals, where every block is one slice, and on a noisy incompressible
+path of four intervals on an unequal 15x12 grid with an odd side.
 Each command writes below OUT/<case>/; its exit code and printed lines go to
 OUT/<case>/<command>.log.  The ``wall_time`` entry of ``report.json`` and
 the ``wall time`` line of ``report.txt``, the only measurements among the
@@ -56,8 +57,9 @@ GRAVITATION = {
 
 
 def _config(directory: str, nx: int, eos: dict, case: dict, gravitation: dict,
-            n_intervals: int, n_ref: int) -> str:
-    raw = {"grid": {"nx": nx, "ny": nx, "lx": TWO_PI, "ly": TWO_PI}, "eos": eos,
+            n_intervals: int, n_ref: int, ny: int | None = None) -> str:
+    raw = {"grid": {"nx": nx, "ny": nx if ny is None else ny, "lx": TWO_PI, "ly": TWO_PI},
+           "eos": eos,
            "viscosity": {"mu": 0.1}, "gravitation": gravitation,
            "time": {"t_final": 0.25, "n_intervals": n_intervals, "n_ref": n_ref},
            "case": case, "minimizer": {"max_iter": 4}, "seed": 1}
@@ -122,17 +124,18 @@ def run_matrix(out: str):
             _noisy(ref, warm, seed=3, kmax=3)
             _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", warm,
                                       "--out", os.path.join(d, "min-warm")])
-    for kind, nx, preset, n_intervals, n_ref in (
-            ("incompressible", 32, "rigid_rotation", 10, 40),
-            ("incompressible", 64, "zero", 3, 21),
-            ("compressible", 32, "rigid_rotation", 10, 40)):
+    for name, kind, (nx, ny), preset, n_intervals, n_ref, kmax in (
+            ("noisy-32", "incompressible", (32, 32), "rigid_rotation", 10, 40, 8),
+            ("noisy-64", "incompressible", (64, 64), "zero", 3, 21, 8),
+            ("noisy-15x12", "incompressible", (15, 12), "zero", 4, 16, 5),
+            ("noisy-compressible-32", "compressible", (32, 32), "rigid_rotation", 10, 40, 8)):
         eos, case = FLUIDS[kind]
-        d = os.path.join(out, f"noisy-{nx}" if kind == "incompressible" else f"noisy-{kind}-{nx}")
+        d = os.path.join(out, name)
         os.makedirs(d)
-        cfg = _config(d, nx, eos, case, GRAVITATION[preset], n_intervals, n_ref)
+        cfg = _config(d, nx, eos, case, GRAVITATION[preset], n_intervals, n_ref, ny)
         ref, noisy = os.path.join(d, "ref"), os.path.join(d, "noisy")
         _run(out, d, "reference", ["reference", "--config", cfg, "--out", ref])
-        _noisy(ref, noisy, seed=5, kmax=8)
+        _noisy(ref, noisy, seed=5, kmax=kmax)
         _run(out, d, "evaluate", ["evaluate", "--config", cfg, "--archive", noisy,
                                   "--out", os.path.join(d, "eval")])
         _run(out, d, "minimize-warm", ["minimize", "--config", cfg, "--warm-start", noisy,
