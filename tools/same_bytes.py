@@ -22,15 +22,26 @@ outputs, are dropped.  Then
 
 between the OUTs of two checkouts is empty exactly when they write the same
 bytes.  The whole matrix takes a few seconds.
+
+    python3 tools/same_bytes.py OUT --digest FILE
+
+also writes FILE: one sha256 per output file, and the setup that made them
+(numpy's version, the machine and numpy's enabled SIMD dispatch targets,
+which can change how a kernel rounds).  tools/same_bytes.sha256.json is the
+checked-in digest of the current outputs; tests/test_same_bytes.py compares
+the matrix with it, so a change that moves an output byte updates it in the
+same diff.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -142,7 +153,29 @@ def run_matrix(out: str):
                                        "--out", os.path.join(d, "min-warm")])
 
 
+def setup() -> dict:
+    """What the output bits may depend on besides the code."""
+    from numpy._core import _multiarray_umath as umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return {"numpy": np.__version__, "machine": platform.machine(), "simd": simd}
+
+
+def digest(out: str) -> dict:
+    """sha256 of every file below OUT, by its path relative to OUT."""
+    files = {}
+    for directory, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, out)] = hashlib.sha256(f.read()).hexdigest()
+    return dict(sorted(files.items()))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 4) or (len(sys.argv) == 4 and sys.argv[2] != "--digest"):
         sys.exit(__doc__)
     run_matrix(sys.argv[1])
+    if len(sys.argv) == 4:
+        with open(sys.argv[3], "w") as f:
+            json.dump({"setup": setup(), "files": digest(sys.argv[1])}, f, indent=1)
+            f.write("\n")
