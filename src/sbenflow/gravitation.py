@@ -11,15 +11,28 @@ gravity, rigid rotation) usable: their derived fields are constant or
 periodic even though phi and A themselves are not.  Every preset is steady
 in time, so g and Omega are built once per instance, on first use, and
 shared read-only: no caller can change what the next one sees.
+
+Every preset is also uniform: g = (-0.0, g_y, -0.0) and Omega = (0, 0, w)
+are two constants, g_y = -g0 - 0.0 (-0.0 but for uniform_gravity) and w
+(0.0 but for rigid_rotation).  Gravitation.body_force computes the force per
+unit mass acc + g - 2 Omega x v from them, for the steppers and, through
+gravitation_force, for the momentum residual; Gravitation.omega_cross is its
+Coriolis product, which the functional's gradient also reads.  Both give the
+bits of the same composition over the (3, nx, ny) fields gravity() and
+coriolis_vector(), for every input, signed zeros and non-finite entries
+included: the products of a zero component of Omega are 0 v, kept as such,
+and the -0.0 components of g, the additive identity, are left out.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .fields import Grid2P, ScalarField, Tensor33Field, VectorField, cross, scalar_times_vector
+import numpy as np
+
+from .fields import Grid2P, ScalarField, Tensor33Field, VectorField, scalar_times_vector
 
 PRESETS = ("zero", "uniform_gravity", "rigid_rotation")
 # the parameters each preset reads
@@ -111,9 +124,53 @@ class Gravitation:
     @functools.cached_property
     def _coriolis(self) -> VectorField:
         omega = VectorField.zeros(self.grid)
-        if self.preset == "rigid_rotation":
-            omega.data[2] = self._omega()
+        omega.data[2] = self._rotation
         return _read_only(omega)
+
+    # the two constants ------------------------------------------------------
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        """g as a read-only (3, 1, 1) array, the bits of every cell of gravity()."""
+        g = np.full((3, 1, 1), -0.0)
+        if self.preset == "uniform_gravity":
+            g[1] = -self._g0() - 0.0
+        g.flags.writeable = False
+        return g
+
+    @functools.cached_property
+    def _rotation(self) -> float:
+        """w, the z component of Omega."""
+        return self._omega() if self.preset == "rigid_rotation" else 0.0
+
+    def omega_cross(self, v: np.ndarray, out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
+        """Omega x v for a field or a stack v (..., 3, nx, ny), as fd.cross
+        composes it: component i is Omega_j v_k - Omega_k v_j, (i, j, k)
+        cyclic.  The products go into work (or a new array), the result into
+        out (or a new array); neither may overlap v or the other."""
+        a = np.empty_like(v) if work is None else work
+        b = np.empty_like(v) if out is None else out
+        w = self._rotation
+        zyx = v[..., ::-1, :, :]
+        np.multiply(0.0, zyx[..., :2, :, :], out=a[..., ::2, :, :])   # 0 v_z, ., 0 v_y
+        np.multiply(w, v[..., 0, :, :], out=a[..., 1, :, :])           # ., w v_x, .
+        np.multiply(w, v[..., 1, :, :], out=b[..., 0, :, :])           # w v_y, ., .
+        np.multiply(0.0, zyx[..., ::2, :, :], out=b[..., 1:, :, :])    # ., 0 v_z, 0 v_x
+        return np.subtract(a, b, out=b)
+
+    def body_force(self, acc, v: np.ndarray, out: Optional[np.ndarray] = None,
+                   work: Optional[np.ndarray] = None) -> np.ndarray:
+        """acc + g - 2 Omega x v, the body force per unit mass added to acc,
+        for a field or a stack v; acc is a constant or an array of v's shape,
+        which uniform_gravity overwrites with acc + g.  out and work are
+        omega_cross's, and out receives the result: neither may overlap acc."""
+        force = self.omega_cross(v, out, work)
+        if self.preset == "rigid_rotation":
+            force *= 2.0    # elsewhere Omega x v is 0 v - 0 v, which doubling keeps
+        if self.preset == "uniform_gravity":
+            acc = np.add(acc, self.g, out=acc if isinstance(acc, np.ndarray) else None)
+        return np.subtract(acc, force, out=force)
 
 
 def _read_only(v: VectorField) -> VectorField:
@@ -131,6 +188,6 @@ def eval_coriolis_vector(g: Gravitation, t: float) -> VectorField:
 
 def gravitation_force(rho, v: VectorField, g: Gravitation, t: float) -> VectorField:
     """rho (g - 2 Omega x v), the gravity plus Coriolis force density; rho a
-    ScalarField or a constant."""
-    omega = g.coriolis_vector(t)
-    return scalar_times_vector(rho, g.gravity(t) - 2.0 * cross(omega, v))
+    ScalarField or a constant.  It is body_force with acc = -0.0, since
+    -0.0 + g is g bit for bit."""
+    return scalar_times_vector(rho, VectorField(v.grid, g.body_force(-0.0, v.data)))

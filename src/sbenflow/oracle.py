@@ -6,8 +6,12 @@ projection of both stage states (incompressible) or the conservative mass
 update (barotropic).  They are also the reference trajectories every
 benchmark pipeline steps, so their stages run in place: each step writes its
 temporaries into a StepScratch reused across the steps of a run, and
-allocates only the new state's velocity (and density).  The arithmetic is
-that of the public operators, operand for operand, so the bits are theirs.
+allocates only the new state's velocity (and density).  On small grids a
+stage's cost is mostly numpy calls, so a stage makes few: the body force
+comes from the preset's two constants (Gravitation.body_force), and a
+compressible stage differences its three scalars (div v, p and the mass
+flux rho v) in one call.  The arithmetic is that of the public operators,
+operand for operand, so the bits are theirs.
 """
 
 from __future__ import annotations
@@ -142,15 +146,19 @@ class StepScratch:
     def __init__(self, grid: Grid2P):
         self.grid = grid
         vector = (3, *grid.shape)
-        # the Jacobian columns dv/dx, dv/dy, then the advection term
-        self.vx, self.vy = np.empty(vector), np.empty(vector)
-        # the Laplacian, then the viscous and Coriolis terms; tmp is scratch
-        self.lap, self.tmp = np.empty(vector), np.empty(vector)
-        # a stage's velocity slope and the midpoint velocity
-        self.k, self.v_half = np.empty(vector), np.empty(vector)
-        # compressible only: pressure, div(v) and d/dx(rho v_x), then the
-        # density slope and the midpoint density
-        self.p, self.div = np.empty(grid.shape), np.empty(grid.shape)
+        # the Jacobian column dv/dx, then the advection term; the Laplacian,
+        # then the viscous term
+        self.vx, self.lap = np.empty(vector), np.empty(vector)
+        # the column dv/dy, then scratch, and a stage's velocity slope: one
+        # block, where a compressible stage writes its six scalar differences
+        self.diffs = np.empty((6, *grid.shape))
+        self.vy, self.k = self.diffs[:3], self.diffs[3:]
+        # the midpoint velocity
+        self.v_half = np.empty(vector)
+        # compressible only: rho v_x, div(v), p and rho v_y, whose x
+        # differences are those of rows 0-2 and y differences those of rows
+        # 1-3; then the density slope and the midpoint density
+        self.scalars = np.empty((4, *grid.shape))
         self.drho, self.rho_half = np.empty(grid.shape), np.empty(grid.shape)
 
     def check(self, grid: Grid2P) -> "StepScratch":
@@ -162,16 +170,19 @@ class StepScratch:
 # The right-hand sides below write each stage into the scratch arrays with
 # ufunc out=.  Every value is computed from the operands, and in the order, of
 # the public operators' expressions (fd.advect, fd.laplacian, fd.grad_scalar,
-# fd.div_vector, fd.cross, fd.scalar_times_vector, the field arithmetic), so
-# the bits are theirs; tests/test_oracle.py keeps that composition as the
-# reference.  The projection is called through this module's leray_project.
+# fd.div_vector, fd.scalar_times_vector, the field arithmetic, and
+# Gravitation.body_force for g - 2.0 * fd.cross(Omega, v)), so the bits are
+# theirs; tests/test_oracle.py keeps that composition as the reference.  The
+# projection is called through this module's leray_project.  Every preset is
+# steady, so no stage reads the time.
 
 def _jacobian_and_laplacian(v: np.ndarray, w: StepScratch) -> tuple[np.ndarray, np.ndarray]:
     """Differentiate v once: returns its Jacobian columns dv/dx, dv/dy (in
-    w.vx, w.vy) and leaves laplacian(v) = d/dx(dv/dx) + d/dy(dv/dy) in w.lap."""
+    w.vx, w.vy) and leaves laplacian(v) = d/dx(dv/dx) + d/dy(dv/dy) in w.lap,
+    with w.k as scratch."""
     g = w.grid
     vx, vy = fd.central_differences(g, v, out=(w.vx, w.vy))
-    lap, vyy = fd.central_differences(g, vx, vy, out=(w.lap, w.tmp))
+    lap, vyy = fd.central_differences(g, vx, vy, out=(w.lap, w.k))
     lap += vyy
     return vx, vy
 
@@ -184,28 +195,14 @@ def _advect(v: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return vx
 
 
-def _add_body_forces(acc: np.ndarray, v: np.ndarray, t: float, grav: Gravitation,
-                     w: StepScratch, out: np.ndarray) -> np.ndarray:
-    """acc + g - 2.0 * cross(Omega, v) into out; acc is overwritten.  The
-    cross product is built in w.lap, w.tmp[0] holding its second products."""
-    acc += grav.gravity(t).data
-    omega, c, tmp = grav.coriolis_vector(t).data, w.lap, w.tmp[0]
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(omega[j], v[k], out=c[i])
-        np.multiply(omega[k], v[j], out=tmp)
-        c[i] -= tmp
-    c *= 2.0
-    return np.subtract(acc, c, out=out)
-
-
-def _incompressible_rhs(v: np.ndarray, t: float, nu: float, grav: Gravitation,
+def _incompressible_rhs(v: np.ndarray, nu: float, grav: Gravitation,
                         w: StepScratch) -> np.ndarray:
     """-advect(v, v) + nu laplacian(v) + g - 2 Omega x v into w.k, unprojected."""
     adv = _advect(v, *_jacobian_and_laplacian(v, w))
     np.negative(adv, out=adv)
     w.lap *= nu
     adv += w.lap
-    return _add_body_forces(adv, v, t, grav, w, out=w.k)
+    return grav.body_force(adv, v, out=w.k, work=w.vy)
 
 
 def step_incompressible(state: FluidState, dt: float, mu: float, grav: Gravitation,
@@ -224,52 +221,53 @@ def step_incompressible(state: FluidState, dt: float, mu: float, grav: Gravitati
     w = StepScratch(state.grid) if scratch is None else scratch.check(state.grid)
     nu = mu / state.eos.rho0
     v = state.v.data
-    k1 = _incompressible_rhs(v, state.t, nu, grav, w)
+    k1 = _incompressible_rhs(v, nu, grav, w)
     k1 *= 0.5 * dt
     v_half, _ = leray_project(VectorField(state.grid, np.add(v, k1, out=k1)), out=w.v_half)
-    k2 = _incompressible_rhs(v_half.data, state.t + 0.5 * dt, nu, grav, w)
+    k2 = _incompressible_rhs(v_half.data, nu, grav, w)
     k2 *= dt
     v_new, _ = leray_project(VectorField(state.grid, np.add(v, k2, out=k2)))
     return FluidState(state.t + dt, v_new, state.rho, state.eos)
 
 
-def _compressible_rhs(v: np.ndarray, rho: np.ndarray, t: float, mu: float,
-                      eos: BarotropicPowerEos, grav: Gravitation, w: StepScratch
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _compressible_rhs(v: np.ndarray, rho: np.ndarray, mu: float, eos: BarotropicPowerEos,
+                      grav: Gravitation, w: StepScratch) -> tuple[np.ndarray, np.ndarray]:
     """(dv/dt, drho/dt) of the barotropic system into (w.k, w.drho):
 
     dv/dt = -advect(v, v) + (mu lap(v) + (mu/3) grad(div v) - grad p) / rho
             + g - 2 Omega x v,        drho/dt = -div(rho v).
+
+    grad(div v), grad p and div(rho v) come from one difference of the rows
+    of w.scalars, written into w.diffs as (d/dx rho v_x, d/dx div v, d/dx p,
+    d/dy div v, d/dy p, d/dy rho v_y).
     """
-    g = w.grid
-    p = eos.pressure(rho, out=w.p)
     vx, vy = _jacobian_and_laplacian(v, w)
-    div_v = np.add(vx[0], vy[1], out=w.div)  # div_vector(v), from the same columns
-    # grad_scalar's zero z component goes through the arithmetic like the
-    # others: (mu/3) * 0 and visc_z - 0 can flip the sign of a zero
-    grad, visc = w.tmp, w.lap
+    s = w.scalars
+    np.multiply(rho, v[0], out=s[0])
+    np.add(vx[0], vy[1], out=s[1])     # div_vector(v), from the same columns
+    eos.pressure(rho, out=s[2])
+    np.multiply(rho, v[1], out=s[3])
+    acc = _advect(v, vx, vy)            # frees w.vy, the first half of w.diffs
+    d = w.diffs
+    fd.central_differences(w.grid, s[:3], s[1:], out=(d[:3], d[3:]))
+    grad_div, grad_p = d[1:4:2], d[2:5:2]
+    visc = w.lap
     visc *= mu
-    fd.central_differences(g, div_v, out=(grad[0], grad[1]))
-    grad[2] = 0.0
-    grad *= mu / 3.0
-    visc += grad
-    fd.central_differences(g, p, out=(grad[0], grad[1]))
-    grad[2] = 0.0
-    visc -= grad
+    grad_div *= mu / 3.0
+    visc[:2] += grad_div
+    # grad_scalar's zero z component goes through the arithmetic like the
+    # others: (mu/3) * 0 can flip the sign of a zero, and subtracting 0
+    # changes no bit
+    visc[2] += 0.0 * (mu / 3.0)
+    visc[:2] -= grad_p
     visc /= rho
-    acc = _advect(v, vx, vy)
-    np.negative(acc, out=acc)
-    acc += visc
-    dv = _add_body_forces(acc, v, t, grav, w, out=w.k)
     # -div_vector(scalar_times_vector(rho, v)): only the in-plane components
     # of rho v are differenced
-    m = w.tmp
-    np.multiply(rho, v[0], out=m[0])
-    np.multiply(rho, v[1], out=m[1])
-    ddx_m, drho = fd.central_differences(g, m[0], m[1], out=(w.div, w.drho))
-    np.add(ddx_m, drho, out=drho)
+    drho = np.add(d[0], d[5], out=w.drho)
     np.negative(drho, out=drho)
-    return dv, drho
+    np.negative(acc, out=acc)
+    acc += visc
+    return grav.body_force(acc, v, out=w.k, work=w.lap), drho
 
 
 def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation,
@@ -288,15 +286,14 @@ def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation
         raise UnstableStepError(dt, dt_max)
     w = StepScratch(state.grid) if scratch is None else scratch.check(state.grid)
     v, rho = state.v.data, state.rho.data
-    dv1, drho1 = _compressible_rhs(v, rho, state.t, mu, state.eos, grav, w)
+    dv1, drho1 = _compressible_rhs(v, rho, mu, state.eos, grav, w)
     dv1 *= 0.5 * dt
     drho1 *= 0.5 * dt
     v_half = np.add(v, dv1, out=w.v_half)
     rho_half = np.add(rho, drho1, out=w.rho_half)
     if np.any(rho_half <= 0):
         raise DensityError("density became non-positive; reduce dt or the perturbation")
-    dv2, drho2 = _compressible_rhs(v_half, rho_half, state.t + 0.5 * dt, mu, state.eos,
-                                   grav, w)
+    dv2, drho2 = _compressible_rhs(v_half, rho_half, mu, state.eos, grav, w)
     dv2 *= dt
     drho2 *= dt
     v_new = VectorField(state.grid, v + dv2)
@@ -349,20 +346,18 @@ def reference_path(case: CaseSpec, mu: float, grav: Gravitation,
     # looked up per run, so that a wrapped stepper is the one called
     step = step_compressible if compressible else step_incompressible
 
-    times, V = [], np.empty((n_out + 1, 3, *case.grid.shape))
+    # the clock snapped to the exact multiples (n + 1) dt, so that resampled
+    # paths stay uniform; a step's own t enters no arithmetic
+    times = np.arange(0, case.n_ref + 1, stride) * dt
+    V = np.empty((n_out + 1, 3, *case.grid.shape))
     rho = np.empty((n_out + 1, *case.grid.shape)) if compressible else None
-
-    def keep(state: FluidState):
-        times.append(state.t)
-        V[len(times) - 1] = state.v.data
-        if compressible:
-            rho[len(times) - 1] = state.rho.data
-
-    keep(state)
+    V[0] = state.v.data
+    if compressible:
+        rho[0] = state.rho.data
     for n in range(case.n_ref):
         state = step(state, dt, mu, grav, scratch)
-        # snap the clock to the exact multiple so resampled paths stay uniform
-        state = FluidState((n + 1) * dt, state.v, state.rho, state.eos)
         if (n + 1) % stride == 0:
-            keep(state)
+            V[(n + 1) // stride] = state.v.data
+            if compressible:
+                rho[(n + 1) // stride] = state.rho.data
     return Path(case.grid, state.eos, times, V, rho)

@@ -485,12 +485,12 @@ def _gradient_pieces(path: Path, blk: _Block, grav: Gravitation
     w = fd.scalar_times_vector(mid.rho, mid.v - blk.u)
     e = (_jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w)
          + blk.kv
-         + fd.scalar_times_vector(mid.rho, blk.accel - grav.gravity(mid.t)))
+         + fd.scalar_times_vector(mid.rho, VectorField(path.grid, blk.accel.data - grav.g)))
     p = mid.pressure()
     if p is not None:
         e = e + fd.grad_scalar(p)
     e = e + 2.0 * fd.scalar_times_vector(
-        mid.rho, fd.cross(grav.coriolis_vector(mid.t), blk.u))
+        mid.rho, VectorField(path.grid, grav.omega_cross(blk.u.data)))
     h = e.data
     h *= 0.5
     h *= path.dt

@@ -49,3 +49,13 @@ def leray_two_component(v):
     qh = -1j * (sym.sx * vh[0] + sym.sy * vh[1]) * sym.inv_s2
     q = ScalarField(v.grid, np.fft.irfft2(qh, s=v.grid.shape))
     return v - fd.grad_scalar(q), q
+
+
+def signed_zero_vectors(grid, rng, lead=()):
+    """(*lead, 3, nx, ny) velocities drawn from {+0, -0, 1.5, -2}, so that
+    every component holds zeros of both signs, with one -inf and one NaN
+    entry: inputs on which a composition of IEEE operations shows its order."""
+    v = rng.choice(np.array([0.0, -0.0, 1.5, -2.0]), size=(*lead, 3, *grid.shape))
+    v[..., 0, 1, 2] = -np.inf
+    v[..., 2, 3, 1] = np.nan
+    return v

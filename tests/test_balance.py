@@ -7,14 +7,14 @@ from sbenflow import fields as fd
 from sbenflow.balance import (BarotropicPowerEos, FluidState, IncompressibleEos,
                               PressureUndefinedError, consistent_momentum,
                               energy_residual, head_loss, mass_residual,
-                              material_derivative, momentum_reduction_gap,
+                              material_derivative, momentum_reduction_gap, momentum_residual,
                               pi_i_residual, raw_momentum_residual)
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import taylor_green_analytic
 from sbenflow.sampling import random_solenoidal
 
-from conftest import TWO_PI, observed_order
+from conftest import TWO_PI, observed_order, signed_zero_vectors
 
 
 def _tg_pair(nx, nu, dt, t0=0.2):
@@ -190,6 +190,31 @@ class TestPiIResidual:
         expected = (fd.scalar_times_vector(rho_mid, material_derivative(s0, s1))
                     + fd.grad_scalar(ScalarField(grid32, eos.pressure(rho_mid.data))))
         assert fd.linf_norm(pi_i_residual(s0, s1, grav) - expected) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+def test_momentum_residual_keeps_the_field_composition(grid16, preset, lead, kind):
+    # the body force comes from the preset's two constants, with the bits of
+    # rho (g - 2 Omega x v) over the gravity and Coriolis fields, on one field
+    # and on a stack
+    rng = np.random.default_rng(11)
+    grav = Gravitation(grid16, preset, {"g0": 0.5, "omega": 0.8})
+    accel, v = (VectorField(grid16, signed_zero_vectors(grid16, rng, lead)) for _ in range(2))
+    if kind == "incompressible":
+        rho, grad_p = 1.3, None
+    else:
+        rho = ScalarField(grid16, 1.0 + rng.random((*lead, *grid16.shape)))
+        grad_p = VectorField(grid16, rng.normal(size=v.data.shape))
+    got = momentum_residual(rho, accel, v, grav, 0.2, grad_p)
+    want = fd.scalar_times_vector(rho, accel)
+    if grad_p is not None:
+        want = want + grad_p
+    want = want - fd.scalar_times_vector(
+        rho, grav.gravity(0.2) - 2.0 * fd.cross(grav.coriolis_vector(0.2), v))
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_pressure_gradient_is_workless_on_solenoidal(grid32, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.fields import ScalarField, VectorField
+from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import (Gravitation, UnknownPresetError, eval_coriolis_vector,
                                   eval_gravity, gravitation_force)
 from sbenflow.sampling import random_vector
@@ -86,6 +86,30 @@ class TestGravitationForce:
         om = eval_coriolis_vector(g, 0.0)
         power = fd.dot_vectors(-2.0 * fd.cross(om, v), v)
         assert fd.linf_norm(power) <= 1e-12 * (fd.linf_norm(v)**2 + 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("preset,params", [
+    ("zero", {}), ("uniform_gravity", {"g0": 0.5}), ("uniform_gravity", {"g0": -0.0}),
+    ("rigid_rotation", {"omega": 0.8}), ("rigid_rotation", {"omega": 0.0}),
+    ("rigid_rotation", {"omega": -0.0})])
+def test_body_force_keeps_the_field_composition(preset, params):
+    # acc + g - 2 Omega x v from the preset's two constants has the bits of
+    # the same composition over the gravity and Coriolis fields, on fields
+    # and stacks drawn from {+-0, 1.5, -2, +-inf, NaN}; so has omega_cross
+    grid = Grid2P(8, 8, 1.0, 1.0)
+    g = Gravitation(grid, preset, params)
+    gravity, omega = g.gravity(0.0), g.coriolis_vector(0.0)
+    values = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(3)
+    for lead in [()] * 20 + [(2,)] * 5:
+        acc, v = (rng.choice(values, size=(*lead, 3, 8, 8)) for _ in range(2))
+        cross = fd.cross(omega, VectorField(grid, v)).data
+        assert g.omega_cross(v).tobytes() == cross.tobytes()
+        want = (VectorField(grid, acc) + gravity - 2.0 * VectorField(grid, cross)).data
+        assert g.body_force(acc.copy(), v).tobytes() == want.tobytes()
+        want = (gravity - 2.0 * VectorField(grid, cross)).data
+        assert g.body_force(-0.0, v).tobytes() == np.broadcast_to(want, v.shape).tobytes()
 
 
 @pytest.mark.parametrize("preset,params", [("zero", {}), ("uniform_gravity", {"g0": 9.0}),

@@ -269,6 +269,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "invariants hold" in out
+        # the Fenchel row reads the smallest scaled gap, positive on random pairs
+        fenchel = next(line for line in out.splitlines() if "Fenchel inequality" in line)
+        assert float(fenchel.split("measured")[1].split()[0]) > 0.0
 
     @pytest.mark.parametrize("overrides", [
         {"grid.nx": 4, "grid.ny": 4},          # the random fields' modes fit below Nyquist
@@ -656,6 +659,13 @@ class TestCli:
                             lambda z, z_i, mu: (1.0 + 1e-9) * exact(z, z_i, mu))
         assert main(["check", "--config", cfg]) == 4
         assert "[FAIL] constitutive gap = interval term" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, row", [("omega", "symplectic form antisymmetry"),
+                                           ("fenchel_gap", "Fenchel inequality")])
+    def test_nan_measurement_fails_its_row(self, tmp_path, monkeypatch, capsys, name, row):
+        monkeypatch.setattr(checks, name, lambda *args: np.nan)
+        assert main(["check", "--config", _write_config(tmp_path)]) == 4
+        assert f"[FAIL] {row:<38s} measured nan" in capsys.readouterr().out
 
     def test_evaluate_non_finite_archive_exits_config(self, tmp_path, grid16, rng):
         eos = IncompressibleEos()

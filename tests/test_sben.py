@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from sbenflow.sben import (MinimizeConfig, Path, assemble_pi_incompressible,
                            minimize_compressible, multiplier_pressures, path_dot,
                            slave_density)
 
-from conftest import TWO_PI, functional_report
+from conftest import TWO_PI, functional_report, signed_zero_vectors
 
 
 
@@ -442,6 +443,35 @@ class TestTimeBatching:
         grav = Gravitation(grid, preset, {"g0": 1.0, "omega": 0.8})
         report = _assert_same_bits(path, 0.1, grav, _slice_reference(path, 0.1, grav))
         assert report.phi_terms.min() > 0 and report.ns_residual_norms.min() > 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_intervals", [1, 3])
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_gradient_force_terms_keep_the_field_composition(self, grid16, kind, preset,
+                                                             n_intervals):
+        # gradient_pi's body-force terms rho (accel - g) and 2 rho Omega x u
+        # come from the preset's two constants, with the bits of the gravity
+        # and Coriolis fields, on a block of one interval and of three; the
+        # block's accel and u hold signed zeros and non-finite entries
+        rng = np.random.default_rng(5)
+        path = _random_path(grid16, kind, n_intervals, rng, rho0=1.3)
+        grav = Gravitation(grid16, preset, {"g0": 0.5, "omega": 0.8})
+        blk, _ = sben._block_core(path, slice(0, n_intervals), 0.1, grav)
+        blk = dataclasses.replace(
+            blk, accel=VectorField(grid16, signed_zero_vectors(grid16, rng, (n_intervals,))),
+            u=VectorField(grid16, signed_zero_vectors(grid16, rng, (n_intervals,))))
+        mid = blk.mid
+        w = fd.scalar_times_vector(mid.rho, mid.v - blk.u)
+        e = (sben._jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w) + blk.kv
+             + fd.scalar_times_vector(mid.rho, blk.accel - grav.gravity(mid.t)))
+        if kind == "compressible":
+            e = e + fd.grad_scalar(mid.pressure())
+        e = e + 2.0 * fd.scalar_times_vector(
+            mid.rho, fd.cross(grav.coriolis_vector(mid.t), blk.u))
+        h, f = sben._gradient_pieces(path, blk, grav)
+        assert h.tobytes() == (path.dt * (0.5 * e.data)).tobytes()
+        assert f.tobytes() == w.data.tobytes()
 
     def test_path_arrays_and_views(self, grid16, rng):
         path = _random_path(grid16, "compressible", 3, rng)
