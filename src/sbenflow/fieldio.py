@@ -14,19 +14,35 @@ values, and near ties (see the encoder below).  The bytes of the format are
 fixed (``tests/test_fieldio.py`` pins them and checks the encoder against
 ``f"{x:.17g}"``): the same field always gives the same file.
 
-Reading accepts the rows in any order.  The indices must be integers inside
-the grid and every cell must appear exactly once.  Any malformed input (bytes
-that are not UTF-8, a wrong header, a non-numeric cell, a missing column, an
-index out of range, a repeated or missing cell, a non-finite value, a
-non-positive density, a truncated or incomplete ``grid.json`` or
-``manifest.json``, slice times not uniformly increasing, pressures that are
-not one file per interval of an incompressible path) raises ArchiveError
-naming the file, which the CLI reports with exit code 2.
+Beside each ``NAME.csv`` the writer puts a binary copy of its values,
+``NAME.csv.f8``, in the manner of a hash-checked ``.pyc``: a sha256 digest
+(32 bytes), the shape ``(n_comp, nx, ny)`` as three little-endian int64, then
+the values as little-endian float64 in that C order.  The digest covers the
+CSV's bytes followed by everything after the digest.  The reader takes the
+values from the copy only when its length and shape are the expected ones and
+its digest matches the CSV bytes it has just read: then the CSV holds exactly
+the bytes the writer made of those values, and since ``%.17g`` round-trips,
+parsing them would give the same values.  In every other case (no copy, a
+stale or damaged one, a CSV made or edited by hand) it parses the CSV.  The
+manifest does not name the copies, readers of the format may ignore them, and
+no reader writes one.
+
+Reading a CSV accepts the rows in any order.  The indices must be integers
+inside the grid and every cell must appear exactly once.  Any malformed input
+(bytes that are not UTF-8, a wrong header, a non-numeric cell, a missing
+column, an index out of range, a repeated or missing cell, a non-finite value,
+a non-positive density, a truncated, incomplete or mistyped ``grid.json`` or
+``manifest.json``, slice times that are not numbers uniformly increasing, a
+file name that is not a bare name inside the archive, pressures that are not
+one file per interval of an incompressible path) raises ArchiveError naming
+the file, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import io
 import json
 import os
 import warnings
@@ -35,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .balance import Eos, IncompressibleEos
-from .config import eos_from_json, eos_to_json
+from .config import _number, _read, eos_from_json, eos_to_json
 from .fields import Grid2P, ScalarField, VectorField
 from .sben import Path, check_path_times
 
@@ -249,14 +265,29 @@ def _encode(x: np.ndarray) -> np.ndarray:
     return words
 
 
+# --- the binary copy -----------------------------------------------------------
+
+_COPY_SUFFIX = ".f8"
+_DIGEST_BYTES = 32
+_F8 = np.dtype("<f8")
+
+
+def _copy_header(shape: tuple) -> bytes:
+    return np.array(shape, "<i8").tobytes()
+
+
 def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
+    """NAME.csv, and beside it NAME.csv.f8, its values' binary copy."""
     n_comp = components.shape[0]
     prefixes = _cell_prefixes(grid.nx, grid.ny)
     n_cells = grid.nx * grid.ny
     values = components.transpose(1, 2, 0).reshape(-1)
     block = max(1, _BLOCK_VALUES // (grid.ny * n_comp)) * grid.ny
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write((_header(n_comp) + "\n").encode())
+        text = (_header(n_comp) + "\n").encode()
+        f.write(text)
+        digest.update(text)
         for start in range(0, n_cells, block):
             cells = min(block, n_cells - start)
             words = _encode(np.asarray(values[start * n_comp:(start + cells) * n_comp],
@@ -265,25 +296,58 @@ def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
             words[n_comp - 1::n_comp, 3] ^= _COMMA ^ _NEWLINE
             rows = np.concatenate([prefixes[start:start + cells],
                                    words.reshape(cells, 4 * n_comp)], axis=1)
-            f.write(rows.tobytes().translate(None, b"\0"))
+            text = rows.tobytes().translate(None, b"\0")
+            f.write(text)
+            digest.update(text)
+    copy = np.ascontiguousarray(components, dtype=_F8)
+    header = _copy_header(copy.shape)
+    digest.update(header)
+    digest.update(copy)
+    with open(path + _COPY_SUFFIX, "wb") as f:
+        f.write(digest.digest())
+        f.write(header)
+        f.write(copy)
 
 
-def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
-    with open(path) as f:
-        try:
-            header = f.readline().strip()
-        except UnicodeDecodeError as exc:
-            raise ArchiveError(f"{path}: {exc}") from None
-        expected = _header(n_comp)
-        if header != expected:
-            raise ArchiveError(f"{path}: header {header!r} != {expected!r}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported by the row count below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ArchiveError(f"{path}: {exc}") from None
+def _read_copy(path: str, raw: bytes, shape: tuple) -> Optional[np.ndarray]:
+    """The values of path's binary copy, if it is the copy of exactly the CSV
+    bytes raw and holds shape; None otherwise."""
+    try:
+        f = open(path + _COPY_SUFFIX, "rb")
+    except OSError:
+        return None
+    with f:
+        digest = f.read(_DIGEST_BYTES)
+        header = _copy_header(shape)
+        if f.read(len(header)) != header:
+            return None
+        data = np.empty(shape, _F8)
+        if f.readinto(data) != data.nbytes or f.read(1):
+            return None
+    check = hashlib.sha256(raw)
+    check.update(header)
+    check.update(data)
+    if check.digest() != digest:
+        return None
+    return data.astype(float, copy=False)
+
+
+def _parse_csv(path: str, raw: bytes, grid: Grid2P, n_comp: int) -> np.ndarray:
+    f = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    try:
+        header = f.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise ArchiveError(f"{path}: {exc}") from None
+    expected = _header(n_comp)
+    if header != expected:
+        raise ArchiveError(f"{path}: header {header!r} != {expected!r}")
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported by the row count below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ArchiveError(f"{path}: {exc}") from None
     n_cells = grid.nx * grid.ny
     if rows.shape != (n_cells, 2 + n_comp):
         raise ArchiveError(f"{path}: {rows.shape[0]} rows of {rows.shape[1]} columns "
@@ -301,9 +365,20 @@ def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
         raise ArchiveError(f"{path}: some cells appear more than once, others not at all")
     data = np.empty((n_comp, n_cells))
     data[:, cell] = rows[:, 2:].T
+    return data.reshape(n_comp, grid.nx, grid.ny)
+
+
+def _read_csv(path: str, grid: Grid2P, n_comp: int) -> np.ndarray:
+    """The CSV's values: from its binary copy where that is the copy of these
+    very bytes, else parsed from them."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    data = _read_copy(path, raw, (n_comp, grid.nx, grid.ny))
+    if data is None:
+        data = _parse_csv(path, raw, grid, n_comp)
     if not np.isfinite(data).all():
         raise ArchiveError(f"{path}: non-finite value")
-    return data.reshape(n_comp, grid.nx, grid.ny)
+    return data
 
 
 def save_scalar(path: str, s: ScalarField):
@@ -330,13 +405,13 @@ def save_grid(path: str, grid: Grid2P):
 
 
 def load_grid(path: str) -> Grid2P:
+    """The grid of a sidecar, read by the rules of the config's grid block:
+    every key there, integer cell counts and positive finite lengths."""
     with open(path) as f:
         try:
-            meta = json.load(f)
-            return Grid2P(int(meta["nx"]), int(meta["ny"]),
-                          float(meta["lx"]), float(meta["ly"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ArchiveError(f"{path}: malformed grid sidecar ({exc!r})") from None
+            return _read(Grid2P, json.load(f), "grid", defaults=False)
+        except ValueError as exc:   # not JSON, or a ConfigError
+            raise ArchiveError(f"{path}: malformed grid sidecar ({exc})") from None
 
 
 def save_path_archive(directory: str, path: Path):
@@ -394,7 +469,7 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
             f"{expect_grid.nx}x{expect_grid.ny}")
     try:
         eos = eos_from_json(manifest["eos"])
-        slices = [(float(entry["t"]), entry["v"], entry.get("rho"))
+        slices = [(_number(entry["t"]), entry["v"], entry.get("rho"))
                   for entry in manifest["slices"]]
         pressure_names = manifest.get("pressures")
         check_path_times([t for t, _, _ in slices])  # before any CSV is opened
@@ -416,8 +491,11 @@ def load_path_archive(directory: str, expect_grid: Optional[Grid2P] = None,
                            f"density file, and no slice of an incompressible one")
     names = [v for _, v, _ in slices] + [rho for _, _, rho in slices if rho is not None]
     for name in names + (pressure_names or []):
-        if not isinstance(name, str):
-            raise ArchiveError(f"{manifest_file}: file name {name!r} is not a string")
+        # a bare name: a directory part (or an absolute name) would leave the archive
+        if not (isinstance(name, str) and name not in ("", os.curdir, os.pardir)
+                and os.path.basename(name) == name):
+            raise ArchiveError(f"{manifest_file}: file name {name!r} is not the name of a "
+                               f"file in the archive's directory")
     V = np.empty((len(slices), 3, *grid.shape))
     rho = None if incompressible else np.empty((len(slices), *grid.shape))
     for k, (_, v_name, rho_name) in enumerate(slices):

@@ -1,6 +1,11 @@
 """The ``sbenflow-path/1`` field CSV: exact bytes written, bit-exact reads, and
 the reader's rules (rows in any order, each cell exactly once).  The writer's
-vectorized encoder is compared in bulk against Python's ``f"{x:.17g}"``."""
+vectorized encoder is compared in bulk against Python's ``f"{x:.17g}"``.  The
+binary copy beside each CSV gives the bits the CSV parse gives, and any copy
+that is not the copy of those very CSV bytes is passed over for the parse."""
+
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -68,6 +73,32 @@ def test_golden_read_is_bit_exact(tmp_path):
     assert np.array_equal(_bits(load_vector(str(f), field.grid).data), _bits(field.data))
 
 
+def _load(f: str, grid: Grid2P, n_comp: int) -> np.ndarray:
+    return load_vector(f, grid).data if n_comp == 3 else load_scalar(f, grid).data[None]
+
+
+def _read_both_ways(f: str, grid: Grid2P, n_comp: int):
+    """The values read from the binary copy (a parse would fail the call),
+    then, with the copy deleted, parsed from the CSV."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldio, "_parse_csv", _no_parse)
+        from_copy = _load(f, grid, n_comp)
+    os.remove(f + ".f8")
+    return from_copy, _load(f, grid, n_comp)
+
+
+def _no_parse(path, *args):
+    raise AssertionError(f"{path} was parsed, not read from its binary copy")
+
+
+def test_golden_read_from_the_binary_copy_is_bit_exact(tmp_path):
+    f = str(tmp_path / "v.csv")
+    field = _golden_field()
+    save_vector(f, field)
+    for back in _read_both_ways(f, field.grid, 3):
+        assert np.array_equal(_bits(back), _bits(field.data))
+
+
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -85,13 +116,12 @@ def test_round_trip_bit_exact_and_bytes_match_reference(tmp_path_factory, drawn)
     f = str(tmp_path_factory.mktemp("csv") / "field.csv")
     if data.shape[0] == 1:
         save_scalar(f, ScalarField(grid, data[0]))
-        back = load_scalar(f, grid).data[None]
     else:
         save_vector(f, VectorField(grid, data))
-        back = load_vector(f, grid).data
     with open(f) as fh:
         assert fh.read() == _reference_text(data)
-    assert np.array_equal(_bits(back), _bits(data))
+    for back in _read_both_ways(f, grid, data.shape[0]):
+        assert np.array_equal(_bits(back), _bits(data))
 
 
 def _encoded(values) -> list[str]:
@@ -202,7 +232,91 @@ def test_round_trip_across_write_blocks(tmp_path, nx, ny):
     f = tmp_path / "v.csv"
     save_vector(str(f), VectorField(grid, data))
     assert f.read_text() == _reference_text(data)
-    assert np.array_equal(_bits(load_vector(str(f), grid).data), _bits(data))
+    for back in _read_both_ways(str(f), grid, 3):
+        assert np.array_equal(_bits(back), _bits(data))
+
+
+def _outcome(f: str, grid: Grid2P):
+    """The bits of the vector field read from f, or the ArchiveError's message."""
+    try:
+        return _bits(load_vector(f, grid).data).tolist()
+    except ArchiveError as exc:
+        return str(exc)
+
+
+def _parsed_outcome(f: str, grid: Grid2P):
+    """_outcome, where the copy must be passed over for the parse."""
+    parses = []
+
+    def parse(*args):
+        parses.append(args[0])
+        return parse_csv(*args)
+    parse_csv = fieldio._parse_csv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldio, "_parse_csv", parse)
+        outcome = _outcome(f, grid)
+    assert parses == [f]
+    return outcome
+
+
+def _flip_value_byte(csv, copy):
+    raw = bytearray(copy.read_bytes())
+    raw[32 + 24 + 8 * 5 + 3] ^= 0x10
+    copy.write_bytes(bytes(raw))
+
+
+# a 16^2 vector field whose first value is 0.1, written with its copy -> how
+# the pair is changed afterwards
+DAMAGED_COPY = {
+    "CSV digit edited": lambda csv, copy: csv.write_bytes(csv.read_bytes().replace(
+        b"0,0,0.10000000000000001,", b"0,0,0.10000000000000003,")),
+    "value byte of the copy flipped": _flip_value_byte,
+    "copy truncated": lambda csv, copy: copy.write_bytes(copy.read_bytes()[:-8]),
+    "copy one byte longer": lambda csv, copy: copy.write_bytes(copy.read_bytes() + b"\0"),
+    "copy of another CSV": lambda csv, copy: copy.write_bytes(
+        (copy.read_bytes()[:32] + (csv.parent / "other.csv.f8").read_bytes()[32:])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_COPY))
+def test_a_copy_that_does_not_match_gives_what_the_parse_gives(tmp_path, case):
+    grid = Grid2P(16, 16, 1.0, 1.0)
+    data = np.random.default_rng(3).standard_normal((3, 16, 16))
+    data[0, 0, 0] = 0.1
+    csv, copy = tmp_path / "v.csv", tmp_path / "v.csv.f8"
+    save_vector(str(csv), VectorField(grid, data))
+    save_vector(str(tmp_path / "other.csv"), VectorField(grid, 2 * data))
+    DAMAGED_COPY[case](csv, copy)
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    shutil.copy(csv, bare / "v.csv")
+    parsed = _outcome(str(bare / "v.csv"), grid)
+    assert _parsed_outcome(str(csv), grid) == parsed
+    edited = case == "CSV digit edited"
+    assert (parsed == _bits(data).tolist()) != edited
+
+
+def test_a_copy_read_against_another_grid_of_its_size_gives_what_the_parse_gives(tmp_path):
+    data = np.random.default_rng(4).standard_normal((3, 16, 16))
+    f = str(tmp_path / "v.csv")
+    save_vector(f, VectorField(Grid2P(16, 16, 1.0, 1.0), data))
+    other = Grid2P(8, 32, 1.0, 1.0)
+    with_copy = _parsed_outcome(f, other)
+    os.remove(f + ".f8")
+    assert with_copy == _outcome(f, other)
+    assert "not an integer index of the 8x32 grid" in with_copy
+
+
+def test_a_written_nan_read_from_the_copy_is_non_finite(tmp_path):
+    grid = Grid2P(4, 4, 1.0, 1.0)
+    data = np.ones((3, 4, 4))
+    data[1, 2, 3] = np.nan
+    f = str(tmp_path / "v.csv")
+    save_vector(f, VectorField(grid, data))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldio, "_parse_csv", _no_parse)
+        with pytest.raises(ArchiveError, match="v.csv: non-finite value"):
+            load_vector(f, grid)
 
 
 def test_permuted_rows_load_to_the_same_field(tmp_path):

@@ -1,10 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from sbenflow import checks, cli
+from sbenflow import checks, cli, fieldio
 from sbenflow.balance import BarotropicPowerEos, IncompressibleEos
 from sbenflow.cli import main
 from sbenflow.config import ConfigError, load_config, parse_config
@@ -62,6 +63,14 @@ def _drop_json_key(key: str):
     return edit
 
 
+def _set_json_key(key: str, value):
+    def edit(text):
+        block = json.loads(text)
+        block[key] = value
+        return json.dumps(block)
+    return edit
+
+
 def _edit_manifest(edit):
     def apply(text):
         manifest = json.loads(text)
@@ -99,12 +108,26 @@ MALFORMED_ARCHIVE = {
     "truncated grid.json": ("grid.json", lambda text: text[:len(text) // 2]),
     "truncated manifest.json": ("manifest.json", lambda text: text[:len(text) // 2]),
     "grid.json without nx": ("grid.json", _drop_json_key("nx")),
+    # the config's rules for its grid block: 16.9 is not read as 16, nor "16" as 16
+    "fractional nx": ("grid.json", _set_json_key("nx", 16.9)),
+    "string nx": ("grid.json", _set_json_key("nx", "16")),
+    "string lx": ("grid.json", _set_json_key("lx", str(TWO_PI))),
+    "grid.json with an unknown key": ("grid.json", _set_json_key("nz", 1)),
     "manifest without eos": ("manifest.json", _drop_json_key("eos")),
     "one slice": ("manifest.json", _keep_slices(1)),
     "no slices": ("manifest.json", _keep_slices(0)),
     "non-uniform times": ("manifest.json", _set_slice(2, "t", 0.25)),
     "repeated times": ("manifest.json", _set_slice(1, "t", 0.0)),
     "non-string v": ("manifest.json", _set_slice(1, "v", 7)),
+    # a time is a JSON number: neither "0.0" nor false is read as 0
+    "string time": ("manifest.json", _set_slice(0, "t", "0.0")),
+    "boolean time": ("manifest.json", _set_slice(0, "t", False)),
+    # a file name is a bare name inside the archive
+    "absolute file name": ("manifest.json", _set_slice(1, "v", "/v_0001.csv")),
+    "file name through the parent": ("manifest.json", _set_slice(1, "v", "../arch/v_0001.csv")),
+    "file name with a directory part": ("manifest.json", _set_slice(1, "v", "./v_0001.csv")),
+    "empty file name": ("manifest.json", _set_pressures(["p_0000.csv", ""])),
+    "parent directory as a file name": ("manifest.json", _set_slice(2, "v", "..")),
     "non-list pressures": ("manifest.json", _set_pressures(5)),
     "non-string pressure": ("manifest.json", _set_pressures(["p_0000.csv", None])),
     "one pressure for two intervals": ("manifest.json", _set_pressures(["p_0000.csv"])),
@@ -119,6 +142,26 @@ MALFORMED_ARCHIVE = {
                                _edit_manifest(lambda m: m["eos"].update(kind="ideal_gas"))),
     "boolean rho0": ("manifest.json", _edit_manifest(lambda m: m["eos"].update(rho0=True))),
 }
+
+
+def _no_parse(path, *args):
+    raise AssertionError(f"{path} was parsed, not read from its binary copy")
+
+
+def _output_bytes(directory: str) -> dict:
+    """Every file of a command's output by name, its wall time dropped."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as f:
+            data = f.read()
+        if name == "report.json":
+            report = json.loads(data)
+            report.pop("wall_time")
+            data = report
+        elif name == "report.txt":
+            data = [line for line in data.splitlines() if not line.startswith(b"wall time")]
+        files[name] = data
+    return files
 
 
 class TestFieldCsv:
@@ -207,6 +250,19 @@ class TestPathArchive:
         for eos in (IncompressibleEos(1.3), BarotropicPowerEos()):
             with pytest.raises(ArchiveError, match="does not match"):
                 load_path_archive(d, expect_eos=eos)
+
+    def test_file_name_of_another_directory_is_malformed(self, tmp_path, grid16, rng):
+        # an absolute name would join to itself and read a slice from elsewhere
+        path = incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1, 0.2],
+                                   [random_vector(grid16, rng) for _ in range(3)])
+        d, elsewhere = tmp_path / "arch", tmp_path / "elsewhere"
+        save_path_archive(str(d), path)
+        save_path_archive(str(elsewhere), path)
+        manifest = d / "manifest.json"
+        outside = str(elsewhere / "v_0001.csv")
+        manifest.write_text(_set_slice(1, "v", outside)(manifest.read_text()))
+        with pytest.raises(ArchiveError, match=f"manifest.json: file name '{outside}'"):
+            load_path_archive(str(d))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ArchiveError, match="manifest"):
@@ -420,6 +476,33 @@ class TestCli:
                         assert r1 == r2, f"{kind} {name}: report.json differs"
                     else:
                         assert b1 == b2, f"{kind} {name}: {n} differs between identical runs"
+
+    def test_binary_copies_change_no_output_byte_and_stay_unwritten(self, tmp_path,
+                                                                    monkeypatch):
+        # evaluate and a warm-started minimize on an archive with pressures,
+        # once with its binary copies (no CSV is parsed) and once without
+        cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 3})
+        full, bare = str(tmp_path / "full"), str(tmp_path / "bare")
+        assert main(["minimize", "--config", cfg, "--out", full]) == 0
+        shutil.copytree(full, bare)
+        copies = [n for n in os.listdir(bare) if n.endswith(".csv.f8")]
+        assert sorted(copies) == sorted(n + ".f8" for n in os.listdir(bare)
+                                        if n.endswith(".csv"))
+        for name in copies:
+            os.remove(os.path.join(bare, name))
+        outputs = {}
+        for archive in (full, bare):
+            listing = sorted(os.listdir(archive))
+            with monkeypatch.context() as mp:
+                if archive == full:
+                    mp.setattr(fieldio, "_parse_csv", _no_parse)
+                for command, flag in (("evaluate", "--archive"), ("minimize", "--warm-start")):
+                    out = f"{archive}-{command}"
+                    assert main([command, "--config", cfg, flag, archive, "--out", out]) == 0
+                    outputs[archive, command] = _output_bytes(out)
+            assert sorted(os.listdir(archive)) == listing
+        for command in ("evaluate", "minimize"):
+            assert outputs[full, command] == outputs[bare, command]
 
     def test_minimize_perturbed_archive_reduces_tenfold(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 80})
