@@ -14,18 +14,19 @@ values, and near ties (see the encoder below).  The bytes of the format are
 fixed (``tests/test_fieldio.py`` pins them and checks the encoder against
 ``f"{x:.17g}"``): the same field always gives the same file.
 
-Beside each ``NAME.csv`` the writer puts a binary copy of its values,
-``NAME.csv.f8``, in the manner of a hash-checked ``.pyc``: a sha256 digest
-(32 bytes), the shape ``(n_comp, nx, ny)`` as three little-endian int64, then
-the values as little-endian float64 in that C order.  The digest covers the
-CSV's bytes followed by everything after the digest.  The reader takes the
-values from the copy only when its length and shape are the expected ones and
-its digest matches the CSV bytes it has just read: then the CSV holds exactly
-the bytes the writer made of those values, and since ``%.17g`` round-trips,
-parsing them would give the same values.  In every other case (no copy, a
-stale or damaged one, a CSV made or edited by hand) it parses the CSV.  The
-manifest does not name the copies, readers of the format may ignore them, and
-no reader writes one.
+Beside each CSV its manifest names, an archive holds a binary copy of its
+values, ``NAME.csv.f8``, in the manner of a hash-checked ``.pyc``: a sha256
+digest (32 bytes), the shape ``(n_comp, nx, ny)`` as three little-endian
+int64, then the values as little-endian float64 in that C order, laid out by
+_copy_bytes alone.  The digest covers the CSV's bytes followed by everything
+after the digest.  The reader takes the values from the copy only when it is
+_copy_bytes of the CSV bytes it has just read and of its own values, read in
+the expected shape: then the CSV holds exactly the bytes the writer made of
+those values, and since ``%.17g`` round-trips, parsing them would give the
+same values.  In every other case (no copy, a stale or damaged one, a CSV
+made or edited by hand) it parses the CSV.  A lone field gets no copy; the
+manifest does not name the copies, readers of the format may ignore them,
+and no reader writes one.
 
 Reading a CSV accepts the rows in any order.  The indices must be integers
 inside the grid and every cell must appear exactly once.  Any malformed input
@@ -44,6 +45,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import warnings
 from typing import Optional
@@ -272,22 +274,50 @@ _DIGEST_BYTES = 32
 _F8 = np.dtype("<f8")
 
 
-def _copy_header(shape: tuple) -> bytes:
-    return np.array(shape, "<i8").tobytes()
+def _copy_bytes(raw: bytes, values: np.ndarray) -> bytes:
+    """The binary copy of the CSV bytes raw, whose values (n_comp, nx, ny) are
+    values: the digest, the shape and the values (see the module docstring)."""
+    values = np.ascontiguousarray(values, dtype=_F8)
+    body = np.array(values.shape, "<i8").tobytes() + values.tobytes()
+    digest = hashlib.sha256(raw)
+    digest.update(body)
+    return digest.digest() + body
+
+
+def _write_copy(path: str, components: np.ndarray):
+    """NAME.csv.f8 beside NAME.csv, just written from components."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path + _COPY_SUFFIX, "wb") as f:
+        f.write(_copy_bytes(raw, components))
+
+
+def _read_copy(path: str, raw: bytes, shape: tuple) -> Optional[np.ndarray]:
+    """The values of path's binary copy, if it is the copy of exactly the CSV
+    bytes raw and holds shape; None otherwise."""
+    try:
+        with open(path + _COPY_SUFFIX, "rb") as f:
+            copy = f.read()
+    except OSError:
+        return None
+    n_values = math.prod(shape)
+    if len(copy) != _DIGEST_BYTES + 8 * (len(shape) + n_values):
+        return None
+    data = np.frombuffer(copy, _F8, offset=len(copy) - 8 * n_values).reshape(shape)
+    if copy != _copy_bytes(raw, data):
+        return None
+    return data.astype(float)
 
 
 def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
-    """NAME.csv, and beside it NAME.csv.f8, its values' binary copy."""
+    """NAME.csv, the text of components alone (no binary copy)."""
     n_comp = components.shape[0]
     prefixes = _cell_prefixes(grid.nx, grid.ny)
     n_cells = grid.nx * grid.ny
     values = components.transpose(1, 2, 0).reshape(-1)
     block = max(1, _BLOCK_VALUES // (grid.ny * n_comp)) * grid.ny
-    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        text = (_header(n_comp) + "\n").encode()
-        f.write(text)
-        digest.update(text)
+        f.write((_header(n_comp) + "\n").encode())
         for start in range(0, n_cells, block):
             cells = min(block, n_cells - start)
             words = _encode(np.asarray(values[start * n_comp:(start + cells) * n_comp],
@@ -296,40 +326,7 @@ def _write_csv(path: str, grid: Grid2P, components: np.ndarray):
             words[n_comp - 1::n_comp, 3] ^= _COMMA ^ _NEWLINE
             rows = np.concatenate([prefixes[start:start + cells],
                                    words.reshape(cells, 4 * n_comp)], axis=1)
-            text = rows.tobytes().translate(None, b"\0")
-            f.write(text)
-            digest.update(text)
-    copy = np.ascontiguousarray(components, dtype=_F8)
-    header = _copy_header(copy.shape)
-    digest.update(header)
-    digest.update(copy)
-    with open(path + _COPY_SUFFIX, "wb") as f:
-        f.write(digest.digest())
-        f.write(header)
-        f.write(copy)
-
-
-def _read_copy(path: str, raw: bytes, shape: tuple) -> Optional[np.ndarray]:
-    """The values of path's binary copy, if it is the copy of exactly the CSV
-    bytes raw and holds shape; None otherwise."""
-    try:
-        f = open(path + _COPY_SUFFIX, "rb")
-    except OSError:
-        return None
-    with f:
-        digest = f.read(_DIGEST_BYTES)
-        header = _copy_header(shape)
-        if f.read(len(header)) != header:
-            return None
-        data = np.empty(shape, _F8)
-        if f.readinto(data) != data.nbytes or f.read(1):
-            return None
-    check = hashlib.sha256(raw)
-    check.update(header)
-    check.update(data)
-    if check.digest() != digest:
-        return None
-    return data.astype(float, copy=False)
+            f.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _parse_csv(path: str, raw: bytes, grid: Grid2P, n_comp: int) -> np.ndarray:
@@ -415,19 +412,24 @@ def load_grid(path: str) -> Grid2P:
 
 
 def save_path_archive(directory: str, path: Path):
-    """One CSV per slice of the path's velocity (and density) arrays."""
+    """One CSV per slice of the path's velocity (and density) arrays and per
+    interval of its pressures, each with its binary copy."""
     os.makedirs(directory, exist_ok=True)
     save_grid(os.path.join(directory, "grid.json"), path.grid)
+
+    def save(name, save_field, field):
+        file = os.path.join(directory, name)
+        save_field(file, field)
+        _write_copy(file, field.data.reshape(-1, *path.grid.shape))
+        return name
+
     slices = []
-    compressible = path.kind == "compressible"
     for k, t in enumerate(path.times.tolist()):
-        v_name = f"v_{k:04d}.csv"
-        save_vector(os.path.join(directory, v_name), VectorField(path.grid, path.V[k]))
-        entry = {"index": k, "t": t, "v": v_name}
-        if compressible:
-            rho_name = f"rho_{k:04d}.csv"
-            save_scalar(os.path.join(directory, rho_name), ScalarField(path.grid, path.rho[k]))
-            entry["rho"] = rho_name
+        entry = {"index": k, "t": t,
+                 "v": save(f"v_{k:04d}.csv", save_vector, VectorField(path.grid, path.V[k]))}
+        if path.kind == "compressible":
+            entry["rho"] = save(f"rho_{k:04d}.csv", save_scalar,
+                                ScalarField(path.grid, path.rho[k]))
         slices.append(entry)
     manifest = {
         "format": "sbenflow-path/1",
@@ -436,12 +438,8 @@ def save_path_archive(directory: str, path: Path):
         "slices": slices,
     }
     if path.pressures is not None:
-        names = []
-        for k, p in enumerate(path.pressures):
-            name = f"p_{k:04d}.csv"
-            save_scalar(os.path.join(directory, name), ScalarField(path.grid, p))
-            names.append(name)
-        manifest["pressures"] = names
+        manifest["pressures"] = [save(f"p_{k:04d}.csv", save_scalar, ScalarField(path.grid, p))
+                                 for k, p in enumerate(path.pressures)]
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
         f.write("\n")

@@ -15,13 +15,13 @@ so the elliptic solves downstream are exact per-wavenumber inverses.
 The differences work on the flat buffer without rolled copies (see _ddx).
 central_differences returns the two in-plane derivative columns, for callers
 that build several operators from one Jacobian (strain_from_columns turns
-them into D); sym_grad and div_tensor each take their six derivatives in one
-such call.
+them into D, advect_columns into the advection); sym_grad and div_tensor
+each take their six derivatives in one such call.
 
 A field's data may carry leading axes: a stack of fields on one grid, such as
 the consecutive slices of a path, components on axis -3.  The arithmetic,
-the differences, grad_scalar, sym_grad, strain_from_columns, div_tensor,
-div_outer, cross, scalar_times_vector, component_means and
+the differences, grad_scalar, sym_grad, strain_from_columns, advect_columns,
+div_tensor, div_outer, cross, scalar_times_vector, component_means and
 remove_stencil_null act on each field of a stack, and integrate, inner and
 l2_norm give one value per field, each with the bits of the field alone; the
 other operators take one field.
@@ -332,6 +332,16 @@ def strain_from_columns(grid: Grid2P, jx: np.ndarray, jy: np.ndarray) -> SymTens
     d[XZ][...] = 0.5 * x[2]
     d[YZ][...] = 0.5 * y[2]
     return SymTensorField(grid, out)
+
+
+def advect_columns(v: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
+    """(v . grad) b = v_x jx + v_y jy from the Jacobian columns (jx, jy) of b,
+    with the operands and order of advect, written over jx (jy is scratch) and
+    returned: for callers that build other operators from the same columns."""
+    jx *= v[..., :1, :, :]
+    jy *= v[..., 1:2, :, :]
+    jx += jy
+    return jx
 
 
 # --- pointwise algebra ----------------------------------------------------

@@ -187,18 +187,10 @@ def _jacobian_and_laplacian(v: np.ndarray, w: StepScratch) -> tuple[np.ndarray, 
     return vx, vy
 
 
-def _advect(v: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """advect(v, v) = v_x dv/dx + v_y dv/dy, written over the columns, into vx."""
-    np.multiply(v[0], vx, out=vx)
-    np.multiply(v[1], vy, out=vy)
-    vx += vy
-    return vx
-
-
 def _incompressible_rhs(v: np.ndarray, nu: float, grav: Gravitation,
                         w: StepScratch) -> np.ndarray:
     """-advect(v, v) + nu laplacian(v) + g - 2 Omega x v into w.k, unprojected."""
-    adv = _advect(v, *_jacobian_and_laplacian(v, w))
+    adv = fd.advect_columns(v, *_jacobian_and_laplacian(v, w))
     np.negative(adv, out=adv)
     w.lap *= nu
     adv += w.lap
@@ -247,7 +239,7 @@ def _compressible_rhs(v: np.ndarray, rho: np.ndarray, mu: float, eos: Barotropic
     np.add(vx[0], vy[1], out=s[1])     # div_vector(v), from the same columns
     eos.pressure(rho, out=s[2])
     np.multiply(rho, v[1], out=s[3])
-    acc = _advect(v, vx, vy)            # frees w.vy, the first half of w.diffs
+    acc = fd.advect_columns(v, vx, vy)  # frees w.vy, the first half of w.diffs
     d = w.diffs
     fd.central_differences(w.grid, s[:3], s[1:], out=(d[:3], d[3:]))
     grad_div, grad_p = d[1:4:2], d[2:5:2]

@@ -352,9 +352,7 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
     jx, jy = fd.central_differences(grid, v_mid.data)
     strain = fd.strain_from_columns(grid, jx, jy)
     # v_x d/dx v + v_y d/dy v, written over the columns once D is built
-    jx *= v_mid.data[..., :1, :, :]
-    jy *= v_mid.data[..., 1:2, :, :]
-    jx += jy
+    fd.advect_columns(v_mid.data, jx, jy)
     del jy
     phi_v = fd.integrate(w_density(strain, mu))
     return VectorField(grid, jx), phi_v, k_of_strain(strain, mu)

@@ -1,8 +1,9 @@
 """The ``sbenflow-path/1`` field CSV: exact bytes written, bit-exact reads, and
 the reader's rules (rows in any order, each cell exactly once).  The writer's
 vectorized encoder is compared in bulk against Python's ``f"{x:.17g}"``.  The
-binary copy beside each CSV gives the bits the CSV parse gives, and any copy
-that is not the copy of those very CSV bytes is passed over for the parse."""
+binary copy an archive keeps beside each CSV gives the bits the CSV parse
+gives, and any copy that is not the copy of those very CSV bytes is passed
+over for the parse."""
 
 import os
 import shutil
@@ -91,10 +92,16 @@ def _no_parse(path, *args):
     raise AssertionError(f"{path} was parsed, not read from its binary copy")
 
 
+def _save_with_copy(f: str, field):
+    """Save field to f, then write its binary copy as an archive does."""
+    (save_vector if isinstance(field, VectorField) else save_scalar)(f, field)
+    fieldio._write_copy(f, field.data.reshape(-1, *field.grid.shape))
+
+
 def test_golden_read_from_the_binary_copy_is_bit_exact(tmp_path):
     f = str(tmp_path / "v.csv")
     field = _golden_field()
-    save_vector(f, field)
+    _save_with_copy(f, field)
     for back in _read_both_ways(f, field.grid, 3):
         assert np.array_equal(_bits(back), _bits(field.data))
 
@@ -114,10 +121,8 @@ def fields(draw):
 def test_round_trip_bit_exact_and_bytes_match_reference(tmp_path_factory, drawn):
     grid, data = drawn
     f = str(tmp_path_factory.mktemp("csv") / "field.csv")
-    if data.shape[0] == 1:
-        save_scalar(f, ScalarField(grid, data[0]))
-    else:
-        save_vector(f, VectorField(grid, data))
+    _save_with_copy(f, ScalarField(grid, data[0]) if data.shape[0] == 1
+                    else VectorField(grid, data))
     with open(f) as fh:
         assert fh.read() == _reference_text(data)
     for back in _read_both_ways(f, grid, data.shape[0]):
@@ -230,7 +235,7 @@ def test_round_trip_across_write_blocks(tmp_path, nx, ny):
     data.flat[::97] = np.array(SPECIAL)[np.arange(data.size)[::97] % len(SPECIAL)]
     assert data.size > fieldio._BLOCK_VALUES
     f = tmp_path / "v.csv"
-    save_vector(str(f), VectorField(grid, data))
+    _save_with_copy(str(f), VectorField(grid, data))
     assert f.read_text() == _reference_text(data)
     for back in _read_both_ways(str(f), grid, 3):
         assert np.array_equal(_bits(back), _bits(data))
@@ -272,6 +277,7 @@ DAMAGED_COPY = {
         b"0,0,0.10000000000000001,", b"0,0,0.10000000000000003,")),
     "value byte of the copy flipped": _flip_value_byte,
     "copy truncated": lambda csv, copy: copy.write_bytes(copy.read_bytes()[:-8]),
+    "copy empty": lambda csv, copy: copy.write_bytes(b""),
     "copy one byte longer": lambda csv, copy: copy.write_bytes(copy.read_bytes() + b"\0"),
     "copy of another CSV": lambda csv, copy: copy.write_bytes(
         (copy.read_bytes()[:32] + (csv.parent / "other.csv.f8").read_bytes()[32:])),
@@ -284,8 +290,8 @@ def test_a_copy_that_does_not_match_gives_what_the_parse_gives(tmp_path, case):
     data = np.random.default_rng(3).standard_normal((3, 16, 16))
     data[0, 0, 0] = 0.1
     csv, copy = tmp_path / "v.csv", tmp_path / "v.csv.f8"
-    save_vector(str(csv), VectorField(grid, data))
-    save_vector(str(tmp_path / "other.csv"), VectorField(grid, 2 * data))
+    _save_with_copy(str(csv), VectorField(grid, data))
+    _save_with_copy(str(tmp_path / "other.csv"), VectorField(grid, 2 * data))
     DAMAGED_COPY[case](csv, copy)
     bare = tmp_path / "bare"
     bare.mkdir()
@@ -299,7 +305,7 @@ def test_a_copy_that_does_not_match_gives_what_the_parse_gives(tmp_path, case):
 def test_a_copy_read_against_another_grid_of_its_size_gives_what_the_parse_gives(tmp_path):
     data = np.random.default_rng(4).standard_normal((3, 16, 16))
     f = str(tmp_path / "v.csv")
-    save_vector(f, VectorField(Grid2P(16, 16, 1.0, 1.0), data))
+    _save_with_copy(f, VectorField(Grid2P(16, 16, 1.0, 1.0), data))
     other = Grid2P(8, 32, 1.0, 1.0)
     with_copy = _parsed_outcome(f, other)
     os.remove(f + ".f8")
@@ -312,7 +318,7 @@ def test_a_written_nan_read_from_the_copy_is_non_finite(tmp_path):
     data = np.ones((3, 4, 4))
     data[1, 2, 3] = np.nan
     f = str(tmp_path / "v.csv")
-    save_vector(f, VectorField(grid, data))
+    _save_with_copy(f, VectorField(grid, data))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldio, "_parse_csv", _no_parse)
         with pytest.raises(ArchiveError, match="v.csv: non-finite value"):

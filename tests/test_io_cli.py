@@ -148,6 +148,15 @@ def _no_parse(path, *args):
     raise AssertionError(f"{path} was parsed, not read from its binary copy")
 
 
+def _named_csvs(archive: str) -> list:
+    """Every CSV the archive's manifest names: velocities, densities, pressures."""
+    with open(os.path.join(archive, "manifest.json")) as f:
+        manifest = json.load(f)
+    slices = manifest["slices"]
+    return ([entry["v"] for entry in slices] + [entry["rho"] for entry in slices if "rho" in entry]
+            + manifest.get("pressures", []))
+
+
 def _output_bytes(directory: str) -> dict:
     """Every file of a command's output by name, its wall time dropped."""
     files = {}
@@ -173,6 +182,7 @@ class TestFieldCsv:
         assert np.array_equal(back.data, s.data)
         header = open(f).readline().strip()
         assert header == "i,j,c0"
+        assert os.listdir(tmp_path) == ["s.csv"]    # a lone field gets no binary copy
 
     def test_vector_round_trip(self, tmp_path, grid16, rng):
         v = random_vector(grid16, rng)
@@ -180,6 +190,7 @@ class TestFieldCsv:
         save_vector(f, v)
         assert open(f).readline().strip() == "i,j,c0,c1,c2"
         assert np.array_equal(load_vector(f, grid16).data, v.data)
+        assert os.listdir(tmp_path) == ["v.csv"]
 
     def test_grid_sidecar(self, tmp_path):
         g = Grid2P(8, 12, 1.5, 2.5)
@@ -503,6 +514,40 @@ class TestCli:
             assert sorted(os.listdir(archive)) == listing
         for command in ("evaluate", "minimize"):
             assert outputs[full, command] == outputs[bare, command]
+
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_binary_copies_only_beside_the_csvs_an_archive_names(self, tmp_path, kind):
+        # a reference and a minimized archive hold one copy per CSV their
+        # manifest names, and every slice, density and pressure is read from
+        # it; evaluate's pressures are written without copies
+        overrides = {"minimizer.max_iter": 3}
+        if kind == "compressible":
+            overrides["eos"] = {"kind": "barotropic_power", "p0": 1.0, "rho0": 1.0, "gamma": 1.4}
+            overrides["case"] = {"id": "compressible_smooth", "parameters": {"amplitude": 0.05}}
+        cfg = _write_config(tmp_path, overrides=overrides)
+        ref, minimized, evaluated = (str(tmp_path / name) for name in ("ref", "min", "eval"))
+        assert main(["reference", "--config", cfg, "--out", ref]) == 0
+        assert main(["minimize", "--config", cfg, "--warm-start", ref, "--out", minimized]) == 0
+        assert main(["evaluate", "--config", cfg, "--archive", minimized,
+                     "--out", evaluated]) == 0
+        n = BASE_CONFIG["time"]["n_intervals"]
+        incompressible = kind == "incompressible"
+        pressures = [f"pressure_{k:04d}.csv" for k in range(n)] if incompressible else []
+        assert sorted(os.listdir(evaluated)) == sorted(["report.json", "report.txt", *pressures])
+        for archive, n_pressures in ((ref, 0), (minimized, n if incompressible else 0)):
+            named = _named_csvs(archive)
+            assert len(named) == (n + 1) * (1 if incompressible else 2) + n_pressures
+            copies = sorted(name for name in os.listdir(archive) if name.endswith(".csv.f8"))
+            assert copies == sorted(name + ".f8" for name in named)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fieldio, "_parse_csv", _no_parse)
+                from_copies = load_path_archive(archive)
+            for name in copies:
+                os.remove(os.path.join(archive, name))
+            parsed = load_path_archive(archive)
+            for a, b in ((from_copies.V, parsed.V), (from_copies.rho, parsed.rho),
+                         (from_copies.pressures, parsed.pressures)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_minimize_perturbed_archive_reduces_tenfold(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 80})

@@ -5,6 +5,7 @@ one tools/same_bytes.sha256.json records, file by file."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,22 @@ def test_same_bytes_matrix_is_deterministic(matrix):
     reports = [p for p in tree if p.endswith("report.json")]
     assert len(reports) == 6 * 5 + 4 * 2
     assert all("wall_time" not in json.loads(tree[p]) for p in reports)
+    # one binary copy beside each CSV an archive's manifest names, none elsewhere
+    named = set()
+    for p in tree:
+        if os.path.basename(p) == "manifest.json":
+            manifest = json.loads(tree[p])
+            slices = manifest["slices"]
+            names = ([entry["v"] for entry in slices] + manifest.get("pressures", [])
+                     + [entry["rho"] for entry in slices if "rho" in entry])
+            named |= {os.path.join(os.path.dirname(p), name + ".f8") for name in names}
+    assert {p for p in tree if p.endswith(".csv.f8")} == named
+    # an evaluate's output: its report and its pressures (41 in all), no copy
+    evaluated = {os.path.dirname(p) for p in reports} - {os.path.dirname(p) for p in named}
+    assert len(evaluated) == 6 * 2 + 4
+    outputs = [os.path.basename(p) for p in tree if os.path.dirname(p) in evaluated]
+    assert all(re.fullmatch(r"report\.(json|txt)|pressure_\d{4}\.csv", name) for name in outputs)
+    assert len(outputs) == 2 * len(evaluated) + 41
 
 
 def test_same_bytes_matrix_matches_the_digest(matrix):
