@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import checks
+from . import fields as fd
 from .config import ConfigError, RunConfig, load_config, with_seed
 from .fieldio import ArchiveError, load_path_archive, save_path_archive, save_scalar
 from .fields import ScalarField
@@ -41,6 +42,21 @@ def _load(args) -> RunConfig:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     return config
+
+
+def _load_archive(directory: str, config: RunConfig) -> Path:
+    """The archive, which must match the config; an incompressible one must be
+    divergence free, as the functional's residual form needs: each slice's
+    |div v| / (|v_xy| / min(dx, dy)) is 1e-14 projected, 1 random, 1e-10 at most."""
+    path = load_path_archive(directory, expect_grid=config.grid, expect_eos=config.case.eos)
+    if path.kind == "incompressible":
+        grid, V = path.grid, path.V
+        div = np.abs(np.add(*fd.central_differences(grid, V[:, 0], V[:, 1]))).max(axis=(-2, -1))
+        bound = 1e-10 * np.abs(V[:, :2]).max(axis=(-3, -2, -1)) / min(grid.dx, grid.dy)
+        for k in np.flatnonzero(div > bound)[:1]:
+            raise ArchiveError(f"{directory}: slice {k} is not divergence free: |div v| = "
+                               f"{div[k]:.3e} > {bound[k]:.3e} = 1e-10 |v_xy| / min(dx, dy)")
+    return path
 
 
 def _write_report(out_dir: str, report: SbenReport, result: MinimizeResult | None = None):
@@ -95,8 +111,7 @@ def cmd_reference(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    path = load_path_archive(args.archive, expect_grid=config.grid,
-                             expect_eos=config.case.eos)
+    path = _load_archive(args.archive, config)
     report, pressures = evaluate_path(path, config.viscosity.mu, config.gravitation)
     _write_report(args.out, report)
     for k, p in enumerate([] if pressures is None else pressures):
@@ -109,8 +124,7 @@ def cmd_evaluate(args) -> int:
 def cmd_minimize(args) -> int:
     config = _load(args)
     if args.warm_start:
-        start = load_path_archive(args.warm_start, expect_grid=config.grid,
-                                  expect_eos=config.case.eos)
+        start = _load_archive(args.warm_start, config)
     else:
         # the case's initial state at every time sample
         s0, n = initial_state(config.case), config.time.n_intervals

@@ -43,12 +43,8 @@ class Viscosity:
 
 @dataclass(frozen=True)
 class ConjugateSolve:
-    """Settings of the former iterative K^(-1) solve; nothing reads them.
-
-    The solve is exact.  The class stays only because the benchmark's
-    workloads (perfbench/workloads.py) still construct one and pass it to
-    sben.assemble_pi_incompressible, which ignores it.
-    """
+    """Settings of the former iterative K^(-1) solve, which is exact now;
+    nothing reads them, but the benchmark's workloads still pass one."""
 
     tol: float = 1e-10
     max_iter: int = 50_000
@@ -103,20 +99,22 @@ def _check_zero_mean(f: VectorField):
 
 
 def solve_k(f: VectorField, mu: float) -> VectorField:
-    """Mean-free v with K(v) = f, exact per wavenumber, for f one field or a
-    stack of them (one batched transform pair for the stack).
-
-    With the central-difference symbol i*s, the in-plane block of K is
-    mu (|s|^2 I + s s^T / 3), whose inverse is (I - s s^T / (4|s|^2)) / (mu |s|^2);
-    the out-of-plane component is inverted by 1 / (mu |s|^2).  The stencil
-    null modes of f (means and checkerboards) are dropped, which projects f
-    onto the range of K; phi_star, not this solve, rejects a nonzero mean.
-    """
+    """Mean-free v with K(v) = f, exact per wavenumber (solve_k_spectrum), for
+    f one field or a stack of them (one batched transform pair for the stack);
+    phi_star, not this solve, rejects a nonzero mean."""
     if not np.isfinite(f.data).all():
         raise FloatingPointError("viscous conjugate solve: non-finite right-hand side")
-    grid = f.grid
+    uh = solve_k_spectrum(f.grid, np.fft.rfft2(f.data), mu)
+    return VectorField(f.grid, np.fft.irfft2(uh, s=f.grid.shape))
+
+
+def solve_k_spectrum(grid, fh: np.ndarray, mu: float) -> np.ndarray:
+    """The rfft2 spectrum of K^(-1) f from f's.  With the central-difference
+    symbol i*s, the in-plane block of K is mu (|s|^2 I + s s^T / 3), inverted
+    by (I - s s^T / (4|s|^2)) / (mu |s|^2), and the out-of-plane component by
+    1 / (mu |s|^2).  The stencil null modes of f (means and checkerboards)
+    are dropped, which projects f onto the range of K."""
     sym = fd.spectral_symbols(grid)
-    fh = np.fft.rfft2(f.data)
     inv_mu_s2 = sym.inv_s2 / mu
     fx, fy, fz = fd.components(fh)
     s_dot_f = (sym.sx * fx + sym.sy * fy) * (0.25 * sym.inv_s2)
@@ -125,7 +123,7 @@ def solve_k(f: VectorField, mu: float) -> VectorField:
     np.multiply(fx - sym.sx * s_dot_f, inv_mu_s2, out=ux)
     np.multiply(fy - sym.sy * s_dot_f, inv_mu_s2, out=uy)
     np.multiply(fz, inv_mu_s2, out=uz)
-    return VectorField(grid, np.fft.irfft2(uh, s=grid.shape))
+    return uh
 
 
 def phi_star(f: VectorField, mu: float) -> float:

@@ -21,10 +21,11 @@ each take their six derivatives in one such call.
 A field's data may carry leading axes: a stack of fields on one grid, such as
 the consecutive slices of a path, components on axis -3.  The arithmetic,
 the differences, grad_scalar, sym_grad, strain_from_columns, advect_columns,
-div_tensor, div_outer, cross, scalar_times_vector, component_means and
-remove_stencil_null act on each field of a stack, and integrate, inner and
-l2_norm give one value per field, each with the bits of the field alone; the
-other operators take one field.
+div_tensor, div_outer, cross, scalar_times_vector, component_means,
+remove_stencil_null, null_coefficients and null_part act on each field of a
+stack, and integrate, inner, spectral_inner and l2_norm give one value per
+field, each with the bits of the field alone; the other operators take one
+field.
 """
 
 from __future__ import annotations
@@ -166,9 +167,6 @@ class VectorField(_FieldOps):
         if cz is not None:
             data[2] = cz
         return cls(grid, data)
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i].copy())
 
 
 @dataclass(frozen=True)
@@ -413,13 +411,6 @@ def inner(u: VectorField, w: VectorField):
     return _per_field((u.data * w.data).sum(axis=(-3, -2, -1)) * u.grid.cell_area)
 
 
-def tensor_inner(s: SymTensorField, t: SymTensorField) -> float:
-    """Full contraction sum_ij S_ij T_ij integrated over the box."""
-    _check_same_grid(s, t)
-    prod = (s.data * t.data * _SYM_WEIGHTS[:, None, None]).sum()
-    return float(prod * s.grid.cell_area)
-
-
 def l2_norm(v):
     if isinstance(v, VectorField):
         return np.sqrt(np.maximum(inner(v, v), 0.0))
@@ -443,10 +434,8 @@ def remove_mean(v: VectorField) -> VectorField:
 @functools.lru_cache(maxsize=16)
 def _null_patterns(grid: Grid2P) -> tuple[np.ndarray, ...]:
     """Orthogonal basis of the central-difference null space (constants and,
-    on even-sized grids, the odd-even checkerboards); built once per grid and
-    shared read-only, like spectral_symbols.  The patterns are broadcast views
-    of their sign vectors, so only the two-sign checkerboard takes nx*ny
-    values."""
+    on even-sized grids, the odd-even checkerboards), each of mean square 1;
+    built once per grid, shared read-only, as broadcast views of sign vectors."""
     sx = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)[:, None]
     sy = np.where(np.arange(grid.ny) % 2 == 0, 1.0, -1.0)[None, :]
     pats = [np.broadcast_to(1.0, grid.shape)]
@@ -461,12 +450,18 @@ def _null_patterns(grid: Grid2P) -> tuple[np.ndarray, ...]:
 
 def remove_stencil_null(v: VectorField) -> VectorField:
     """Project out all grid modes annihilated by the central-difference operators."""
-    data = v.data.copy()
+    return VectorField(v.grid, v.data - null_part(v.grid, null_coefficients(v)))
+
+
+def null_coefficients(v: VectorField) -> np.ndarray:
+    """<v, p> / (nx ny) of each null pattern p, as (..., 3, n_patterns)."""
     n = v.grid.nx * v.grid.ny
-    for pat in _null_patterns(v.grid):
-        coeff = (data * pat).sum(axis=(-2, -1)) / n
-        data -= coeff[..., None, None] * pat
-    return VectorField(v.grid, data)
+    return np.stack([(v.data * p).sum(axis=(-2, -1)) / n for p in _null_patterns(v.grid)], -1)
+
+
+def null_part(grid: Grid2P, coeffs: np.ndarray) -> np.ndarray:
+    """The null part (..., 3, nx, ny) of a field, from its null_coefficients."""
+    return sum(coeffs[..., k, None, None] * p for k, p in enumerate(_null_patterns(grid)))
 
 
 # --- Fourier symbols of the central differences ----------------------------
@@ -478,12 +473,15 @@ class SpectralSymbols:
     On mode (mx, my) the x-difference multiplies by i*sx and the y-difference
     by i*sy.  inv_s2 is 1/|s|^2, set to 0 on the stencil null modes (the
     constant and the checkerboards), so it inverts -laplacian on the range.
-    The arrays are read-only: one instance is shared per grid.
+    weights are the Parseval weights of a spectrum's interleaved real and
+    imaginary parts, 0 on the null modes.  The arrays are read-only: one
+    instance is shared per grid.
     """
 
-    sx: np.ndarray      # (nx, 1)
-    sy: np.ndarray      # (1, ny//2 + 1)
-    inv_s2: np.ndarray  # (nx, ny//2 + 1)
+    sx: np.ndarray       # (nx, 1)
+    sy: np.ndarray       # (1, ny//2 + 1)
+    inv_s2: np.ndarray   # (nx, ny//2 + 1)
+    weights: np.ndarray  # (nx, 2 (ny//2 + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -500,6 +498,17 @@ def spectral_symbols(grid: Grid2P) -> SpectralSymbols:
     null = null_x[:, None] & null_y[None, :]
     s2 = np.where(null, 1.0, sx**2 + sy**2)
     inv_s2 = np.where(null, 0.0, 1.0 / s2)
-    for a in (sx, sy, inv_s2):
+    # a half-spectrum column counts for its conjugate too, unless it is its own
+    parseval = np.where(null_y, 1.0, 2.0) * grid.cell_area / (grid.nx * grid.ny)
+    weights = np.repeat(np.where(null, 0.0, parseval), 2, axis=-1)
+    for a in (sx, sy, inv_s2, weights):
         a.flags.writeable = False
-    return SpectralSymbols(sx, sy, inv_s2)
+    return SpectralSymbols(sx, sy, inv_s2, weights)
+
+
+def spectral_inner(grid: Grid2P, ah: np.ndarray, bh: np.ndarray):
+    """<a, b> of two vector fields without their null modes, from their rfft2
+    spectra (Parseval): one value per field of a stack."""
+    prod = ah.view(np.float64) * bh.view(np.float64)
+    prod *= spectral_symbols(grid).weights
+    return _per_field(prod.sum(axis=(-3, -2, -1)))

@@ -5,7 +5,7 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow.fields import Grid2P, ScalarField
-from sbenflow.sben import evaluate_path
+from sbenflow.sben import Path, evaluate_path, slave_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,3 +59,12 @@ def signed_zero_vectors(grid, rng, lead=()):
     v[..., 0, 1, 2] = -np.inf
     v[..., 2, 3, 1] = np.nan
     return v
+
+
+def compressible_path(grid, eos, times, velocities, densities=None):
+    """The path of these velocities (VectorFields) and densities (arrays),
+    or with the densities slaved to the mass balance from rho0."""
+    V = np.stack([v.data for v in velocities])
+    if densities is None:
+        densities = slave_density(ScalarField.full(grid, eos.rho0), V, times)
+    return Path(grid, eos, times, V, np.stack(densities))

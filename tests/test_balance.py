@@ -50,6 +50,24 @@ def test_isothermal_internal_energy():
     assert np.abs(de - eos.pressure(rho) / rho**2).max() < 1e-6
 
 
+@pytest.mark.parametrize("gamma", [1.4, 1.0])
+def test_eos_derivatives_off_the_unit_reference_state(gamma):
+    # p0 and rho0 away from 1, where several wrong formulas agree with the
+    # right one: e'(rho) = p / rho^2 and c^2 = dp/drho by central differences,
+    # and the values at rho0 that fix e's constant and c's scale
+    p0, rho0 = 2.5, 1.7
+    eos = BarotropicPowerEos(p0=p0, rho0=rho0, gamma=gamma)
+    rho = np.linspace(0.6, 3.1, 26)
+    h = 1e-6 * rho
+    de = (eos.internal_energy(rho + h) - eos.internal_energy(rho - h)) / (2 * h)
+    dp = (eos.pressure(rho + h) - eos.pressure(rho - h)) / (2 * h)
+    assert np.abs(de / (eos.pressure(rho) / rho**2) - 1.0).max() < 1e-8
+    assert np.abs(dp / eos.sound_speed(rho)**2 - 1.0).max() < 1e-8
+    e0 = 0.0 if gamma == 1.0 else p0 / ((gamma - 1.0) * rho0)
+    assert eos.internal_energy(np.array(rho0)) == pytest.approx(e0, abs=1e-15)
+    assert eos.sound_speed(np.array(rho0))**2 == pytest.approx(gamma * p0 / rho0, rel=1e-14)
+
+
 def test_state_requires_positive_density(grid16):
     eos = BarotropicPowerEos()
     with pytest.raises(ValueError):

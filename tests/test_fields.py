@@ -129,7 +129,9 @@ def test_tensor_divergence_adjoint_to_sym_grad(grid32, rng):
     t = SymTensorField(grid32, np.stack([random_scalar(grid32, rng).data for _ in range(6)]))
     u = random_vector(grid32, rng)
     lhs = fd.inner(fd.div_tensor(t), u)
-    rhs = -fd.tensor_inner(t, fd.sym_grad(u))
+    # the full contraction sum_ij T_ij D_ij over the box, off-diagonals twice
+    d = fd.sym_grad(u).data
+    rhs = -(t.data * d * fd._SYM_WEIGHTS[:, None, None]).sum() * grid32.cell_area
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0)
 
 
@@ -315,10 +317,9 @@ def test_null_patterns_cached_read_only_and_unchanged(nx, ny):
         assert _same_bits(pat, ref)
         with pytest.raises(ValueError):
             pat[0, 0] = 2.0
-    # remove_stencil_null gives the bits of the old builder's patterns
+    # remove_stencil_null gives the bits of the old builder's patterns: v less
+    # the sum of each pattern times <v, pattern> / (nx ny)
     v = random_vector(grid, np.random.default_rng(nx + ny))
-    data = v.data.copy()
-    for pat in built:
-        coeff = (data * pat).sum(axis=(-2, -1)) / (nx * ny)
-        data -= coeff[:, None, None] * pat
+    coeffs = [(v.data * pat).sum(axis=(-2, -1)) / (nx * ny) for pat in built]
+    data = v.data - sum(c[:, None, None] * pat for c, pat in zip(coeffs, built))
     assert _same_bits(fd.remove_stencil_null(v).data, data)

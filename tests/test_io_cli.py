@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sbenflow import checks, cli, fieldio
+from sbenflow import fields as fd
 from sbenflow.balance import BarotropicPowerEos, IncompressibleEos
 from sbenflow.cli import main
 from sbenflow.config import ConfigError, load_config, parse_config
@@ -14,10 +15,10 @@ from sbenflow.fieldio import (ArchiveError, load_grid, load_path_archive, load_s
                               save_vector)
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.oracle import CaseSpec
-from sbenflow.sampling import random_scalar, random_vector
-from sbenflow.sben import compressible_path, incompressible_path
+from sbenflow.sampling import random_scalar, random_solenoidal, random_vector
+from sbenflow.sben import incompressible_path
 
-from conftest import TWO_PI
+from conftest import TWO_PI, compressible_path
 
 
 BASE_CONFIG = {
@@ -895,6 +896,26 @@ class TestCli:
             assert main([argv[0], "--config", cfg, *argv[1:]]) == 3
             err = capsys.readouterr().err
             assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--archive"),
+                                               ("minimize", "--warm-start")])
+    def test_archive_that_is_not_divergence_free_exits_config(self, tmp_path, grid16, capsys,
+                                                              command, flag):
+        # the functional's residual form holds on divergence-free slices
+        # only; a random field's stencil divergence is about its size / dx
+        rng = np.random.default_rng(6)
+        vels = [random_solenoidal(grid16, rng), random_solenoidal(grid16, rng),
+                random_vector(grid16, rng)]
+        d = str(tmp_path / "arch")
+        save_path_archive(d, incompressible_path(grid16, IncompressibleEos(), [0.0, 0.1, 0.2],
+                                                 vels))
+        div = np.abs(fd.div_vector(vels[2]).data).max()
+        bound = 1e-10 * np.abs(vels[2].data[:2]).max() / grid16.dx
+        assert main([command, "--config", _write_config(tmp_path), flag, d,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {d}: slice 2 is not divergence free: |div v| = "
+            f"{div:.3e} > {bound:.3e} = 1e-10 |v_xy| / min(dx, dy)\n")
 
     def test_minimize_cold_start_descends(self, tmp_path):
         cfg = _write_config(tmp_path, overrides={"minimizer.max_iter": 5})

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
@@ -87,3 +88,39 @@ def test_same_bytes_matrix_matches_the_digest(matrix):
     assert sorted(set(want) - set(got)) == [], "files the matrix no longer writes"
     assert sorted(set(got) - set(want)) == [], "files the digest does not hold"
     assert [p for p in want if got[p] != want[p]] == [], "files whose bytes moved"
+
+
+def test_against_names_each_files_largest_change(tmp_path):
+    # two tiny trees: a CSV value moved by one ulp, a report value by 1e-14
+    # of the dissipation integral, a copy beside the moved CSV, and a file
+    # on each side only
+    from sbenflow.fields import Grid2P, ScalarField
+    from sbenflow.fieldio import save_scalar
+    tool = _tool()
+    old, new = tmp_path / "old", tmp_path / "new"
+    values = np.linspace(-1.0, 0.5, 16).reshape(4, 4)
+    report = {"total_pi": 0.5, "dissipation_integral": 1.0, "phi": [0.5, 0.0],
+              "iterations": 3, "converged": True}
+    for root, moved in ((old, False), (new, True)):
+        os.makedirs(root / "case")
+        field = values.copy()
+        if moved:
+            field[0, 0] = np.nextafter(-1.0, 0.0)
+            report["phi"][1] += 1e-14
+        save_scalar(str(root / "case" / "p.csv"), ScalarField(Grid2P(4, 4, 1.0, 1.0), field))
+        (root / "case" / "p.csv.f8").write_bytes(b"new" if moved else b"old")
+        (root / "case" / "report.json").write_text(json.dumps(report))
+        (root / "case" / "same.log").write_text("exit 0\n")
+        (root / ("extra" if moved else "gone")).write_text("")
+    assert tool.compare(str(new), str(old)) == [
+        "case/p.csv: 1.11e-16 of the field's max |value|",
+        "case/p.csv.f8: the binary copy of p.csv",
+        "case/report.json: 1.00e-14 of the dissipation integral (phi[1])",
+        f"only in {new}: extra",
+        f"only in {old}: gone"]
+    report["iterations"], report["converged"] = 4, False
+    (new / "case" / "report.json").write_text(json.dumps(report))
+    assert tool.compare(str(new), str(old))[2] == (
+        "case/report.json: 1.00e-14 of the dissipation integral (phi[1]); "
+        "converged is False, not True; iterations is 4, not 3")
+    assert tool.compare(str(old), str(old)) == []

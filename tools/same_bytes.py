@@ -31,6 +31,17 @@ which can change how a kernel rounds).  tools/same_bytes.sha256.json is the
 checked-in digest of the current outputs; tests/test_same_bytes.py compares
 the matrix with it, so a change that moves an output byte updates it in the
 same diff.
+
+    python3 tools/same_bytes.py OUT --against OTHER
+
+runs the matrix into OUT and compares it with OTHER, the OUT of another
+checkout or setup: it prints one line per file that differs, with its
+largest change, then the files found on one side only, and exits 1 if the
+trees differ.  A report value (report.json, report.txt, a log line) moves
+relative to that report's dissipation integral (a log without one: relative
+to the value itself), a CSV value relative to the field's max |value| in
+OTHER; integers, flags and words must be equal.  A binary copy is named
+with its CSV.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -160,22 +172,106 @@ def setup() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine(), "simd": simd}
 
 
-def digest(out: str) -> dict:
-    """sha256 of every file below OUT, by its path relative to OUT."""
+def _tree(root: str) -> dict:
+    """The bytes of every file below root, by its path relative to root."""
     files = {}
-    for directory, _, names in os.walk(out):
+    for directory, _, names in os.walk(root):
         for name in names:
             path = os.path.join(directory, name)
             with open(path, "rb") as f:
-                files[os.path.relpath(path, out)] = hashlib.sha256(f.read()).hexdigest()
-    return dict(sorted(files.items()))
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def digest(out: str) -> dict:
+    """sha256 of every file below OUT, by its path relative to OUT."""
+    return {p: hashlib.sha256(b).hexdigest() for p, b in sorted(_tree(out).items())}
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+DISSIPATION = re.compile(r"dissipation integral\s*:?\s*(" + NUMBER.pattern + ")")
+
+
+def _report_change(new: bytes, old: bytes) -> str:
+    """The largest move of a report.json value, then every unequal integer,
+    flag or word."""
+    a, b = json.loads(new), json.loads(old)
+    scale = abs(b["dissipation_integral"]) or 1.0
+    words, worst, name = [], 0.0, None
+    for key in sorted(set(a) | set(b)):
+        xs, ys, labels = [a.get(key)], [b.get(key)], [key]
+        if isinstance(xs[0], list) and isinstance(ys[0], list):
+            xs, ys, labels = xs[0], ys[0], [f"{key}[{i}]" for i in range(len(ys[0]))]
+            if len(xs) != len(ys):
+                words.append(f"{key} has {len(xs)} entries, not {len(ys)}")
+                continue
+        for label, u, v in zip(labels, xs, ys):
+            if isinstance(u, float) and isinstance(v, float):
+                if abs(u - v) / scale > worst:
+                    worst, name = abs(u - v) / scale, label
+            elif u != v or type(u) is not type(v):
+                words.append(f"{label} is {u!r}, not {v!r}")
+    moved = f"{worst:.2e} of the dissipation integral ({name})" if name else "no value moved"
+    return "; ".join([moved] + words)
+
+
+def _text_change(new: bytes, old: bytes) -> str:
+    """The largest move of a number in a text file, or that its words differ."""
+    a, b = new.decode(), old.decode()
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "its words differ"
+    found = DISSIPATION.search(b)
+    pairs = [(float(u), float(v)) for u, v in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    if found:
+        scale = abs(float(found.group(1))) or 1.0
+        worst = max(abs(u - v) for u, v in pairs) / scale
+        return f"{worst:.2e} of the dissipation integral"
+    worst = max(abs(u - v) / (abs(v) or 1.0) for u, v in pairs)
+    return f"{worst:.2e} of the value itself"
+
+
+def _csv_change(new: bytes, old: bytes) -> str:
+    """The largest move of a CSV value, relative to the field's max |value|."""
+    a, b = (np.loadtxt(io.StringIO(t.decode()), delimiter=",", skiprows=1, ndmin=2)
+            for t in (new, old))
+    if a.shape != b.shape or not np.array_equal(a[:, :2], b[:, :2]):
+        return "its cells differ"
+    scale = np.abs(b[:, 2:]).max() or 1.0
+    return f"{np.abs(a[:, 2:] - b[:, 2:]).max() / scale:.2e} of the field's max |value|"
+
+
+def compare(out: str, other: str) -> list[str]:
+    """One line per file that differs between the trees OUT and OTHER (see
+    the module docstring), then one per file found on one side only."""
+    a, b = _tree(out), _tree(other)
+    lines = []
+    for path in sorted(set(a) & set(b)):
+        if a[path] == b[path]:
+            continue
+        if path.endswith(".csv.f8"):
+            change = "the binary copy of " + os.path.basename(path)[:-3]
+        elif path.endswith(".csv"):
+            change = _csv_change(a[path], b[path])
+        elif path.endswith("report.json"):
+            change = _report_change(a[path], b[path])
+        else:
+            change = _text_change(a[path], b[path])
+        lines.append(f"{path}: {change}")
+    lines += [f"only in {out}: {p}" for p in sorted(set(a) - set(b))]
+    lines += [f"only in {other}: {p}" for p in sorted(set(b) - set(a))]
+    return lines
 
 
 if __name__ == "__main__":
-    if len(sys.argv) not in (2, 4) or (len(sys.argv) == 4 and sys.argv[2] != "--digest"):
+    if len(sys.argv) not in (2, 4) or (len(sys.argv) == 4
+                                       and sys.argv[2] not in ("--digest", "--against")):
         sys.exit(__doc__)
     run_matrix(sys.argv[1])
-    if len(sys.argv) == 4:
+    if len(sys.argv) == 4 and sys.argv[2] == "--digest":
         with open(sys.argv[3], "w") as f:
             json.dump({"setup": setup(), "files": digest(sys.argv[1])}, f, indent=1)
             f.write("\n")
+    elif len(sys.argv) == 4:
+        differences = compare(sys.argv[1], sys.argv[3])
+        print("\n".join(differences) if differences else "no file differs")
+        sys.exit(1 if differences else 0)
