@@ -16,7 +16,10 @@ The differences work on the flat buffer without rolled copies (see _ddx).
 central_differences returns the two in-plane derivative columns, for callers
 that build several operators from one Jacobian (strain_from_columns turns
 them into D, advect_columns into the advection); sym_grad and div_tensor
-each take their six derivatives in one such call.
+each take their six derivatives in one such call.  It binds Differences to
+its arrays and applies them once; a caller that takes the same differences
+many times, such as the reference stepper, binds them once and applies them
+at each step.
 
 A field's data may carry leading axes: a stack of fields on one grid, such as
 the consecutive slices of a path, components on axis -3.  The arithmetic,
@@ -212,37 +215,89 @@ class Tensor33Field(_FieldOps):
 # where the flat offset runs into the neighbouring row or block, are
 # overwritten.  Each output is a[i+1] - a[i-1] over 2h, the operands and
 # order of (roll(a, -1) - roll(a, 1)) / 2h, so results match it bit for bit.
-# A given out must be C-contiguous, of a's shape, and must not overlap a.
+# A difference is bound to its arrays once (the views of _x_views and
+# _y_views, and _out_for's checks) and applied by _apply: three subtractions
+# and one division.  A given out must be C-contiguous, of a's shape, and
+# must not overlap a.
 
-def _out_for(a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+def _out_for(a: np.ndarray, out: Optional[np.ndarray], *apart) -> np.ndarray:
+    """out checked against a, and against the arrays apart; a new one if None."""
     if out is None:
         return np.empty_like(a)
-    if out.shape != a.shape or not out.flags.c_contiguous or np.may_share_memory(a, out):
+    bad = out.shape != a.shape or not out.flags.c_contiguous
+    for b in (a, *apart):
+        bad = bad or np.may_share_memory(b, out)
+    if bad:
         raise ValueError("out must be a C-contiguous array of the input's shape, apart from it")
+    return out
+
+
+def _x_views(a: np.ndarray, out: np.ndarray) -> tuple:
+    """d/dx's three subtractions of a into out, as (minuend, subtrahend, out) views."""
+    step = a.shape[-1]
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    return ((flat[2 * step:], flat[:-2 * step], flat_out[step:-step]),
+            (a[..., 1, :], a[..., -1, :], out[..., 0, :]),
+            (a[..., 0, :], a[..., -2, :], out[..., -1, :]))
+
+
+def _y_views(a: np.ndarray, out: np.ndarray) -> tuple:
+    """d/dy's three subtractions of a into out, as (minuend, subtrahend, out) views."""
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    return ((flat[2:], flat[:-2], flat_out[1:-1]),
+            (a[..., 1], a[..., -1], out[..., 0]),
+            (a[..., 0], a[..., -2], out[..., -1]))
+
+
+def _apply(subtractions: tuple, out: np.ndarray, h2: float) -> np.ndarray:
+    for a, b, o in subtractions:
+        np.subtract(a, b, out=o)
+    out /= h2
     return out
 
 
 def _ddx(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     a = np.ascontiguousarray(a)
     out = _out_for(a, out)
-    step = a.shape[-1]
-    flat, flat_out = a.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
-    np.subtract(a[..., 1, :], a[..., -1, :], out=out[..., 0, :])
-    np.subtract(a[..., 0, :], a[..., -2, :], out=out[..., -1, :])
-    out /= 2.0 * grid.dx
-    return out
+    return _apply(_x_views(a, out), out, 2.0 * grid.dx)
 
 
 def _ddy(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     a = np.ascontiguousarray(a)
     out = _out_for(a, out)
-    flat, flat_out = a.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
-    np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
-    np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
-    out /= 2.0 * grid.dy
-    return out
+    return _apply(_y_views(a, out), out, 2.0 * grid.dy)
+
+
+class Differences:
+    """central_differences bound to its arrays, for a caller that takes the
+    same differences many times: the views and the checks are made once, and
+    each call writes (d/dx ax, d/dy ay), of what ax and ay hold then, into
+    out and returns that pair.
+
+    ax and ay (ay defaults to ax) must be C-contiguous arrays (..., nx, ny);
+    out is a pair of C-contiguous arrays of their shapes, apart from both
+    inputs and from each other (new arrays if None).
+    """
+
+    __slots__ = ("out", "_x", "_y", "_hx", "_hy")
+
+    def __init__(self, grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None,
+                 out: Optional[tuple[np.ndarray, np.ndarray]] = None):
+        ay = ax if ay is None else ay
+        if not (ax.flags.c_contiguous and ay.flags.c_contiguous):
+            raise ValueError("bound differences need C-contiguous inputs")
+        ox, oy = (None, None) if out is None else out
+        ox = _out_for(ax, ox, ay)
+        oy = _out_for(ay, oy, ax, ox)
+        self.out = (ox, oy)
+        self._x, self._y = _x_views(ax, ox), _y_views(ay, oy)
+        self._hx, self._hy = 2.0 * grid.dx, 2.0 * grid.dy
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        ox, oy = self.out
+        _apply(self._x, ox, self._hx)
+        _apply(self._y, oy, self._hy)
+        return self.out
 
 
 def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None,
@@ -252,11 +307,13 @@ def central_differences(grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] =
 
     With one array these are the two in-plane columns of its Jacobian; with
     the two columns of a Jacobian, their sum is the Laplacian.  With out, a
-    pair of C-contiguous arrays apart from the inputs, the two differences
-    are written there and returned.
+    pair of C-contiguous arrays apart from the inputs and from each other,
+    the two differences are written there and returned.  It binds
+    Differences to (contiguous copies of) the inputs and applies them once.
     """
-    out_x, out_y = (None, None) if out is None else out
-    return _ddx(grid, ax, out_x), _ddy(grid, ax if ay is None else ay, out_y)
+    ax = np.ascontiguousarray(ax)
+    ay = ax if ay is None else np.ascontiguousarray(ay)
+    return Differences(grid, ax, ay, out)()
 
 
 def grad_scalar(s: ScalarField) -> VectorField:

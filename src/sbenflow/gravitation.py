@@ -21,7 +21,10 @@ Coriolis product, which the functional's gradient also reads.  Both give the
 bits of the same composition over the (3, nx, ny) fields gravity() and
 coriolis_vector(), for every input, signed zeros and non-finite entries
 included: the products of a zero component of Omega are 0 v, kept as such,
-and the -0.0 components of g, the additive identity, are left out.
+and the -0.0 components of g, the additive identity, are left out.  Both
+also take the in-plane rows (v_x, v_y) of a planar field, whose v_z is
++0.0, as the reference steppers do, and give the bits of the field's first
+two rows.
 """
 
 from __future__ import annotations
@@ -148,10 +151,22 @@ class Gravitation:
         """Omega x v for a field or a stack v (..., 3, nx, ny), as fd.cross
         composes it: component i is Omega_j v_k - Omega_k v_j, (i, j, k)
         cyclic.  The products go into work (or a new array), the result into
-        out (or a new array); neither may overlap v or the other."""
-        a = np.empty_like(v) if work is None else work
+        out (or a new array); neither may overlap v or the other.
+
+        v may also be the in-plane rows (..., 2, nx, ny) of a planar field,
+        whose v_z is +0.0: there 0 v_z is +0.0, so x is +0.0 - w v_y and y is
+        w v_x, the bits of the first two rows of the field's product, and
+        work is not used.
+        """
         b = np.empty_like(v) if out is None else out
         w = self._rotation
+        if v.shape[-3] == 2:
+            bx, by = b[..., 0, :, :], b[..., 1, :, :]
+            np.multiply(w, v[..., 1, :, :], out=bx)
+            np.subtract(0.0, bx, out=bx)
+            np.multiply(w, v[..., 0, :, :], out=by)
+            return b
+        a = np.empty_like(v) if work is None else work
         zyx = v[..., ::-1, :, :]
         np.multiply(0.0, zyx[..., :2, :, :], out=a[..., ::2, :, :])   # 0 v_z, ., 0 v_y
         np.multiply(w, v[..., 0, :, :], out=a[..., 1, :, :])           # ., w v_x, .
@@ -162,14 +177,16 @@ class Gravitation:
     def body_force(self, acc, v: np.ndarray, out: Optional[np.ndarray] = None,
                    work: Optional[np.ndarray] = None) -> np.ndarray:
         """acc + g - 2 Omega x v, the body force per unit mass added to acc,
-        for a field or a stack v; acc is a constant or an array of v's shape,
-        which uniform_gravity overwrites with acc + g.  out and work are
+        for a field or a stack v, or the in-plane rows of a planar one (see
+        omega_cross); acc is a constant or an array of v's shape, which
+        uniform_gravity overwrites with acc + g.  out and work are
         omega_cross's, and out receives the result: neither may overlap acc."""
         force = self.omega_cross(v, out, work)
         if self.preset == "rigid_rotation":
             force *= 2.0    # elsewhere Omega x v is 0 v - 0 v, which doubling keeps
         if self.preset == "uniform_gravity":
-            acc = np.add(acc, self.g, out=acc if isinstance(acc, np.ndarray) else None)
+            acc = np.add(acc, self.g[:v.shape[-3]],
+                         out=acc if isinstance(acc, np.ndarray) else None)
         return np.subtract(acc, force, out=force)
 
 

@@ -75,8 +75,7 @@ def leray_project(v: VectorField, out: Optional[np.ndarray] = None
     C-contiguous array of v's shape apart from v, v_df is written there.
     """
     data = v.data
-    if not np.isfinite(data).all():
-        raise FloatingPointError("pressure Poisson solve: non-finite input")
+    _require_finite(data)
     if out is not None and np.may_share_memory(data, out):
         raise ValueError("leray_project: out must not overlap the input")
     grid = v.grid
@@ -87,19 +86,51 @@ def leray_project(v: VectorField, out: Optional[np.ndarray] = None
     # out's x and y planes hold the divergence and then grad(q); in a stack
     # of several fields they are strided, and a scratch pair stands in
     planes = (ox, oy) if ox.flags.c_contiguous else np.empty((2, *vx.shape))
-    div, div_y = fd.central_differences(grid, vx, vy, out=planes)
-    div += div_y
-    qh = np.fft.rfft2(div)
-    np.multiply(qh, fd.spectral_symbols(grid).inv_s2, out=qh)
-    np.negative(qh, out=qh)
-    q = np.fft.irfft2(qh, s=grid.shape)
-    # v - grad(q): the gradient is differenced into the planes, then
-    # subtracted from v; its z component is zero, and v_z - 0 is v_z bit for bit
-    qx, qy = fd.central_differences(grid, q, out=planes)
-    np.subtract(vx, qx, out=ox)
-    np.subtract(vy, qy, out=oy)
+    project = _PlaneProjection(grid, np.ascontiguousarray(vx), np.ascontiguousarray(vy), planes)
+    q = project(ox, oy)
+    # grad(q) has a zero z component, and v_z - 0 is v_z bit for bit
     oz[...] = vz
     return VectorField(grid, out), ScalarField(grid, q)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise FloatingPointError("pressure Poisson solve: non-finite input")
+
+
+class _PlaneProjection:
+    """The projection of leray_project on the x and y planes vx, vy of one
+    field or a stack, with its two stencils bound once (fd.Differences), for
+    a caller that projects the same arrays many times: each call reads vx and
+    vy as they are then, writes v_df's planes into ox and oy and returns q,
+    in a buffer of the projection's own that the next call overwrites.
+
+    vx and vy are C-contiguous; planes, a C-contiguous pair apart from them,
+    takes the divergence and then grad(q), and may be (ox, oy).
+    """
+
+    def __init__(self, grid: Grid2P, vx: np.ndarray, vy: np.ndarray, planes):
+        self._v = (vx, vy)
+        self._div = fd.Differences(grid, vx, vy, out=planes)
+        self._q = np.empty_like(vx)
+        self._grad = fd.Differences(grid, self._q, out=planes)
+        self._inv_s2 = fd.spectral_symbols(grid).inv_s2
+        self._shape = grid.shape
+
+    def __call__(self, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+        div, div_y = self._div()
+        div += div_y
+        qh = np.fft.rfft2(div)
+        np.multiply(qh, self._inv_s2, out=qh)
+        np.negative(qh, out=qh)
+        # copied into the bound buffer: irfft2 writing there itself rounds
+        # differently
+        np.copyto(self._q, np.fft.irfft2(qh, s=self._shape))
+        qx, qy = self._grad()
+        vx, vy = self._v
+        np.subtract(vx, qx, out=ox)
+        np.subtract(vy, qy, out=oy)
+        return self._q
 
 
 # --- paths ------------------------------------------------------------------

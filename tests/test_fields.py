@@ -244,6 +244,48 @@ def test_stencil_out_must_be_contiguous_and_apart(grid16):
             fd._ddy(grid16, a, out=bad)
 
 
+@pytest.mark.parametrize("grid", [Grid2P(15, 12, 2.0, 3.5), Grid2P(16, 16, 6.0, 6.0)],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_bound_differences_match_central_differences(grid, lead):
+    # bound once, applied to whatever the inputs hold at each call: the bits
+    # of central_differences (and of the np.roll formula) every time
+    rng = np.random.default_rng(11)
+    shape = (*lead, *grid.shape)
+    ax, ay = np.empty(shape), np.empty(shape)
+    out = (np.empty(shape), np.empty(shape))
+    bound = fd.Differences(grid, ax, ay, out=out)
+    one = fd.Differences(grid, ax)
+    for coarse in (False, True, False):
+        for a in (ax, ay):
+            a[...] = rng.integers(-2, 3, size=shape) if coarse else rng.normal(size=shape)
+        dx, dy = bound()
+        assert dx is out[0] and dy is out[1]
+        want_x, want_y = fd.central_differences(grid, ax, ay)
+        assert _same_bits(dx, want_x) and _same_bits(dy, want_y)
+        assert _same_bits(dx, _roll_ddx(grid, ax)) and _same_bits(dy, _roll_ddy(grid, ay))
+        dx, dy = one()
+        assert _same_bits(dx, _roll_ddx(grid, ax)) and _same_bits(dy, _roll_ddy(grid, ax))
+
+
+def test_binding_checks_its_arrays(grid16):
+    a, b = np.ones((3, *grid16.shape)), np.ones((3, *grid16.shape))
+    other = np.empty_like(a)
+    bad_outs = [
+        (a, other), (other, a),                        # overlaps its own input
+        (b, other), (other, b),                        # overlaps the other input
+        (a[0:1].copy(), other),                        # wrong shape
+        (np.ones((3, 16, 32))[:, :, ::2], other),      # not C-contiguous
+        (other, other)]                                # the two outs overlap
+    for out in bad_outs:
+        with pytest.raises(ValueError, match="out must be"):
+            fd.Differences(grid16, a, b, out=out)
+    # an input must be C-contiguous, since the views bound to it are read
+    # at every call
+    with pytest.raises(ValueError, match="C-contiguous inputs"):
+        fd.Differences(grid16, np.ones((3, 16, 32))[:, :, ::2])
+
+
 # --- one-call sym_grad and div_tensor against the six-call formulas ---------
 
 def _six_call_sym_grad(v):

@@ -112,6 +112,29 @@ def test_body_force_keeps_the_field_composition(preset, params):
         assert g.body_force(-0.0, v).tobytes() == np.broadcast_to(want, v.shape).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("preset,params", [
+    ("zero", {}), ("uniform_gravity", {"g0": 0.5}), ("uniform_gravity", {"g0": -0.0}),
+    ("rigid_rotation", {"omega": 0.8}), ("rigid_rotation", {"omega": 0.0}),
+    ("rigid_rotation", {"omega": -0.0})])
+def test_body_force_on_the_in_plane_rows(preset, params):
+    # the rows (v_x, v_y) of a planar field (v_z = +0.0) give the bits of the
+    # field's first two rows, with the same entries as above in both rows
+    grid = Grid2P(8, 8, 1.0, 1.0)
+    g = Gravitation(grid, preset, params)
+    values = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(5)
+    for lead in [()] * 20 + [(2,)] * 5:
+        acc, v = (rng.choice(values, size=(*lead, 3, 8, 8)) for _ in range(2))
+        v[..., 2, :, :] = 0.0
+        rows, acc_rows = v[..., :2, :, :].copy(), acc[..., :2, :, :].copy()
+        assert g.omega_cross(rows).tobytes() == g.omega_cross(v)[..., :2, :, :].tobytes()
+        want = g.body_force(acc.copy(), v)[..., :2, :, :]
+        assert g.body_force(acc_rows, rows).tobytes() == want.tobytes()
+        want = g.body_force(-0.0, v)[..., :2, :, :]
+        assert g.body_force(-0.0, rows).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("preset,params", [("zero", {}), ("uniform_gravity", {"g0": 9.0}),
                                            ("rigid_rotation", {"omega": 0.7})])
 def test_derived_fields_are_built_once_and_read_only(grid32, preset, params):
