@@ -124,7 +124,9 @@ class Midpoint:
     rho (the constant rho0 for an incompressible fluid), time derivatives by
     their difference over dt, formed when asked for.  t is the midpoint time
     (a block's first: every preset is steady); the pressure is p(rho) from a
-    barotropic EOS, or the multiplier a caller supplies."""
+    barotropic EOS, or the multiplier a caller supplies.  Every operator acts
+    on stacks, so a block's residuals are its intervals', each with the bits
+    of the interval's own Midpoint."""
 
     def __init__(self, grid: Grid2P, eos: Eos, t: float, dt: float, v_ends: tuple,
                  rho_ends: tuple, multiplier: Optional[ScalarField] = None):

@@ -50,20 +50,16 @@ class ConjugateSolve:
     max_iter: int = 50_000
 
 
-def _trace(d: SymTensorField) -> np.ndarray:
-    return d.data[..., XX, :, :] + d.data[..., YY, :, :] + d.data[..., ZZ, :, :]
-
-
 def w_density(d: SymTensorField, mu: float) -> ScalarField:
     """Pointwise dissipation density W(D) >= 0 (of each field of a stack)."""
     sq = np.einsum("...cij,...cij,c->...ij", d.data, d.data, fd._SYM_WEIGHTS)
-    return ScalarField(d.grid, mu * (sq - _trace(d)**2 / 3.0))
+    return ScalarField(d.grid, mu * (sq - d.trace().data**2 / 3.0))
 
 
 def sigma_i(d: SymTensorField, mu: float) -> SymTensorField:
     """Viscous stress 2 mu (D - Tr(D) I / 3); traceless by construction."""
     out = 2.0 * mu * d.data
-    third = 2.0 * mu * _trace(d) / 3.0
+    third = 2.0 * mu * d.trace().data / 3.0
     for c in (XX, YY, ZZ):
         out[..., c, :, :] -= third
     return SymTensorField(d.grid, out)

@@ -12,23 +12,19 @@ conjugation and projection machinery downstream relies on.  On the periodic
 grid each central difference is a Fourier multiplier (see spectral_symbols),
 so the elliptic solves downstream are exact per-wavenumber inverses.
 
-The differences work on the flat buffer without rolled copies (see _ddx).
-central_differences returns the two in-plane derivative columns, for callers
-that build several operators from one Jacobian (strain_from_columns turns
-them into D, advect_columns into the advection); sym_grad and div_tensor
-each take their six derivatives in one such call.  It binds Differences to
-its arrays and applies them once; a caller that takes the same differences
-many times, such as the reference stepper, binds them once and applies them
-at each step.
+Every derivative is taken by Differences, on the flat buffer without rolled
+copies.  Each operator takes its differences from central_differences, which
+returns the two in-plane derivative columns, as do callers that build several
+operators from one Jacobian (strain_from_columns turns them into D,
+advect_columns into the advection).  It binds Differences to its arrays and
+applies them once; a caller that takes the same differences many times, such
+as the reference stepper, binds them once and applies them at each step.
 
-A field's data may carry leading axes: a stack of fields on one grid, such as
-the consecutive slices of a path, components on axis -3.  The arithmetic,
-the differences, grad_scalar, sym_grad, strain_from_columns, advect_columns,
-div_tensor, div_outer, cross, scalar_times_vector, component_means,
-remove_stencil_null, null_coefficients and null_part act on each field of a
-stack, and integrate, inner, spectral_inner and l2_norm give one value per
-field, each with the bits of the field alone; the other operators take one
-field.
+A field's data may carry leading axes, a stack of fields on one grid such as
+the consecutive slices of a path, components on axis -3: every operator but
+the two of Tensor33Field (grad_vector, jac_transpose_dot) acts on each field
+of a stack with the bits of the field alone, and integrate, inner,
+spectral_inner and l2_norm give one value per field.
 """
 
 from __future__ import annotations
@@ -188,7 +184,8 @@ class SymTensorField(_FieldOps):
         return cls(grid, np.zeros((6, *grid.shape)))
 
     def trace(self) -> ScalarField:
-        return ScalarField(self.grid, self.data[XX] + self.data[YY] + self.data[ZZ])
+        d = self.data
+        return ScalarField(self.grid, d[..., XX, :, :] + d[..., YY, :, :] + d[..., ZZ, :, :])
 
 
 @dataclass(frozen=True)
@@ -215,10 +212,10 @@ class Tensor33Field(_FieldOps):
 # where the flat offset runs into the neighbouring row or block, are
 # overwritten.  Each output is a[i+1] - a[i-1] over 2h, the operands and
 # order of (roll(a, -1) - roll(a, 1)) / 2h, so results match it bit for bit.
-# A difference is bound to its arrays once (the views of _x_views and
-# _y_views, and _out_for's checks) and applied by _apply: three subtractions
-# and one division.  A given out must be C-contiguous, of a's shape, and
-# must not overlap a.
+# Differences binds a difference to its arrays once (the views of _x_views
+# and _y_views, and _out_for's checks) and _apply applies it: three
+# subtractions and one division.  A given out must be C-contiguous, of a's
+# shape, and must not overlap a.
 
 def _out_for(a: np.ndarray, out: Optional[np.ndarray], *apart) -> np.ndarray:
     """out checked against a, and against the arrays apart; a new one if None."""
@@ -254,18 +251,6 @@ def _apply(subtractions: tuple, out: np.ndarray, h2: float) -> np.ndarray:
         np.subtract(a, b, out=o)
     out /= h2
     return out
-
-
-def _ddx(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    out = _out_for(a, out)
-    return _apply(_x_views(a, out), out, 2.0 * grid.dx)
-
-
-def _ddy(grid: Grid2P, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    out = _out_for(a, out)
-    return _apply(_y_views(a, out), out, 2.0 * grid.dy)
 
 
 class Differences:
@@ -331,7 +316,9 @@ def grad_vector(v: VectorField) -> Tensor33Field:
 
 
 def div_vector(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, _ddx(v.grid, v.data[0]) + _ddy(v.grid, v.data[1]))
+    div, dy = central_differences(v.grid, v.data[..., 0, :, :], v.data[..., 1, :, :])
+    div += dy
+    return ScalarField(v.grid, div)
 
 
 def div_tensor(t: SymTensorField) -> VectorField:
@@ -349,23 +336,27 @@ def div_tensor(t: SymTensorField) -> VectorField:
 
 
 def curl(v: VectorField) -> VectorField:
-    g = v.grid
-    out = np.zeros((3, *g.shape))
-    out[0] = _ddy(g, v.data[2])
-    out[1] = -_ddx(g, v.data[2])
-    out[2] = _ddx(g, v.data[1]) - _ddy(g, v.data[0])
-    return VectorField(g, out)
+    """(d/dy v_z, -d/dx v_z, d/dx v_y - d/dy v_x), from d/dx of (v_y, v_z) and
+    d/dy of (v_x, v_z)."""
+    dx, dy = central_differences(v.grid, v.data[..., 1:, :, :], v.data[..., ::2, :, :])
+    (dx_vy, dx_vz), (dy_vx, dy_vz) = components(dx), components(dy)
+    return VectorField(v.grid, np.stack([dy_vz, -dx_vz, dx_vy - dy_vx], axis=-3))
+
+
+def _laplacian(grid: Grid2P, a: np.ndarray) -> np.ndarray:
+    """d/dx(d/dx a) + d/dy(d/dy a): div(grad), so it pairs exactly with the stencils above."""
+    lap, yy = central_differences(grid, *central_differences(grid, a))
+    lap += yy
+    return lap
 
 
 def laplacian(v: VectorField) -> VectorField:
-    """Componentwise Laplacian, built as div(grad) so it pairs exactly with the stencils above."""
-    g = v.grid
-    return VectorField(g, _ddx(g, _ddx(g, v.data)) + _ddy(g, _ddy(g, v.data)))
+    """Componentwise Laplacian."""
+    return VectorField(v.grid, _laplacian(v.grid, v.data))
 
 
 def laplacian_scalar(s: ScalarField) -> ScalarField:
-    g = s.grid
-    return ScalarField(g, _ddx(g, _ddx(g, s.data)) + _ddy(g, _ddy(g, s.data)))
+    return ScalarField(s.grid, _laplacian(s.grid, s.data))
 
 
 def sym_grad(v: VectorField) -> SymTensorField:
@@ -391,8 +382,8 @@ def strain_from_columns(grid: Grid2P, jx: np.ndarray, jy: np.ndarray) -> SymTens
 
 def advect_columns(v: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
     """(v . grad) b = v_x jx + v_y jy from the Jacobian columns (jx, jy) of b,
-    with the operands and order of advect, written over jx (jy is scratch) and
-    returned: for callers that build other operators from the same columns."""
+    written over jx (jy is scratch) and returned: advect(v, b) is this applied
+    to b's own columns, for callers that build other operators from them."""
     jx *= v[..., :1, :, :]
     jy *= v[..., 1:2, :, :]
     jx += jy
@@ -402,10 +393,9 @@ def advect_columns(v: np.ndarray, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
 # --- pointwise algebra ----------------------------------------------------
 
 def advect(a: VectorField, b: VectorField) -> VectorField:
-    """(a . grad) b."""
+    """(a . grad) b, advect_columns of b's Jacobian columns."""
     _check_same_grid(a, b)
-    g = a.grid
-    return VectorField(g, a.data[0] * _ddx(g, b.data) + a.data[1] * _ddy(g, b.data))
+    return VectorField(a.grid, advect_columns(a.data, *central_differences(a.grid, b.data)))
 
 
 def div_outer(a: VectorField, b: VectorField) -> VectorField:
@@ -414,9 +404,10 @@ def div_outer(a: VectorField, b: VectorField) -> VectorField:
     Exact discrete adjoint of -advect(a, .) on periodic grids.
     """
     _check_same_grid(a, b)
-    g = a.grid
-    return VectorField(g, _ddx(g, a.data[..., :1, :, :] * b.data)
-                       + _ddy(g, a.data[..., 1:2, :, :] * b.data))
+    out, dy = central_differences(a.grid, a.data[..., :1, :, :] * b.data,
+                                  a.data[..., 1:2, :, :] * b.data)
+    out += dy
+    return VectorField(a.grid, out)
 
 
 def cross(a: VectorField, b: VectorField) -> VectorField:
@@ -447,7 +438,7 @@ def scalar_times_vector(s, v: VectorField) -> VectorField:
 
 def dot_vectors(a: VectorField, b: VectorField) -> ScalarField:
     _check_same_grid(a, b)
-    return ScalarField(a.grid, np.einsum("i...,i...->...", a.data, b.data))
+    return ScalarField(a.grid, np.einsum("...ixy,...ixy->...xy", a.data, b.data))
 
 
 # --- quadrature -----------------------------------------------------------
@@ -485,7 +476,7 @@ def component_means(v: VectorField) -> np.ndarray:
 
 
 def remove_mean(v: VectorField) -> VectorField:
-    return VectorField(v.grid, v.data - component_means(v)[:, None, None])
+    return VectorField(v.grid, v.data - component_means(v)[..., None, None])
 
 
 @functools.lru_cache(maxsize=16)

@@ -9,8 +9,8 @@ with every derivative taken analytically from the preset, never by
 differencing sampled data.  That keeps non-periodic potentials (uniform
 gravity, rigid rotation) usable: their derived fields are constant or
 periodic even though phi and A themselves are not.  Every preset is steady
-in time, so g and Omega are built once per instance, on first use, and
-shared read-only: no caller can change what the next one sees.
+in time and uniform (below), so gravity() and coriolis_vector() are read-only
+broadcast views of two constants: no caller can change what the next one sees.
 
 Every preset is also uniform: g = (-0.0, g_y, -0.0) and Omega = (0, 0, w)
 are two constants, g_y = -g0 - 0.0 (-0.0 but for uniform_gravity) and w
@@ -113,22 +113,13 @@ class Gravitation:
     # derived fields ---------------------------------------------------------
 
     def gravity(self, t: float) -> VectorField:
-        """-grad(phi) - dA/dt, read-only and the same for every t."""
-        return self._gravity
+        """-grad(phi) - dA/dt, the same for every t: a read-only view of g."""
+        return VectorField(self.grid, np.broadcast_to(self.g, (3, *self.grid.shape)))
 
     def coriolis_vector(self, t: float) -> VectorField:
-        """(1/2) curl(A), read-only and the same for every t."""
-        return self._coriolis
-
-    @functools.cached_property
-    def _gravity(self) -> VectorField:
-        return _read_only(-self.grad_phi(0.0) - self.dA_dt(0.0))
-
-    @functools.cached_property
-    def _coriolis(self) -> VectorField:
-        omega = VectorField.zeros(self.grid)
-        omega.data[2] = self._rotation
-        return _read_only(omega)
+        """(1/2) curl(A) = (0, 0, w), the same for every t, as a read-only view."""
+        omega = np.array([0.0, 0.0, self._rotation])[:, None, None]
+        return VectorField(self.grid, np.broadcast_to(omega, (3, *self.grid.shape)))
 
     # the two constants ------------------------------------------------------
 
@@ -188,11 +179,6 @@ class Gravitation:
             acc = np.add(acc, self.g[:v.shape[-3]],
                          out=acc if isinstance(acc, np.ndarray) else None)
         return np.subtract(acc, force, out=force)
-
-
-def _read_only(v: VectorField) -> VectorField:
-    v.data.flags.writeable = False
-    return v
 
 
 def eval_gravity(g: Gravitation, t: float) -> VectorField:

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .fields import Grid2P, ScalarField, VectorField, _ddx, _ddy
+from .fields import Grid2P, ScalarField, VectorField, central_differences
 
 
 @functools.lru_cache(maxsize=16)
@@ -86,4 +86,5 @@ def random_solenoidal(grid: Grid2P, rng: np.random.Generator, kmax: int = 3,
     the out-of-plane component is unconstrained.
     """
     psi, vz = _synthesize(grid, rng, kmax, amplitude, 2)
-    return VectorField(grid, np.stack([_ddy(grid, psi), -_ddx(grid, psi), vz]))
+    dx, dy = central_differences(grid, psi)
+    return VectorField(grid, np.stack([dy, -dx, vz]))

@@ -13,6 +13,7 @@ from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import taylor_green_analytic
 from sbenflow.sampling import random_solenoidal
+from sbenflow.sben import Path
 
 from conftest import TWO_PI, observed_order, signed_zero_vectors
 
@@ -233,6 +234,30 @@ def test_momentum_residual_keeps_the_field_composition(grid16, preset, lead, kin
     want = want - fd.scalar_times_vector(
         rho, grav.gravity(0.2) - 2.0 * fd.cross(grav.coriolis_vector(0.2), v))
     assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+@pytest.mark.parametrize("eos", [BarotropicPowerEos(p0=2.0, gamma=1.4), IncompressibleEos(1.3)],
+                         ids=["compressible", "incompressible"])
+def test_block_midpoint_gives_each_intervals_residuals(grid16, preset, eos):
+    # a block of intervals is a stack: each of its residuals has the bits of
+    # the interval's own Midpoint
+    rng = np.random.default_rng(5)
+    n = 3
+    V = rng.normal(size=(n + 1, 3, *grid16.shape))
+    rho = None
+    if isinstance(eos, BarotropicPowerEos):
+        rho = 1.0 + 0.2 * rng.random((n + 1, *grid16.shape))
+    path = Path(grid16, eos, [0.0, 0.1, 0.2, 0.3], V, rho)
+    grav = Gravitation(grid16, preset, {"g0": 0.5, "omega": 0.8})
+    block = path.midpoint(slice(0, n))
+    for residual in (lambda mid: mid.material_derivative(), lambda mid: mid.mass_residual(),
+                     lambda mid: mid.residual(grav)):
+        got = residual(block).data
+        assert got.shape[0] == n
+        for k in range(n):
+            alone = residual(path.midpoint(slice(k, k + 1))).data[0]
+            assert got[k].tobytes() == alone.tobytes(), k
 
 
 def test_pressure_gradient_is_workless_on_solenoidal(grid32, rng):

@@ -213,18 +213,16 @@ def test_stencils_match_roll_formula(nx, ny, lx, ly, lead, coarse, seed):
     # coarse values repeat, so many differences are exact zeros
     a = rng.integers(-2, 3, size=shape).astype(float) if coarse else rng.normal(size=shape)
     before = a.copy()
-    assert _same_bits(fd._ddx(grid, a), _roll_ddx(grid, a))
-    assert _same_bits(fd._ddy(grid, a), _roll_ddy(grid, a))
+    dx, dy = fd.central_differences(grid, a)
+    assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, a))
     assert _same_bits(a, before)
     # a non-contiguous input: one derivative column of a full tensor
     t = Tensor33Field(grid, rng.normal(size=(3, 3, nx, ny)))
     column = t.data[:, 0]
     assert not column.flags.c_contiguous
-    assert _same_bits(fd._ddx(grid, column), _roll_ddx(grid, column))
-    assert _same_bits(fd._ddy(grid, column), _roll_ddy(grid, column))
-    # the public pair: one array, or the two columns of a Jacobian
-    dx, dy = fd.central_differences(grid, a)
-    assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, a))
+    dx, dy = fd.central_differences(grid, column)
+    assert _same_bits(dx, _roll_ddx(grid, column)) and _same_bits(dy, _roll_ddy(grid, column))
+    # two arrays, such as the two columns of a Jacobian
     dx, dy = fd.central_differences(grid, a, column[0])
     assert _same_bits(dx, _roll_ddx(grid, a)) and _same_bits(dy, _roll_ddy(grid, column[0]))
     # written into given arrays, which come back, over whatever they held
@@ -237,11 +235,12 @@ def test_stencils_match_roll_formula(nx, ny, lx, ly, lead, coarse, seed):
 
 def test_stencil_out_must_be_contiguous_and_apart(grid16):
     a = np.ones((3, *grid16.shape))
+    other = np.empty_like(a)
     for bad in (a, a[0:1], np.ones((3, 16, 32))[:, :, ::2]):
         with pytest.raises(ValueError):
-            fd._ddx(grid16, a, out=bad)
+            fd.central_differences(grid16, a, out=(bad, other))
         with pytest.raises(ValueError):
-            fd._ddy(grid16, a, out=bad)
+            fd.central_differences(grid16, a, out=(other, bad))
 
 
 @pytest.mark.parametrize("grid", [Grid2P(15, 12, 2.0, 3.5), Grid2P(16, 16, 6.0, 6.0)],
@@ -286,17 +285,69 @@ def test_binding_checks_its_arrays(grid16):
         fd.Differences(grid16, np.ones((3, 16, 32))[:, :, ::2])
 
 
+# --- every operator on a stack: the bits of each field alone -------------------
+
+# name -> (operator, the kinds of its arguments: s scalar, v vector, t tensor)
+STACK_OPERATORS = {
+    "div_vector": (fd.div_vector, "v"),
+    "curl": (fd.curl, "v"),
+    "laplacian": (fd.laplacian, "v"),
+    "laplacian_scalar": (fd.laplacian_scalar, "s"),
+    "advect": (fd.advect, "vv"),
+    "div_outer": (fd.div_outer, "vv"),
+    "grad_scalar": (fd.grad_scalar, "s"),
+    "sym_grad": (fd.sym_grad, "v"),
+    "div_tensor": (fd.div_tensor, "t"),
+    "trace": (SymTensorField.trace, "t"),
+    "remove_mean": (fd.remove_mean, "v"),
+    "dot_vectors": (fd.dot_vectors, "vv"),
+}
+_KINDS = {"s": (ScalarField, ()), "v": (VectorField, (3,)), "t": (SymTensorField, (6,))}
+
+
+@pytest.mark.parametrize("grid", [Grid2P(16, 16, TWO_PI, TWO_PI), Grid2P(15, 12, 2.0, 3.5)],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("name", sorted(STACK_OPERATORS))
+def test_operators_act_on_each_field_of_a_stack(grid, lead, name):
+    op, kinds = STACK_OPERATORS[name]
+    rng = np.random.default_rng(len(name) * grid.nx + len(lead))
+    stacks = [rng.normal(size=(*lead, *_KINDS[k][1], *grid.shape)) for k in kinds]
+    got = op(*(_KINDS[k][0](grid, a) for k, a in zip(kinds, stacks))).data
+    assert got.shape[:len(lead)] == lead
+    for index in np.ndindex(lead):
+        alone = op(*(_KINDS[k][0](grid, a[index]) for k, a in zip(kinds, stacks))).data
+        assert _same_bits(got[index], alone), index
+
+
+@pytest.mark.parametrize("grid", [Grid2P(16, 16, TWO_PI, TWO_PI), Grid2P(15, 12, 2.0, 3.5)],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+def test_operators_are_the_roll_compositions_they_replaced(grid):
+    # one field: the bits of the same formulas over np.roll differences
+    rng = np.random.default_rng(grid.nx)
+    a, b = (VectorField(grid, rng.normal(size=(3, *grid.shape))) for _ in range(2))
+    s = ScalarField(grid, rng.normal(size=grid.shape))
+    ddx, ddy = (lambda f: _roll_ddx(grid, f)), (lambda f: _roll_ddy(grid, f))
+    (ax, ay, az), (bx, by, bz) = a.data, b.data
+    assert _same_bits(fd.div_vector(a).data, ddx(ax) + ddy(ay))
+    assert _same_bits(fd.curl(a).data, np.stack([ddy(az), -ddx(az), ddx(ay) - ddy(ax)]))
+    assert _same_bits(fd.laplacian(a).data, ddx(ddx(a.data)) + ddy(ddy(a.data)))
+    assert _same_bits(fd.laplacian_scalar(s).data, ddx(ddx(s.data)) + ddy(ddy(s.data)))
+    assert _same_bits(fd.advect(a, b).data, ax * ddx(b.data) + ay * ddy(b.data))
+    assert _same_bits(fd.div_outer(a, b).data, ddx(ax * b.data) + ddy(ay * b.data))
+
+
 # --- one-call sym_grad and div_tensor against the six-call formulas ---------
 
 def _six_call_sym_grad(v):
     """sym_grad as six single-component differences, the form it replaced."""
     g = v.grid
     out = np.zeros((6, *g.shape))
-    out[XX] = fd._ddx(g, v.data[0])
-    out[YY] = fd._ddy(g, v.data[1])
-    out[XY] = 0.5 * (fd._ddy(g, v.data[0]) + fd._ddx(g, v.data[1]))
-    out[XZ] = 0.5 * fd._ddx(g, v.data[2])
-    out[YZ] = 0.5 * fd._ddy(g, v.data[2])
+    out[XX] = _roll_ddx(g, v.data[0])
+    out[YY] = _roll_ddy(g, v.data[1])
+    out[XY] = 0.5 * (_roll_ddy(g, v.data[0]) + _roll_ddx(g, v.data[1]))
+    out[XZ] = 0.5 * _roll_ddx(g, v.data[2])
+    out[YZ] = 0.5 * _roll_ddy(g, v.data[2])
     return out
 
 
@@ -304,9 +355,9 @@ def _six_call_div_tensor(t):
     """div_tensor as six single-component differences, the form it replaced."""
     g = t.grid
     out = np.zeros((3, *g.shape))
-    out[0] = fd._ddx(g, t.data[XX]) + fd._ddy(g, t.data[XY])
-    out[1] = fd._ddx(g, t.data[XY]) + fd._ddy(g, t.data[YY])
-    out[2] = fd._ddx(g, t.data[XZ]) + fd._ddy(g, t.data[YZ])
+    out[0] = _roll_ddx(g, t.data[XX]) + _roll_ddy(g, t.data[XY])
+    out[1] = _roll_ddx(g, t.data[XY]) + _roll_ddy(g, t.data[YY])
+    out[2] = _roll_ddx(g, t.data[XZ]) + _roll_ddy(g, t.data[YZ])
     return out
 
 
