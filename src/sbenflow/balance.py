@@ -22,9 +22,11 @@ class PressureUndefinedError(ValueError):
     """Pressure requested from an incompressible EOS without a supplied multiplier field."""
 
 
-class DensityError(FloatingPointError):
-    """A computed density turned non-positive, or the discrete mass balance
-    that determines it could not be solved (a numerical failure, CLI exit 3)."""
+class DensityError(FloatingPointError, ValueError):
+    """A density is non-positive, or the discrete mass balance that
+    determines it could not be solved (a numerical failure, CLI exit 3).
+    FluidState raises it for a non-positive density, so it is also a
+    ValueError."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class FluidState:
             if np.any(self.rho.data != self.eos.rho0):
                 raise ValueError("an incompressible fluid's density is its rho0")
         elif np.any(self.rho.data <= 0):
-            raise ValueError("density must be positive everywhere")
+            raise DensityError("density must be positive everywhere")
 
     @property
     def grid(self):

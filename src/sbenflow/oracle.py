@@ -330,7 +330,8 @@ def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation
     The density update is in divergence form, so total mass is conserved to
     round-off every step.  The stages work in scratch (see StepScratch), the
     midpoint velocity in w.v; the new velocity and density are the only
-    arrays the step allocates for its result.
+    arrays the step allocates for its result.  A non-positive midpoint
+    density raises DensityError here, a non-positive new one in FluidState.
     """
     if not isinstance(state.eos, BarotropicPowerEos):
         raise ValueError("state must carry a barotropic EOS")
@@ -354,8 +355,6 @@ def step_compressible(state: FluidState, dt: float, mu: float, grav: Gravitation
     v_new = _planar_vector(state.grid)
     np.add(v, dv2, out=v_new[:2])
     rho_new = ScalarField(state.grid, rho + drho2)
-    if np.any(rho_new.data <= 0):
-        raise DensityError("density became non-positive; reduce dt or the perturbation")
     return FluidState(state.t + dt, VectorField(state.grid, v_new), rho_new, state.eos)
 
 

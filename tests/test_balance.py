@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.balance import (BarotropicPowerEos, FluidState, IncompressibleEos,
+from sbenflow.balance import (BarotropicPowerEos, DensityError, FluidState, IncompressibleEos,
                               PressureUndefinedError, consistent_momentum,
                               energy_residual, head_loss, mass_residual,
                               material_derivative, momentum_reduction_gap, momentum_residual,
@@ -73,6 +73,12 @@ def test_state_requires_positive_density(grid16):
     eos = BarotropicPowerEos()
     with pytest.raises(ValueError):
         FluidState(0.0, VectorField.zeros(grid16), ScalarField.full(grid16, 1.0) * 0.0, eos)
+    # a numerical failure too (CLI exit 3), whichever of the two a caller catches
+    rho = np.ones(grid16.shape)
+    rho[3, 5] = -1e-300
+    with pytest.raises(DensityError, match="positive everywhere"):
+        FluidState(0.0, VectorField.zeros(grid16), ScalarField(grid16, rho), eos)
+    assert issubclass(DensityError, ValueError) and issubclass(DensityError, FloatingPointError)
 
 
 def test_incompressible_state_density_is_rho0():

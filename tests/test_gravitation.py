@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import (Gravitation, UnknownPresetError, eval_coriolis_vector,
                                   eval_gravity, gravitation_force)
 from sbenflow.sampling import random_vector
+
+TWO_PI = 2.0 * math.pi
 
 
 def test_unknown_preset_rejected(grid32):
@@ -152,3 +156,46 @@ def test_derived_fields_are_built_once_and_read_only(grid32, preset, params):
             field.data[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             field.data += 1.0
+
+
+def _per_preset_accessors(grid, preset, params):
+    """The accessors written one branch per preset, the reference for their
+    bits: phi = g0 y and grad(phi) = (0, g0, 0) under uniform gravity,
+    A = (-w y, w x, 0) and dA_x/dy = -w, dA_y/dx = w under rigid rotation,
+    +0.0 elsewhere."""
+    g0, w = float(params.get("g0", 9.81)), float(params.get("omega", 1.0))
+    phi = np.zeros(grid.shape)
+    a, grad_phi = np.zeros((3, *grid.shape)), np.zeros((3, *grid.shape))
+    jac = np.zeros((3, 3, *grid.shape))
+    g, omega = np.full((3, *grid.shape), -0.0), np.zeros((3, *grid.shape))
+    if preset == "uniform_gravity":
+        phi = g0 * grid.y()
+        grad_phi[1] = g0
+        g[1] = -g0 - 0.0
+    if preset == "rigid_rotation":
+        a[0], a[1] = -w * grid.y(), w * grid.x()
+        jac[0, 1], jac[1, 0] = -w, w
+        omega[2] = w
+    return {"phi": phi, "vector_potential": a, "dA_dt": np.zeros((3, *grid.shape)),
+            "dphi_dt": np.zeros(grid.shape), "grad_phi": grad_phi, "grad_A": jac,
+            "gravity": g, "coriolis_vector": omega}
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15, 12)])
+@pytest.mark.parametrize("preset,params", [
+    ("zero", {}),
+    ("uniform_gravity", {"g0": 9.0}), ("uniform_gravity", {}),
+    ("uniform_gravity", {"g0": -2.5}), ("uniform_gravity", {"g0": 0.0}),
+    ("rigid_rotation", {"omega": 0.7}), ("rigid_rotation", {}),
+    ("rigid_rotation", {"omega": -1.3}), ("rigid_rotation", {"omega": 0.0})])
+def test_accessors_keep_the_per_preset_bits(shape, preset, params):
+    # every accessor is a formula in the two constants g and Omega, and gives
+    # the bits of the per-preset formula, signed zeros included (A_x and
+    # dA_x/dy are -0.0 under rigid rotation with omega = 0.0)
+    grid = Grid2P(*shape, TWO_PI, 3.0)
+    g = Gravitation(grid, preset, params)
+    for name, want in _per_preset_accessors(grid, preset, params).items():
+        for t in (0.0, 1.7):
+            got = getattr(g, name)(t).data
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name

@@ -579,15 +579,26 @@ class TestCli:
         rc = main(["reference", "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 3
 
-    def test_reference_density_failure_exits_numerical(self, tmp_path):
+    @staticmethod
+    def _density_failure(tmp_path, capsys, amplitude):
         # a strong acoustic pulse on a coarse grid drives the density below
-        # zero part-way through the run
+        # zero part-way through the run: exit 3 and the failure's one line
         cfg = _write_config(tmp_path, overrides={
             "eos.kind": "barotropic_power", "viscosity.mu": 0.01,
             "time.t_final": 3.0, "time.n_intervals": 4, "time.n_ref": 600,
-            "case.id": "compressible_smooth", "case.parameters": {"amplitude": 0.95}})
+            "case.id": "compressible_smooth", "case.parameters": {"amplitude": amplitude}})
         rc = main(["reference", "--config", cfg, "--out", str(tmp_path / "r")])
-        assert rc == 3
+        return rc, capsys.readouterr().err
+
+    def test_reference_density_failure_exits_numerical(self, tmp_path, capsys):
+        # a new state's density, which FluidState rejects
+        assert self._density_failure(tmp_path, capsys, 0.95) == (
+            3, "numerical failure: density must be positive everywhere\n")
+
+    def test_reference_midpoint_density_failure_exits_numerical(self, tmp_path, capsys):
+        # a midpoint density, which the step checks itself
+        assert self._density_failure(tmp_path, capsys, 0.99) == (
+            3, "numerical failure: density became non-positive; reduce dt or the perturbation\n")
 
     def test_minimize_stalled_mass_balance_exits_numerical(self, tmp_path):
         # cold start with dt = 2: the mass-balance fixed point cannot contract

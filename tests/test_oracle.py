@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.balance import BarotropicPowerEos, FluidState, IncompressibleEos
+from sbenflow.balance import BarotropicPowerEos, DensityError, FluidState, IncompressibleEos
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import (CASE_IDS, CaseSpec, StepScratch, UnstableStepError, _compressible_rhs,
@@ -502,6 +502,25 @@ class TestCompressibleStepper:
         state = self._rest_state(grid16)
         with pytest.raises(UnstableStepError):
             step_compressible(state, 1.0, 0.05, grav)
+
+    @pytest.mark.parametrize("rho_cell, message", [
+        (0.03, "became non-positive"),          # at the midpoint: the step's own check
+        (0.1, "must be positive everywhere")])  # only in the new state: FluidState's
+    def test_non_positive_density_is_a_density_error(self, grid16, rho_cell, message):
+        # unit outflow on both sides of one light cell, the rest at rest:
+        # within the stability bound, its density falls by about dt / dx
+        rho = np.ones(grid16.shape)
+        rho[8, 8] = rho_cell
+        vx = np.zeros(grid16.shape)
+        vx[9, 8], vx[7, 8] = 1.0, -1.0
+        state = FluidState(0.0, VectorField.from_components(grid16, vx, 0.0 * vx),
+                           ScalarField(grid16, rho), BarotropicPowerEos())
+        dt, mu = 0.05, 1e-12
+        assert dt <= stable_dt(state, mu)
+        grav = Gravitation(grid16, "zero")
+        with pytest.raises(DensityError, match=message):
+            step_compressible(state, dt, mu, grav)
+        assert step_compressible(state, dt / 10, mu, grav).rho.data.min() > 0.0
 
 
 def _former_stable_dt_incompressible(state, mu):
