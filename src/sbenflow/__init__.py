@@ -7,8 +7,7 @@ potential, its Fenchel conjugate, and the canonical symplectic pairing.
 """
 
 from .balance import (BarotropicPowerEos, FluidState, IncompressibleEos, Momentum,
-                      energy_residual, head_loss, mass_residual, material_derivative,
-                      momentum_reduction_gap, pi_i_residual, raw_momentum_residual)
+                      energy_residual, momentum_reduction_gap, raw_momentum_residual)
 from .dissipation import (Viscosity, apply_k, fenchel_gap, phi, phi_star, sigma_i,
                           solve_k, w_density)
 from .fields import (Grid2P, GridMismatchError, ScalarField, SymTensorField,

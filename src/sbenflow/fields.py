@@ -22,8 +22,8 @@ as the reference stepper, binds them once and applies them at each step.
 
 A field's data may carry leading axes, a stack of fields on one grid such as
 the consecutive slices of a path, components on axis -3: every operator but
-the two of Tensor33Field (grad_vector, jac_transpose_dot) acts on each field
-of a stack with the bits of the field alone, and integrate, inner,
+grad_vector (whose Tensor33Field is one field) acts on each field of a stack
+with the bits of the field alone, and integrate, inner,
 spectral_inner and l2_norm give one value per field.
 """
 
@@ -422,9 +422,10 @@ def cross(a: VectorField, b: VectorField) -> VectorField:
 
 
 def jac_transpose_dot(j: Tensor33Field, v: VectorField) -> VectorField:
-    """Component i is sum_j v_j J[j,i] (contraction leaving the derivative index free)."""
+    """Component i is sum_j v_j J[j,i] (contraction leaving the derivative
+    index free), for each field of a stack v."""
     _check_same_grid(j, v)
-    return VectorField(v.grid, np.einsum("ji...,j...->i...", j.data, v.data))
+    return VectorField(v.grid, np.einsum("...jixy,...jxy->...ixy", j.data, v.data))
 
 
 def scalar_times_vector(s, v: VectorField) -> VectorField:

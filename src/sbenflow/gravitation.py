@@ -10,7 +10,8 @@ Omega = (0, 0, w) (Gravitation._rotation; omega under rigid_rotation, else
 and both time derivatives are zero (A_x and dA_x/dy are +0.0 without
 rotation, -0.0 for omega = 0.0).  No derivative differences sampled data, so
 the non-periodic potentials give constant fields; gravity() and
-coriolis_vector() are read-only broadcast views of the two constants.
+coriolis_vector() are read-only broadcast views of the two constants.  No
+accessor takes a time: a steady preset has none to read.
 
 Gravitation.body_force is the force per unit mass acc + g - 2 Omega x v, for
 the steppers and, through gravitation_force, the momentum residual; its
@@ -85,38 +86,38 @@ class Gravitation:
 
     # potentials and derived fields ----------------------------------------
 
-    def phi(self, t: float) -> ScalarField:
+    def phi(self) -> ScalarField:
         """-g . position."""
         return ScalarField(self.grid, -(self.g[0] * self.grid.x() + self.g[1] * self.grid.y()))
 
-    def vector_potential(self, t: float) -> VectorField:
+    def vector_potential(self) -> VectorField:
         """Omega x position = (-w y, w x, 0)."""
         return VectorField.from_components(self.grid, self._minus_rotation * self.grid.y(),
                                            self._rotation * self.grid.x())
 
-    def dA_dt(self, t: float) -> VectorField:
+    def dA_dt(self) -> VectorField:
         return VectorField.zeros(self.grid)
 
-    def dphi_dt(self, t: float) -> ScalarField:
+    def dphi_dt(self) -> ScalarField:
         return ScalarField.zeros(self.grid)
 
-    def grad_phi(self, t: float) -> VectorField:
+    def grad_phi(self) -> VectorField:
         """-g in every cell."""
         return VectorField(self.grid, np.negative(np.broadcast_to(self.g, (3, *self.grid.shape))))
 
-    def grad_A(self, t: float) -> Tensor33Field:
+    def grad_A(self) -> Tensor33Field:
         """The Jacobian dA_i/dx_j: -w at (x, y), w at (y, x), 0 elsewhere."""
         j = Tensor33Field.zeros(self.grid)
         j.data[0, 1] = self._minus_rotation
         j.data[1, 0] = self._rotation
         return j
 
-    def gravity(self, t: float) -> VectorField:
-        """-grad(phi) - dA/dt, the same for every t: a read-only view of g."""
+    def gravity(self) -> VectorField:
+        """-grad(phi) - dA/dt: a read-only view of g."""
         return VectorField(self.grid, np.broadcast_to(self.g, (3, *self.grid.shape)))
 
-    def coriolis_vector(self, t: float) -> VectorField:
-        """(1/2) curl(A) = (0, 0, w), the same for every t, as a read-only view."""
+    def coriolis_vector(self) -> VectorField:
+        """(1/2) curl(A) = (0, 0, w), as a read-only view."""
         omega = np.array([0.0, 0.0, self._rotation])[:, None, None]
         return VectorField(self.grid, np.broadcast_to(omega, (3, *self.grid.shape)))
 
@@ -160,15 +161,15 @@ class Gravitation:
         return np.subtract(acc, force, out=force)
 
 
-def eval_gravity(g: Gravitation, t: float) -> VectorField:
-    return g.gravity(t)
+def eval_gravity(g: Gravitation) -> VectorField:
+    return g.gravity()
 
 
-def eval_coriolis_vector(g: Gravitation, t: float) -> VectorField:
-    return g.coriolis_vector(t)
+def eval_coriolis_vector(g: Gravitation) -> VectorField:
+    return g.coriolis_vector()
 
 
-def gravitation_force(rho, v: VectorField, g: Gravitation, t: float) -> VectorField:
+def gravitation_force(rho, v: VectorField, g: Gravitation) -> VectorField:
     """rho (g - 2 Omega x v), the gravity plus Coriolis force density; rho a
     ScalarField or a constant.  It is body_force with acc = -0.0, since
     -0.0 + g is g bit for bit."""

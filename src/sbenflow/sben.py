@@ -161,7 +161,10 @@ class Path:
     For the compressible kind the densities ride along with the velocities
     (slaved to the mass balance by slave_density or the reference steppers)
     and are checked positive once, on the array.  path.states gives the
-    slices as FluidStates whose fields are views of the arrays.
+    slices as FluidStates whose fields are views of the arrays.  The path's
+    one clock is dt = times[1] - times[0], taken once: every interval's
+    residuals come from path.midpoint, which differences over it (the times
+    stay as given, since archives write them).
     """
 
     def __init__(self, grid: Grid2P, eos: Eos, times, V: np.ndarray,
@@ -185,16 +188,13 @@ class Path:
                              f"path has them, (T, nx, ny) = {(shape[0] - 1, *grid.shape)}")
         self.grid, self.eos, self.times, self.V, self.rho = (
             grid, eos, np.array(times, dtype=float), V, rho)
+        self.dt = float(self.times[1] - self.times[0])
         self.pressures = pressures
 
     @functools.cached_property
     def states(self) -> list[FluidState]:
         return [FluidState(float(t), VectorField(self.grid, v), ScalarField(self.grid, r),
                            self.eos) for t, v, r in zip(self.times, self.V, self.rho)]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def n_intervals(self) -> int:
@@ -204,12 +204,13 @@ class Path:
     def kind(self) -> str:
         return "incompressible" if isinstance(self.eos, IncompressibleEos) else "compressible"
 
-    def midpoint(self, intervals: slice) -> Midpoint:
-        """The Midpoint of a block of consecutive intervals (views of V and rho)."""
+    def midpoint(self, intervals: slice, multiplier: Optional[ScalarField] = None) -> Midpoint:
+        """The Midpoint of a block of consecutive intervals (views of V and
+        rho), on the path's dt; multiplier is an incompressible block's
+        pressure, one field per interval."""
         a, b = intervals.start, intervals.stop
-        return Midpoint(self.grid, self.eos, 0.5 * (self.times[a] + self.times[a + 1]),
-                        self.dt, (self.V[a:b], self.V[a + 1:b + 1]),
-                        (self.rho[a:b], self.rho[a + 1:b + 1]))
+        return Midpoint(self.grid, self.eos, self.dt, (self.V[a:b], self.V[a + 1:b + 1]),
+                        (self.rho[a:b], self.rho[a + 1:b + 1]), multiplier)
 
     def with_velocities(self, new_free) -> "Path":
         """Same path with the free slices (k >= 1) replaced by new_free, a
@@ -218,7 +219,8 @@ class Path:
         if len(new_free) != self.n_intervals:
             raise ValueError("need one velocity per free slice")
         path = Path.__new__(Path)     # shares the checked times and densities
-        path.grid, path.eos, path.times, path.rho = self.grid, self.eos, self.times, self.rho
+        path.grid, path.eos, path.times, path.dt, path.rho = (
+            self.grid, self.eos, self.times, self.dt, self.rho)
         path.V, path.pressures = np.concatenate([self.V[:1], _stacked(new_free)]), None
         return path
 

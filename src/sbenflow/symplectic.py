@@ -5,25 +5,25 @@ the canonical form is
 
     omega(z, z') = integral( v . pidot' - pidot . v' ).
 
-Splitting a state pair into reversible plus irreversible parts gives
-zeta_I = (v_I, pi_I) at the pair's balance.Midpoint: v_I the average over the
-end slices of v - pi/rho + A, which vanishes on consistent momenta, and pi_I
-the midpoint's momentum residual.  Because the dissipation potential ignores
-the momentum rate, the symplectic conjugate collapses to an indicator: it is
-phi_star(-pi_I) when v_I vanishes and infinite otherwise.  At zeta = (v_mid,
-dpi/dt), with an incompressible pair's multiplier as its pressure, the gap is
-the space-time functional's interval term Pi_k (sben).
+Splitting an interval of a path into reversible plus irreversible parts
+gives zeta_I = (v_I, pi_I) at the interval's balance.Midpoint (Path.midpoint):
+v_I the average over the end slices of v - pi/rho + A, which vanishes on
+consistent momenta, and pi_I the midpoint's momentum residual.  Because the
+dissipation potential ignores the momentum rate, the symplectic conjugate
+collapses to an indicator: it is phi_star(-pi_I) when v_I vanishes and
+infinite otherwise.  At zeta = (v_mid, dpi/dt), with an incompressible
+interval's multiplier as its pressure, the gap is the space-time
+functional's interval term Pi_k (sben).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import fields as fd
-from .balance import FluidState, Momentum, pair_midpoint
+from .balance import Midpoint, Momentum
 from .dissipation import phi, phi_star
-from .fields import ScalarField, VectorField
+from .fields import VectorField
 from .gravitation import Gravitation
 
 # |v_I|_inf above which the symplectic conjugate is infinite (absolute)
@@ -60,15 +60,13 @@ def omega(z: PhasePoint, zp: PhasePoint) -> float:
     return fd.inner(z.v, zp.pidot) - fd.inner(z.pidot, zp.v)
 
 
-def decompose(s_prev: FluidState, s_next: FluidState,
-              pi_prev: Momentum, pi_next: Momentum,
-              grav: Gravitation,
-              pressure: Optional[ScalarField] = None) -> PhaseDecomposition:
-    """Irreversible part of the interval's phase velocity, from the pair's
-    Midpoint: v_I is the average over the end slices of v - pi/rho + A, and
-    pi_I the momentum residual of that midpoint."""
-    mid = pair_midpoint(s_prev, s_next, pressure)
-    a = grav.vector_potential(mid.t).data
+def decompose(mid: Midpoint, pi_prev: Momentum, pi_next: Momentum,
+              grav: Gravitation) -> PhaseDecomposition:
+    """Irreversible part of the phase velocity of mid's interval(s): v_I is
+    the average over the end slices of v - pi/rho + A, and pi_I the momentum
+    residual of mid, which must hold the pressure (PressureUndefinedError)."""
+    mid.require_pressure()
+    a = grav.vector_potential().data
     ends = [v + a - pi.pi.data / rho[..., None, :, :]
             for v, pi, rho in zip(mid.v_ends, (pi_prev, pi_next), mid.rho_ends)]
     return PhaseDecomposition(VectorField(mid.grid, mid.mean(*ends)), mid.residual(grav))

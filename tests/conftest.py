@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
+from sbenflow.balance import IncompressibleEos
 from sbenflow.fields import Grid2P, ScalarField
 from sbenflow.sben import Path, evaluate_path, slave_density
 
@@ -68,3 +69,13 @@ def compressible_path(grid, eos, times, velocities, densities=None):
     if densities is None:
         densities = slave_density(ScalarField.full(grid, eos.rho0), V, times)
     return Path(grid, eos, times, V, np.stack(densities))
+
+
+def interval_midpoint(s_prev, s_next, multiplier=None):
+    """The Midpoint of the one interval of the path of two FluidStates, with
+    an incompressible interval's multiplier; its residuals are stacks of one."""
+    rho = (None if isinstance(s_prev.eos, IncompressibleEos)
+           else np.stack([s_prev.rho.data, s_next.rho.data]))
+    path = Path(s_prev.grid, s_prev.eos, [s_prev.t, s_next.t],
+                np.stack([s_prev.v.data, s_next.v.data]), rho)
+    return path.midpoint(slice(0, 1), multiplier)

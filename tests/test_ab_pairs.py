@@ -26,10 +26,36 @@ def test_summary_counts_wins_by_the_metric_direction():
     assert "change better in 1/5 pairs" in line
 
 
-def test_better_lower_reads_the_benchmark_declaration(tmp_path):
+def test_declared_reads_the_direction_and_bound(tmp_path):
     tool = _tool()
     (tmp_path / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "pass_rel", "better": "lower"},'
+        '{"end_to_end": [{"name": "pass_rel", "better": "lower", "bound": 0.25},'
         ' {"name": "rate", "better": "higher"}]}')
-    assert tool.better_lower(str(tmp_path)) == {"pass_rel": True, "rate": False}
-    assert tool.better_lower(str(tmp_path / "missing")) == {}
+    assert tool.declared(str(tmp_path)) == {"pass_rel": (True, 0.25), "rate": (False, None)}
+    assert tool.declared(str(tmp_path / "missing")) == {}
+
+
+def _verdict(tool, parent, change, lower=True, bound=0.25):
+    return tool.summary("m", parent, change, lower, bound).rsplit("; ", 1)[1]
+
+
+def test_verdicts():
+    tool = _tool()
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]   # IQR 0.25
+    # gain: 10/10 pairs won, the median better by 1.0 > IQR; 8/10 is not enough
+    assert _verdict(tool, parent, [p - 1.0 for p in parent]) == "gain"
+    eight = [p - 1.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
+    assert _verdict(tool, parent, eight) == "flat"
+    # higher is better: the same runs are a gain the other way round
+    assert _verdict(tool, parent, [p + 1.0 for p in parent], lower=False) == "gain"
+    # regression: the median 30 % worse, beyond the 25 % bound
+    assert _verdict(tool, parent, [p * 1.3 for p in parent]) == "regression"
+    assert _verdict(tool, parent, [p * 1.2 for p in parent]) == "flat"
+    assert _verdict(tool, parent, [p * 1.3 for p in parent], bound=None) == "flat"
+    # unresolved: the parent's own spread is wider than the bound
+    noisy = [6.0, 14.0, 7.0, 13.0, 8.0, 12.0, 9.0, 11.0, 10.0, 10.0]     # IQR 4.5
+    assert _verdict(tool, noisy, list(noisy), bound=0.1) == "unresolved"
+    assert _verdict(tool, noisy, [5.0, 15.0] + [6.5] * 8, bound=0.1) == "unresolved"
+    # unless every run of the change reads better than every run of the
+    # parent: better by 4.1, within the IQR, is then no gain but resolved
+    assert _verdict(tool, noisy, [5.9] * 10, bound=0.1) == "flat"

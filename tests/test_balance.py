@@ -5,17 +5,16 @@ import pytest
 
 from sbenflow import fields as fd
 from sbenflow.balance import (BarotropicPowerEos, DensityError, FluidState, IncompressibleEos,
-                              PressureUndefinedError, consistent_momentum,
-                              energy_residual, head_loss, mass_residual,
-                              material_derivative, momentum_reduction_gap, momentum_residual,
-                              pi_i_residual, raw_momentum_residual)
+                              PressureUndefinedError, energy_residual, momentum_reduction_gap,
+                              momentum_residual, raw_momentum_residual)
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
 from sbenflow.oracle import taylor_green_analytic
 from sbenflow.sampling import random_solenoidal
 from sbenflow.sben import Path
+from sbenflow.symplectic import decompose
 
-from conftest import TWO_PI, observed_order, signed_zero_vectors
+from conftest import TWO_PI, interval_midpoint, observed_order, signed_zero_vectors
 
 
 def _tg_pair(nx, nu, dt, t0=0.2):
@@ -93,10 +92,11 @@ def test_incompressible_state_density_is_rho0():
 
 
 def test_time_ordering_enforced(grid16):
+    # an interval's Midpoint comes from a path, whose times must increase
     eos = IncompressibleEos()
     s = FluidState(0.0, VectorField.zeros(grid16), ScalarField.full(grid16, 1.0), eos)
-    with pytest.raises(ValueError):
-        mass_residual(s, s)
+    with pytest.raises(ValueError, match="increase"):
+        interval_midpoint(s, s)
 
 
 def test_mass_residual_solenoidal_flow(grid32, rng):
@@ -105,7 +105,8 @@ def test_mass_residual_solenoidal_flow(grid32, rng):
     v = random_solenoidal(grid32, rng)
     s0 = FluidState(0.0, v, rho, eos)
     s1 = FluidState(0.1, v, rho, eos)
-    assert fd.linf_norm(mass_residual(s0, s1)) <= 1e-13 * fd.linf_norm(v) / grid32.dx
+    resid = interval_midpoint(s0, s1).mass_residual()
+    assert fd.linf_norm(resid) <= 1e-13 * fd.linf_norm(v) / grid32.dx
 
 
 def test_mass_residual_manufactured_order():
@@ -120,7 +121,7 @@ def test_mass_residual_manufactured_order():
             rho = ScalarField(g, 1.0 + 0.1 * np.sin(g.x() - t))
             v = VectorField.from_components(g, np.ones(g.shape), np.zeros(g.shape))
             states.append(FluidState(t, v, rho, eos))
-        errs.append(fd.linf_norm(ScalarField(g, np.abs(mass_residual(*states).data))))
+        errs.append(fd.linf_norm(interval_midpoint(*states).mass_residual()))
     order = observed_order(errs)
     print("mass residual errors", errs, "order", order)
     assert order >= 1.8
@@ -132,7 +133,7 @@ def test_material_derivative_uniform_steady(grid32):
                                     np.full(grid32.shape, -1.0))
     rho = ScalarField.full(grid32, 1.0)
     s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.5, v, rho, eos)
-    assert fd.linf_norm(material_derivative(s0, s1)) == 0.0
+    assert fd.linf_norm(interval_midpoint(s0, s1).material_derivative()) == 0.0
 
 
 def test_material_derivative_shear_exact(grid32):
@@ -141,7 +142,7 @@ def test_material_derivative_shear_exact(grid32):
     v = VectorField.from_components(grid32, np.sin(grid32.y()), np.zeros(grid32.shape))
     rho = ScalarField.full(grid32, 1.0)
     s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
-    assert fd.linf_norm(material_derivative(s0, s1)) <= 1e-14
+    assert fd.linf_norm(interval_midpoint(s0, s1).material_derivative()) <= 1e-14
 
 
 def test_material_derivative_euler_vortex_order():
@@ -150,8 +151,9 @@ def test_material_derivative_euler_vortex_order():
     for nx in (16, 32, 64):
         dt = TWO_PI / nx
         g, s0, s1, p_mid = _tg_pair(nx, nu=0.0, dt=dt)
-        resid = material_derivative(s0, s1) + (1.0 / s0.eos.rho0) * fd.grad_scalar(p_mid)
-        errs.append(fd.l2_norm(resid))
+        resid = (interval_midpoint(s0, s1).material_derivative()
+                 + (1.0 / s0.eos.rho0) * fd.grad_scalar(p_mid))
+        errs.append(fd.l2_norm(resid)[0])
     order = observed_order(errs)
     print("euler vortex errors", errs, "order", order)
     assert order >= 1.8
@@ -164,16 +166,26 @@ class TestPiIResidual:
         v = VectorField.zeros(grid32)
         s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
         grav = Gravitation(grid32, "zero")
-        assert fd.linf_norm(pi_i_residual(s0, s1, grav)) == 0.0
+        assert fd.linf_norm(interval_midpoint(s0, s1).residual(grav)) == 0.0
 
-    def test_incompressible_needs_pressure(self, grid32):
+    def test_incompressible_needs_pressure(self, grid32, rng):
+        # pi_I leaves a missing multiplier out, as the functional's residual
+        # form needs; every residual that holds the pressure refuses instead
         eos = IncompressibleEos()
         rho = ScalarField.full(grid32, 1.0)
-        v = VectorField.zeros(grid32)
-        s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
-        grav = Gravitation(grid32, "zero")
-        with pytest.raises(PressureUndefinedError):
-            pi_i_residual(s0, s1, grav)
+        s0 = FluidState(0.0, random_solenoidal(grid32, rng), rho, eos)
+        s1 = FluidState(0.1, random_solenoidal(grid32, rng), rho, eos)
+        grav = Gravitation(grid32, "rigid_rotation", {"omega": 0.8})
+        mid = interval_midpoint(s0, s1)
+        without = momentum_residual(1.0, mid.material_derivative(), mid.v, grav)
+        assert mid.residual(grav).data.tobytes() == without.data.tobytes()
+        momenta = mid.consistent_momenta(grav)
+        for needs_pressure in (lambda: raw_momentum_residual(mid, *momenta, grav),
+                               lambda: momentum_reduction_gap(mid, grav),
+                               lambda: energy_residual(mid, *momenta, grav),
+                               lambda: decompose(mid, *momenta, grav)):
+            with pytest.raises(PressureUndefinedError):
+                needs_pressure()
 
     def test_steady_euler_vortex_order(self):
         errs = []
@@ -181,7 +193,7 @@ class TestPiIResidual:
             dt = TWO_PI / nx
             g, s0, s1, p_mid = _tg_pair(nx, nu=0.0, dt=dt)
             grav = Gravitation(g, "zero")
-            errs.append(fd.l2_norm(pi_i_residual(s0, s1, grav, pressure=p_mid)))
+            errs.append(fd.l2_norm(interval_midpoint(s0, s1, p_mid).residual(grav))[0])
         order = observed_order(errs)
         print("pi_I euler errors", errs, "order", order)
         assert order >= 1.8
@@ -195,9 +207,9 @@ class TestPiIResidual:
             dt = TWO_PI / nx
             g, s0, s1, p_mid = _tg_pair(nx, nu=nu, dt=dt)
             grav = Gravitation(g, "zero")
-            resid = pi_i_residual(s0, s1, grav, pressure=p_mid)
+            resid = interval_midpoint(s0, s1, p_mid).residual(grav)
             v_mid = 0.5 * (s0.v + s1.v)
-            errs.append(fd.l2_norm(resid - (-2.0 * mu) * v_mid))
+            errs.append(fd.l2_norm(resid - (-2.0 * mu) * v_mid)[0])
         order = observed_order(errs)
         print("viscous pi_I errors", errs, "order", order)
         assert order >= 1.8
@@ -211,10 +223,11 @@ class TestPiIResidual:
                         ScalarField(grid32, 1.0 + 0.1 * np.sin(x) * np.cos(y)), eos)
         s1 = FluidState(0.05, random_solenoidal(grid32, rng),
                         ScalarField(grid32, 1.0 + 0.1 * np.cos(x) * np.sin(y)), eos)
+        mid = interval_midpoint(s0, s1)
         rho_mid = 0.5 * (s0.rho + s1.rho)
-        expected = (fd.scalar_times_vector(rho_mid, material_derivative(s0, s1))
+        expected = (fd.scalar_times_vector(rho_mid, mid.material_derivative())
                     + fd.grad_scalar(ScalarField(grid32, eos.pressure(rho_mid.data))))
-        assert fd.linf_norm(pi_i_residual(s0, s1, grav) - expected) <= 1e-12
+        assert fd.linf_norm(mid.residual(grav) - expected) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -233,12 +246,12 @@ def test_momentum_residual_keeps_the_field_composition(grid16, preset, lead, kin
     else:
         rho = ScalarField(grid16, 1.0 + rng.random((*lead, *grid16.shape)))
         grad_p = VectorField(grid16, rng.normal(size=v.data.shape))
-    got = momentum_residual(rho, accel, v, grav, 0.2, grad_p)
+    got = momentum_residual(rho, accel, v, grav, grad_p)
     want = fd.scalar_times_vector(rho, accel)
     if grad_p is not None:
         want = want + grad_p
     want = want - fd.scalar_times_vector(
-        rho, grav.gravity(0.2) - 2.0 * fd.cross(grav.coriolis_vector(0.2), v))
+        rho, grav.gravity() - 2.0 * fd.cross(grav.coriolis_vector(), v))
     assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -246,23 +259,33 @@ def test_momentum_residual_keeps_the_field_composition(grid16, preset, lead, kin
 @pytest.mark.parametrize("eos", [BarotropicPowerEos(p0=2.0, gamma=1.4), IncompressibleEos(1.3)],
                          ids=["compressible", "incompressible"])
 def test_block_midpoint_gives_each_intervals_residuals(grid16, preset, eos):
-    # a block of intervals is a stack: each of its residuals has the bits of
-    # the interval's own Midpoint
+    # a block of intervals is a stack: each of its residuals, and the pi_I of
+    # decompose, has the bits of the interval's own Midpoint.  The path has
+    # one clock: 0.3 - 0.2 is not 0.1 in binary, and every interval
+    # differences over times[1] - times[0]
     rng = np.random.default_rng(5)
     n = 3
     V = rng.normal(size=(n + 1, 3, *grid16.shape))
-    rho = None
+    rho = multiplier = None
     if isinstance(eos, BarotropicPowerEos):
         rho = 1.0 + 0.2 * rng.random((n + 1, *grid16.shape))
+    else:
+        multiplier = ScalarField(grid16, rng.normal(size=(n, *grid16.shape)))
     path = Path(grid16, eos, [0.0, 0.1, 0.2, 0.3], V, rho)
     grav = Gravitation(grid16, preset, {"g0": 0.5, "omega": 0.8})
-    block = path.midpoint(slice(0, n))
+
+    def interval(k):
+        return path.midpoint(slice(k, k + 1), None if multiplier is None
+                             else ScalarField(grid16, multiplier.data[k:k + 1]))
+
+    block = path.midpoint(slice(0, n), multiplier)
     for residual in (lambda mid: mid.material_derivative(), lambda mid: mid.mass_residual(),
-                     lambda mid: mid.residual(grav)):
+                     lambda mid: mid.residual(grav),
+                     lambda mid: decompose(mid, *mid.consistent_momenta(grav), grav).pi_i):
         got = residual(block).data
         assert got.shape[0] == n
         for k in range(n):
-            alone = residual(path.midpoint(slice(k, k + 1))).data[0]
+            alone = residual(interval(k)).data[0]
             assert got[k].tobytes() == alone.tobytes(), k
 
 
@@ -275,8 +298,10 @@ def test_pressure_gradient_is_workless_on_solenoidal(grid32, rng):
     grav = Gravitation(grid32, "zero")
     p_a = ScalarField(grid32, np.sin(grid32.x()) * np.cos(grid32.y()))
     p_b = ScalarField(grid32, np.cos(2 * grid32.x()))
-    hl_a = head_loss(s0, s1, grav, pressure=p_a)
-    hl_b = head_loss(s0, s1, grav, pressure=p_b)
+    mid_a, mid_b = interval_midpoint(s0, s1, p_a), interval_midpoint(s0, s1, p_b)
+    # the head loss, inner(pi_I, v_mid)
+    hl_a = fd.inner(mid_a.residual(grav), mid_a.v)[0]
+    hl_b = fd.inner(mid_b.residual(grav), mid_b.v)[0]
     scale = fd.l2_norm(v) ** 2 / grid32.dx + 1.0
     assert abs(hl_a - hl_b) <= 1e-12 * scale
 
@@ -288,9 +313,8 @@ class TestRawMomentum:
         v = VectorField.zeros(grid32)
         s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
         grav = Gravitation(grid32, "zero")
-        pi0 = consistent_momentum(s0, grav)
-        pi1 = consistent_momentum(s1, grav)
-        resid = raw_momentum_residual(s0, s1, pi0, pi1, grav)
+        mid = interval_midpoint(s0, s1)
+        resid = raw_momentum_residual(mid, *mid.consistent_momenta(grav), grav)
         # uniform rho gives a constant pressure whose gradient vanishes exactly
         assert fd.linf_norm(resid) == 0.0
 
@@ -305,10 +329,9 @@ class TestRawMomentum:
         v = VectorField.zeros(grid32)
         s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
         p = ScalarField(grid32, -rho0 * g0 * grid32.y())
-        pi0 = consistent_momentum(s0, grav)
-        pi1 = consistent_momentum(s1, grav)
-        resid = raw_momentum_residual(s0, s1, pi0, pi1, grav, pressure=p)
-        interior = resid.data[:, :, 2:-2]
+        mid = interval_midpoint(s0, s1, p)
+        resid = raw_momentum_residual(mid, *mid.consistent_momenta(grav), grav)
+        interior = resid.data[..., 2:-2]
         assert np.abs(interior).max() <= 1e-12 * rho0 * g0
 
 
@@ -318,7 +341,7 @@ def test_momentum_reduction_gap_zero_fields(grid32):
     v = VectorField.zeros(grid32)
     s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
     grav = Gravitation(grid32, "zero")
-    assert fd.linf_norm(momentum_reduction_gap(s0, s1, grav)) == 0.0
+    assert fd.linf_norm(momentum_reduction_gap(interval_midpoint(s0, s1), grav)) == 0.0
 
 
 def _manufactured_pair(g, dt, preset="zero", params=None):
@@ -342,7 +365,7 @@ def test_momentum_reduction_gap_order(preset, params):
     for nx in (16, 32, 64):
         g = Grid2P(nx, nx, TWO_PI, TWO_PI)
         s0, s1, grav = _manufactured_pair(g, dt=0.5 * g.dx, preset=preset, params=params)
-        errs.append(fd.l2_norm(momentum_reduction_gap(s0, s1, grav)))
+        errs.append(fd.l2_norm(momentum_reduction_gap(interval_midpoint(s0, s1), grav))[0])
     order = observed_order(errs)
     print(f"reduction gap ({preset}) errors", errs, "order", order)
     assert order >= 1.8
@@ -358,8 +381,8 @@ class TestEnergyResidual:
         v = VectorField.zeros(grid32)
         s0, s1 = FluidState(0.0, v, rho, eos), FluidState(0.1, v, rho, eos)
         p = ScalarField(grid32, -rho0 * g0 * grid32.y())
-        pi0, pi1 = consistent_momentum(s0, grav), consistent_momentum(s1, grav)
-        resid = energy_residual(s0, s1, pi0, pi1, grav, pressure=p)
+        mid = interval_midpoint(s0, s1, p)
+        resid = energy_residual(mid, *mid.consistent_momenta(grav), grav)
         assert fd.linf_norm(resid) == 0.0
 
     def test_steady_euler_vortex_order(self):
@@ -368,9 +391,9 @@ class TestEnergyResidual:
             dt = TWO_PI / nx
             g, s0, s1, p_mid = _tg_pair(nx, nu=0.0, dt=dt)
             grav = Gravitation(g, "zero")
-            pi0, pi1 = consistent_momentum(s0, grav), consistent_momentum(s1, grav)
-            resid = energy_residual(s0, s1, pi0, pi1, grav, pressure=p_mid)
-            errs.append(fd.l2_norm(resid))
+            mid = interval_midpoint(s0, s1, p_mid)
+            resid = energy_residual(mid, *mid.consistent_momenta(grav), grav)
+            errs.append(fd.l2_norm(resid)[0])
         order = observed_order(errs)
         print("energy residual errors", errs, "order", order)
         assert order >= 1.8
@@ -379,6 +402,6 @@ class TestEnergyResidual:
         nu = 0.1
         g, s0, s1, p_mid = _tg_pair(32, nu=nu, dt=0.05)
         grav = Gravitation(g, "zero")
-        pi0, pi1 = consistent_momentum(s0, grav), consistent_momentum(s1, grav)
-        resid = energy_residual(s0, s1, pi0, pi1, grav, pressure=p_mid)
-        assert fd.integrate(resid) < 0.0
+        mid = interval_midpoint(s0, s1, p_mid)
+        resid = energy_residual(mid, *mid.consistent_momenta(grav), grav)
+        assert fd.integrate(resid)[0] < 0.0

@@ -129,19 +129,19 @@ def _reference_leray(v):
 
 
 def _reference_incompressible_rhs(v, t, nu, grav):
-    omega = grav.coriolis_vector(t)
+    omega = grav.coriolis_vector()
     return (-fd.advect(v, v) + nu * fd.laplacian(v)
-            + grav.gravity(t) - 2.0 * fd.cross(omega, v))
+            + grav.gravity() - 2.0 * fd.cross(omega, v))
 
 
 def _reference_compressible_rhs(v, rho, t, mu, eos, grav):
     grid = v.grid
     p = ScalarField(grid, eos.p0 * (rho.data / eos.rho0) ** eos.gamma)
     visc = mu * fd.laplacian(v) + (mu / 3.0) * fd.grad_scalar(fd.div_vector(v))
-    omega = grav.coriolis_vector(t)
+    omega = grav.coriolis_vector()
     dv = (-fd.advect(v, v)
           + VectorField(grid, (visc.data - fd.grad_scalar(p).data) / rho.data[None])
-          + grav.gravity(t) - 2.0 * fd.cross(omega, v))
+          + grav.gravity() - 2.0 * fd.cross(omega, v))
     drho = -fd.div_vector(fd.scalar_times_vector(rho, v))
     return dv, drho
 

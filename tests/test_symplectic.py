@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbenflow import fields as fd
-from sbenflow.balance import FluidState, IncompressibleEos, Midpoint, consistent_momentum
+from sbenflow.balance import FluidState, IncompressibleEos
 from sbenflow.dissipation import apply_k, fenchel_gap, phi
 from sbenflow.fields import Grid2P, ScalarField, VectorField
 from sbenflow.gravitation import Gravitation
@@ -14,7 +14,7 @@ from sbenflow.sben import evaluate_path
 from sbenflow.symplectic import (InfinitePolarValue, PhaseDecomposition, PhasePoint,
                                  constitutive_gap, decompose, omega, symplectic_polar)
 
-from conftest import TWO_PI
+from conftest import TWO_PI, interval_midpoint
 
 MU = 0.4
 
@@ -78,16 +78,15 @@ def _path(kind, preset, noisy):
 
 
 def _pairs(path, grav, pressures=None):
-    """(midpoint, decomposition, phase point) per interval; the phase point
-    is (v_mid, d pi / dt) of the consistent momenta."""
-    states = path.states
-    momenta = [consistent_momentum(s, grav) for s in states]
+    """(midpoint, decomposition, phase point) per interval, from the
+    interval's Midpoint with its multiplier; the phase point is (v_mid,
+    d pi / dt) of the consistent momenta."""
     for k in range(path.n_intervals):
-        mid = Midpoint.of_pair(states[k], states[k + 1])
-        z_i = decompose(states[k], states[k + 1], momenta[k], momenta[k + 1], grav,
-                        pressure=None if pressures is None
-                        else ScalarField(path.grid, pressures[k]))
-        yield mid, z_i, PhasePoint(mid.v, mid.rate(momenta[k].pi, momenta[k + 1].pi))
+        mid = path.midpoint(slice(k, k + 1), None if pressures is None
+                            else ScalarField(path.grid, pressures[k:k + 1]))
+        pi_prev, pi_next = mid.consistent_momenta(grav)
+        z_i = decompose(mid, pi_prev, pi_next, grav)
+        yield mid, z_i, PhasePoint(mid.v, mid.rate(pi_prev.pi, pi_next.pi))
 
 
 class TestDecompose:
@@ -105,9 +104,9 @@ class TestDecompose:
         states = [FluidState(s.t, s.v + 0.1 * random_vector(grid16, rng),
                              s.rho + 0.3 * random_scalar(grid16, rng, amplitude=0.5), s.eos)
                   for s in (s0, s1)]
-        z_i = decompose(*states, *(consistent_momentum(s, grav) for s in states), grav)
-        v_mid = Midpoint.of_pair(*states).v
-        assert fd.linf_norm(z_i.v_i) <= 1e-13 * fd.linf_norm(v_mid)
+        mid = interval_midpoint(*states)
+        z_i = decompose(mid, *mid.consistent_momenta(grav), grav)
+        assert fd.linf_norm(z_i.v_i) <= 1e-13 * fd.linf_norm(mid.v)
 
     @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
     @pytest.mark.parametrize("preset", list(PRESETS))
@@ -121,7 +120,7 @@ class TestDecompose:
             gap = constitutive_gap(z, z_i, MU)
             scale = (report.phi_terms[k] + report.phi_star_terms[k]
                      + fd.l2_norm(z_i.pi_i) * fd.l2_norm(mid.v))
-            assert abs(gap - report.gap_terms[k]) <= 1e-13 * scale
+            assert abs(gap - report.gap_terms[k])[0] <= 1e-13 * scale[0]
 
     def test_consistent_momentum_kills_v_i(self, grid32, rng):
         eos = IncompressibleEos()
@@ -129,19 +128,18 @@ class TestDecompose:
         s0 = FluidState(0.0, random_vector(grid32, rng), rho, eos)
         s1 = FluidState(0.1, random_vector(grid32, rng), rho, eos)
         grav = Gravitation(grid32, "zero")
-        z_i = decompose(s0, s1, consistent_momentum(s0, grav),
-                        consistent_momentum(s1, grav), grav,
-                        pressure=ScalarField.zeros(grid32))
+        mid = interval_midpoint(s0, s1, ScalarField.zeros(grid32))
+        z_i = decompose(mid, *mid.consistent_momenta(grav), grav)
         assert fd.linf_norm(z_i.v_i) <= 1e-14
 
     def test_steady_euler_state_is_reversible(self):
         errs = []
         for nx in (16, 32, 64):
             g, s0, s1, p_mid, grav = _vortex_pair(nx, nu=0.0, dt=TWO_PI / nx)
-            z_i = decompose(s0, s1, consistent_momentum(s0, grav),
-                            consistent_momentum(s1, grav), grav, pressure=p_mid)
+            mid = interval_midpoint(s0, s1, p_mid)
+            z_i = decompose(mid, *mid.consistent_momenta(grav), grav)
             assert fd.linf_norm(z_i.v_i) <= 1e-14
-            errs.append(fd.l2_norm(z_i.pi_i))
+            errs.append(fd.l2_norm(z_i.pi_i)[0])
         assert errs[2] < errs[1] / 3 < errs[0] / 9  # second-order decay
 
     def test_viscous_state_exposes_stress_divergence(self):
@@ -150,11 +148,10 @@ class TestDecompose:
         errs = []
         for nx in (16, 32, 64):
             g, s0, s1, p_mid, grav = _vortex_pair(nx, nu=nu, dt=TWO_PI / nx)
-            z_i = decompose(s0, s1, consistent_momentum(s0, grav),
-                            consistent_momentum(s1, grav), grav, pressure=p_mid)
+            mid = interval_midpoint(s0, s1, p_mid)
+            z_i = decompose(mid, *mid.consistent_momenta(grav), grav)
             assert fd.linf_norm(z_i.v_i) <= 1e-14
-            v_mid = 0.5 * (s0.v + s1.v)
-            errs.append(fd.l2_norm(z_i.pi_i - (-2 * nu) * v_mid))
+            errs.append(fd.l2_norm(z_i.pi_i - (-2 * nu) * mid.v)[0])
         print("viscous decompose errors", errs)
         assert errs[1] < errs[0] / 3.4 and errs[2] < errs[1] / 3.4
 

@@ -7,10 +7,21 @@ CHANGE, each from its own root, N times each.  Pair i runs both with seed
 K + i, and the side that runs first alternates from pair to pair, so that a
 drift of the machine's speed falls on both sides alike.  It prints each
 pair's end-to-end metrics, then per metric the pairs the change won (ties
-count for neither side), both medians and the parent's quartiles with their
-spread.  Whether a metric is better lower or higher is read from PARENT's
-BENCHMARK.json (lower if it does not name the metric).  It exits 1 if a run
-fails or reports itself not correct.
+count for neither side), both medians, the parent's quartiles with their
+spread (the IQR) and a verdict:
+
+  gain        the change wins at least 9/10 of the pairs and its median is
+              better than the parent's by more than the IQR
+  regression  the change's median is worse than the parent's by more than
+              the bound (relative to the parent's median)
+  unresolved  neither, and the IQR is wider than the bound, unless every
+              run of the change reads better than every run of the parent
+  flat        otherwise
+
+Whether a metric is better lower or higher, and its bound, are read from
+PARENT's BENCHMARK.json (lower and no bound if it does not name the metric;
+without a bound a metric is a gain or flat).  It exits 1 if a run fails or
+reports itself not correct.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import os
 import statistics
 import subprocess
 import sys
+from typing import Optional
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -39,27 +51,40 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def better_lower(root: str) -> dict:
-    """metric name -> True if lower is better, from root's BENCHMARK.json."""
+def declared(root: str) -> dict:
+    """metric name -> (True if lower is better, its relative bound or None),
+    from root's BENCHMARK.json."""
     try:
         with open(os.path.join(root, "BENCHMARK.json")) as f:
-            declared = json.load(f).get("end_to_end", [])
+            metrics = json.load(f).get("end_to_end", [])
     except FileNotFoundError:
         return {}
-    return {m["name"]: m.get("better", "lower") == "lower" for m in declared}
+    return {m["name"]: (m.get("better", "lower") == "lower", m.get("bound")) for m in metrics}
 
 
-def summary(name: str, parent: list, change: list, lower: bool) -> str:
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+def summary(name: str, parent: list, change: list, lower: bool,
+            bound: Optional[float] = None) -> str:
+    sign = 1.0 if lower else -1.0      # sign * (p - c) > 0: the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     med_p, med_c = statistics.median(parent), statistics.median(change)
     if len(parent) >= 2:
         q1, _, q3 = statistics.quantiles(parent, n=4)
     else:
         q1 = q3 = parent[0]
+    iqr = q3 - q1
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if wins >= 0.9 * len(parent) and sign * (med_p - med_c) > iqr:
+        verdict = "gain"
+    elif bound is not None and sign * (med_c - med_p) > bound * abs(med_p):
+        verdict = "regression"
+    elif bound is not None and iqr > bound * abs(med_p) and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "flat"
     rel = (med_c - med_p) / med_p * 100.0 if med_p else float("nan")
     return (f"{name}: change better in {wins}/{len(parent)} pairs; median parent "
             f"{med_p:.6g} -> change {med_c:.6g} ({rel:+.1f} %); parent quartiles "
-            f"{q1:.6g} .. {q3:.6g} (spread {q3 - q1:.3g})")
+            f"{q1:.6g} .. {q3:.6g} (spread {iqr:.3g}); {verdict}")
 
 
 def main(argv=None) -> int:
@@ -90,11 +115,11 @@ def main(argv=None) -> int:
         print(f"ab_pairs: {exc}", file=sys.stderr)
         return 1
 
-    lower = better_lower(sides["parent"])
+    metrics = declared(sides["parent"])
     for name in values["parent"][0]:
         parent = [v[name] for v in values["parent"]]
         change = [v[name] for v in values["change"]]
-        print(summary(name, parent, change, lower.get(name, True)))
+        print(summary(name, parent, change, *metrics.get(name, (True, None))))
     return 0
 
 
