@@ -34,7 +34,13 @@ intervals as fit in _BLOCK_BYTES, every operator applied once to a block's
 stacked slices (a field's data may carry leading axes); every entry is a
 per-slice reduction, with the bits of the interval computed alone.
 evaluate_path and gradient_pi hold one block's temporaries at a time; the
-descent keeps every block of a path, for its gradient and pressures.
+descent keeps every block of a path, for its gradient and pressures.  A block
+keeps R = f_raw - K v_mid, which the gradient reads: since pi_I = -f_raw,
+K v_mid + rho (accel - g) + grad p = -R - 2 rho Omega x v_mid, so the first
+variation <E, d v_mid> + <F, d (time difference)> of an interval's term has
+F = w = rho (v_mid - K^(-1) f) = rho (N v_mid - K^(-1) r) and
+E = (grad v_mid)^T w - div(v_mid (x) w) - 2 Omega x w - R: pi_I's forces
+are written only in Midpoint.residual.
 
 One matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
 backtracking minimizes both kinds with the initial state pinned: the
@@ -324,7 +330,8 @@ class SbenReport:
 # core, the gradient or the free-slice projection works on: c = 16 slices at
 # 16^2, 4 at 32^2 and one from 64^2 up.  A core's temporaries, about ten
 # fields of the block's size, bound the memory of evaluate_path and
-# gradient_pi; the descent keeps each path's blocks, whatever the budget.
+# gradient_pi; the descent keeps each path's blocks, whatever the budget:
+# about three fields per interval (v_mid, R and the spectrum of K^(-1) r).
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -337,12 +344,12 @@ def _blocks(path: Path) -> list[slice]:
 
 @dataclass
 class _Block:
-    """Terms of consecutive intervals, stacked in time, that pressures and gradient read."""
+    """The residual of consecutive intervals, stacked in time, with its
+    midpoint and spectra: what the pressures and the gradient read."""
 
     intervals: slice
     mid: Midpoint
-    accel: VectorField
-    kv: VectorField             # K(v_mid)
+    residual: np.ndarray        # R = f_raw - K(v_mid)
     uh: np.ndarray              # rfft2 of K^(-1) r
     v_null: np.ndarray          # fd.null_coefficients of v_mid
     qh: Optional[np.ndarray]    # rfft2 of the multiplier (incompressible kind)
@@ -376,16 +383,16 @@ def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
     grid = path.grid
     mid = path.midpoint(intervals)
     advection, phi_v, kv = _differentiate_midpoint(mid.v, mu)
-    accel = mid.material_derivative(advection)     # after the Jacobian's peak
+    f_raw = mid.residual(grav, mid.material_derivative(advection))   # after the Jacobian's peak
     del advection
-    f_raw = mid.residual(grav, accel)
     pairing = fd.inner(f_raw, mid.v)
     np.negative(f_raw.data, out=f_raw.data)     # pi_I becomes f_raw in place
     f_null, v_null = fd.null_coefficients(f_raw), fd.null_coefficients(mid.v)
     discarded = [np.linalg.norm(m) for m in f_null[..., 0]]     # the constant's: the means
     null_pairing = (f_null * v_null).sum(axis=(-2, -1))
-    rh = np.fft.rfft2(np.subtract(f_raw.data, kv.data, out=f_raw.data))
-    del f_raw
+    residual = np.subtract(f_raw.data, kv.data, out=f_raw.data)
+    del f_raw, kv
+    rh = np.fft.rfft2(residual)
     qh = None
     if path.kind == "incompressible":     # P R_hat = R_hat - i s q_hat
         sym = fd.spectral_symbols(grid)
@@ -396,7 +403,7 @@ def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
     gap = 0.5 * fd.spectral_inner(grid, uh, rh) - null_pairing * (grid.lx * grid.ly)
     ns_residual = np.sqrt(np.maximum(fd.spectral_inner(grid, rh, rh), 0.0))
     terms = np.array([phi_v, gap - phi_v - pairing, pairing, gap, discarded, ns_residual])
-    return _Block(intervals, mid, accel, kv, uh, v_null, qh), terms
+    return _Block(intervals, mid, residual, uh, v_null, qh), terms
 
 
 def _assemble(path: Path, mu: float, grav: Gravitation,
@@ -481,29 +488,19 @@ def _jacobian_transpose_dot(v: VectorField, w: VectorField) -> VectorField:
     return VectorField(v.grid, out)
 
 
-def _conjugate_velocity(blk: _Block) -> VectorField:
-    """u = K^(-1) f = K^(-1) r + N v_mid of the block's intervals, from its spectrum."""
-    grid = blk.mid.grid
-    u = np.fft.irfft2(blk.uh, s=grid.shape) + blk.mid.v.data
-    return VectorField(grid, np.subtract(u, fd.null_part(grid, blk.v_null), out=u))
-
-
-def _gradient_pieces(path: Path, blk: _Block, u: VectorField, grav: Gravitation
+def _gradient_pieces(path: Path, blk: _Block, grav: Gravitation
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(dt E / 2, F) of the block's intervals, from the coefficients of each
     interval's first variation d(Pi_k)/dt = <E, d v_mid> + <F, d (time difference)>,
-    u their _conjugate_velocity."""
+    read from the block's residual R and spectrum (see the module docstring)."""
     mid = blk.mid
-    w = fd.scalar_times_vector(mid.rho, mid.v - u)
-    e = (_jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w)
-         + blk.kv
-         + fd.scalar_times_vector(mid.rho, VectorField(path.grid, blk.accel.data - grav.g)))
-    p = mid.pressure()
-    if p is not None:
-        e = e + fd.grad_scalar(p)
-    e = e + 2.0 * fd.scalar_times_vector(
-        mid.rho, VectorField(path.grid, grav.omega_cross(u.data)))
-    h = e.data
+    d = fd.null_part(path.grid, blk.v_null)
+    d -= np.fft.irfft2(blk.uh, s=path.grid.shape)
+    w = fd.scalar_times_vector(mid.rho, VectorField(path.grid, d))
+    h = _jacobian_transpose_dot(mid.v, w).data
+    h -= fd.div_outer(mid.v, w).data
+    h -= 2.0 * grav.omega_cross(w.data)
+    h -= blk.residual
     h *= 0.5
     h *= path.dt
     return h, w.data
@@ -526,7 +523,7 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation,
     grads = np.empty_like(path.V[1:])
     later = None    # (dt E / 2, F) of the first interval of the block after this one
     for blk in blocks:
-        h, f = _gradient_pieces(path, blk, _conjugate_velocity(blk), grav)
+        h, f = _gradient_pieces(path, blk, grav)
         own = grads[blk.intervals]
         g = np.empty_like(own) if path.kind == "incompressible" else own
         np.add(h, f, out=g)

@@ -1,7 +1,10 @@
 """tools/ab_pairs.py: the summary of alternating parent/change pairs."""
 
 import importlib.util
+import json
 import os
+
+import pytest
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_pairs.py")
 
@@ -59,3 +62,23 @@ def test_verdicts():
     # unless every run of the change reads better than every run of the
     # parent: better by 4.1, within the IQR, is then no gain but resolved
     assert _verdict(tool, noisy, [5.9] * 10, bound=0.1) == "flat"
+
+
+def test_raw_medians_read_the_run_record(tmp_path):
+    tool = _tool()
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    stats = {"pass_s": {"median": 0.42, "q1": 0.4}, "kernel_s": {"median": 0.031},
+             "pass_rel": {"median": 13.5}}
+    (out / "results-cs-pipeline-64-seed3-trace0.json").write_text(json.dumps({"stats": stats}))
+    assert tool.raw_medians(str(tmp_path), "cs-pipeline-64", 3) == {
+        "pass_s": 0.42, "kernel_s": 0.031}
+    with pytest.raises(RuntimeError, match="no run record"):
+        tool.raw_medians(str(tmp_path), "cs-pipeline-64", 4)
+
+
+def test_diagnostic_prints_both_medians_and_no_verdict():
+    tool = _tool()
+    line = tool.diagnostic("pass_s", [1.0, 3.0, 2.0], [2.2, 2.0, 2.4])
+    assert line == "pass_s (raw, no verdict): median parent 2 -> change 2.2 (+10.0 %)"
+    assert not any(v in line for v in ("gain", "regression", "unresolved", "flat"))

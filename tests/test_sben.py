@@ -234,22 +234,30 @@ class TestAssembly:
 
 
 class TestGradient:
-    def test_matches_finite_differences(self, rng):
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_matches_finite_differences(self, rng, kind, preset):
+        # Pi along three random directions of a noisy reference path's free
+        # slices; a compressible path goes through with_velocities, which
+        # keeps its densities, as the gradient freezes them.  Only the
+        # compressible kind under rotation sees the sign of the Coriolis term:
+        # on a planar incompressible path 2 Omega x w is a gradient, which the
+        # projection removes
         g = Grid2P(8, 8, TWO_PI, TWO_PI)
-        grav = Gravitation(g, "zero")
-        case = CaseSpec("taylor_green", g, 0.4, 16, {"nu": 0.1})
-        base = reference_path(case, 0.1, grav, n_out=4)
-        noisy = base.with_velocities([s.v + 0.3 * random_solenoidal(g, rng, kmax=2)
+        grav = Gravitation(g, preset, {"g0": 1.0, "omega": 0.8})
+        case_id, draw = (("taylor_green", random_solenoidal) if kind == "incompressible"
+                         else ("compressible_smooth", random_vector))
+        base = reference_path(CaseSpec(case_id, g, 0.4, 16, {"nu": 0.1}), 0.1, grav, n_out=4)
+        noisy = base.with_velocities([s.v + 0.3 * draw(g, rng, kmax=2)
                                       for s in base.states[1:]])
         grads = gradient_pi(noisy, 0.1, grav)
         for _ in range(3):
-            d = VectorField(g, np.stack([random_solenoidal(g, rng, kmax=2).data
-                                         for _ in range(4)]))
+            d = VectorField(g, np.stack([draw(g, rng, kmax=2).data for _ in range(4)]))
             eps = 1e-5
             plus = noisy.with_velocities(noisy.V[1:] + eps * d.data)
             minus = noisy.with_velocities(noisy.V[1:] - eps * d.data)
-            fd_val = (functional_report(plus, 0.1, grav, "incompressible").total_pi
-                      - functional_report(minus, 0.1, grav, "incompressible").total_pi) / (2 * eps)
+            fd_val = (functional_report(plus, 0.1, grav, kind).total_pi
+                      - functional_report(minus, 0.1, grav, kind).total_pi) / (2 * eps)
             adj_val = path_dot(grads, d)
             assert adj_val == pytest.approx(fd_val, rel=1e-6)
 
@@ -356,6 +364,20 @@ def _conjugate_velocity(c):
                        - fd.null_part(grid, c.v_null))
 
 
+def _conjugate_weight(rho, c):
+    """w = rho (v_mid - u) = rho (N v_mid - K^(-1) r) of one interval."""
+    grid = c.v_mid.grid
+    return fd.scalar_times_vector(rho, VectorField(
+        grid, fd.null_part(grid, c.v_null) - np.fft.irfft2(c.uh, s=grid.shape)))
+
+
+def _residual_gradient(v_mid, w, residual, grav):
+    """E = (grad v_mid)^T w - div(v_mid (x) w) - 2 Omega x w - R, with the
+    padded Jacobian contraction."""
+    return (_padded_jacobian_contraction(v_mid, w) - fd.div_outer(v_mid, w)
+            - 2.0 * fd.cross(grav.coriolis_vector(), w) - residual)
+
+
 def _slice_rho_mid(path, k):
     return 0.5 * (path.states[k].rho + path.states[k + 1].rho)
 
@@ -386,8 +408,16 @@ def _slice_core(path, k, mu, grav):
 
 
 def _slice_gradient_pieces(path, k, core, grav):
-    """Interval k's gradient coefficients (E, F) alone, with the padded
-    Jacobian contraction."""
+    """Interval k's gradient coefficients (E, F) alone, read from its residual
+    R = f_raw - K v_mid."""
+    w = _conjugate_weight(_slice_rho_mid(path, k), core)
+    return _residual_gradient(core.v_mid, w, core.f_raw - core.kv, grav), w
+
+
+def _force_gradient_pieces(path, k, core, grav):
+    """Interval k's (E, F) with pi_I's forces written out again, K v_mid +
+    rho (accel - g) + grad p + 2 rho Omega x u: the gradient's formula before
+    it read the residual, kept as its round-off reference."""
     rho_mid = _slice_rho_mid(path, k)
     grad_p = _slice_pressure_force(path, rho_mid)
     u = _conjugate_velocity(core)
@@ -475,32 +505,44 @@ class TestTimeBatching:
         report = _assert_same_bits(path, 0.1, grav, _slice_reference(path, 0.1, grav))
         assert report.phi_terms.min() > 0 and report.ns_residual_norms.min() > 0
 
+    @pytest.mark.parametrize("nx, n_intervals", [(16, 2), (16, 16), (64, 3)])
+    @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
+    @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
+    def test_gradient_matches_the_force_formula(self, kind, preset, nx, n_intervals):
+        # the gradient read from R is, to round-off, the one that writes
+        # pi_I's forces out again: at most 2.2e-16 of max |g| on these paths
+        # and on such paths of sixteen intervals at 64^2 and 128^2
+        grid = Grid2P(nx, nx, TWO_PI, TWO_PI)
+        path = _random_path(grid, kind, n_intervals, np.random.default_rng(nx + n_intervals),
+                            rho0=1.3)
+        grav = Gravitation(grid, preset, {"g0": 1.0, "omega": 0.8})
+        expected = _slice_reference(path, 0.1, grav, pieces=_force_gradient_pieces)[2]
+        grads = gradient_pi(path, 0.1, grav).data
+        assert np.abs(grads - expected).max() <= 1e-14 * np.abs(expected).max()
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("n_intervals", [1, 3])
     @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
     @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
     def test_gradient_force_terms_keep_the_field_composition(self, grid16, kind, preset,
-                                                             n_intervals):
-        # gradient_pi's body-force terms rho (accel - g) and 2 rho Omega x u
-        # come from the preset's two constants, with the bits of the gravity
-        # and Coriolis fields, on a block of one interval and of three; the
-        # block's accel and u hold signed zeros and non-finite entries
+                                                             n_intervals, monkeypatch):
+        # gradient_pi's one force term 2 Omega x w comes from the preset's
+        # rotation, with the bits of the Coriolis field, on a block of one
+        # interval and of three; w and R hold signed zeros and non-finite
+        # entries (with K^(-1) r zero, w is rho times the block's null part)
         rng = np.random.default_rng(5)
         path = _random_path(grid16, kind, n_intervals, rng, rho0=1.3)
         grav = Gravitation(grid16, preset, {"g0": 0.5, "omega": 0.8})
         blk, _ = sben._block_core(path, slice(0, n_intervals), 0.1, grav)
-        blk = dataclasses.replace(
-            blk, accel=VectorField(grid16, signed_zero_vectors(grid16, rng, (n_intervals,))))
-        u = VectorField(grid16, signed_zero_vectors(grid16, rng, (n_intervals,)))
+        null = signed_zero_vectors(grid16, rng, (n_intervals,))
+        residual = signed_zero_vectors(grid16, rng, (n_intervals,))
+        blk = dataclasses.replace(blk, residual=residual, uh=np.zeros_like(blk.uh))
+        monkeypatch.setattr(fd, "null_part", lambda grid, coeffs: null.copy())
         mid = blk.mid
-        w = fd.scalar_times_vector(mid.rho, mid.v - u)
-        e = (sben._jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w) + blk.kv
-             + fd.scalar_times_vector(mid.rho, blk.accel - grav.gravity()))
-        if kind == "compressible":
-            e = e + fd.grad_scalar(mid.pressure())
-        e = e + 2.0 * fd.scalar_times_vector(
-            mid.rho, fd.cross(grav.coriolis_vector(), u))
-        h, f = sben._gradient_pieces(path, blk, u, grav)
+        w = fd.scalar_times_vector(mid.rho, VectorField(grid16, null))
+        e = (sben._jacobian_transpose_dot(mid.v, w) - fd.div_outer(mid.v, w)
+             - 2.0 * fd.cross(grav.coriolis_vector(), w) - VectorField(grid16, residual))
+        h, f = sben._gradient_pieces(path, blk, grav)
         assert h.tobytes() == (path.dt * (0.5 * e.data)).tobytes()
         assert f.tobytes() == w.data.tobytes()
 
@@ -652,26 +694,12 @@ def _kind_split_core(path, k, mu, grav):
 
 
 def _kind_split_gradient_pieces(path, k, core, grav):
-    """The gradient's (E, F) with one branch per kind, as before both kinds
-    shared one formula."""
-    omega = grav.coriolis_vector()
-    g_field = grav.gravity()
-    u = _conjugate_velocity(core)
-    if path.kind == "incompressible":
-        rho0 = path.eos.rho0
-        w = rho0 * (core.v_mid - u)
-        return (_padded_jacobian_contraction(core.v_mid, w) - fd.div_outer(core.v_mid, w)
-                + core.kv
-                + rho0 * (core.accel - g_field)
-                + 2.0 * rho0 * fd.cross(omega, u)), w
-    rho_mid = 0.5 * (path.states[k].rho + path.states[k + 1].rho)
-    p_mid = ScalarField(path.grid, path.eos.pressure(rho_mid.data))
-    w = fd.scalar_times_vector(rho_mid, core.v_mid - u)
-    return (_padded_jacobian_contraction(core.v_mid, w) - fd.div_outer(core.v_mid, w)
-            + core.kv
-            + fd.scalar_times_vector(rho_mid, core.accel - g_field)
-            + fd.grad_scalar(p_mid)
-            + 2.0 * fd.scalar_times_vector(rho_mid, fd.cross(omega, u))), w
+    """The gradient's (E, F) with one branch per kind for w, as before both
+    kinds shared one formula."""
+    rho = (path.eos.rho0 if path.kind == "incompressible"
+           else 0.5 * (path.states[k].rho + path.states[k + 1].rho))
+    w = _conjugate_weight(rho, core)
+    return _residual_gradient(core.v_mid, w, core.f_raw - core.kv, grav), w
 
 
 def _null_part(v):
@@ -783,15 +811,16 @@ class TestResidualForm:
     @pytest.mark.parametrize("preset", ["zero", "uniform_gravity", "rigid_rotation"])
     @pytest.mark.parametrize("kind", ["incompressible", "compressible"])
     def test_spectral_terms_match_the_physical_space_formulas(self, grid16, kind, preset):
-        # phi_star, the NS residual, the pressures and the gradient's K^(-1) f
+        # phi_star, the NS residual, the pressures and the gradient's K^(-1) r
         # from the one spectrum against leray_project, solve_k and phi on the
-        # fields, on a path whose means and checkerboards move in time
+        # fields, on a path whose means and checkerboards move in time; the
+        # block keeps the residual R = f_raw - K v_mid it took the spectrum of
         mu = 0.1
         path = _path_with_null_modes(grid16, kind, 1.2, np.random.default_rng(10))
         grav = Gravitation(grid16, preset, {"g0": 1.0, "omega": 0.8})
         report, pressures = evaluate_path(path, mu, grav)
         blk, _ = sben._block_core(path, slice(0, path.n_intervals), mu, grav)
-        u = sben._conjugate_velocity(blk)
+        k_inv_r = np.fft.irfft2(blk.uh, s=grid16.shape)
         for k in range(path.n_intervals):
             c = _slice_core(path, k, mu, grav)
             f = fd.remove_stencil_null(leray_project(c.f_raw)[0] if kind == "incompressible"
@@ -802,8 +831,9 @@ class TestResidualForm:
             assert abs(report.phi_star_terms[k] - phi_star) <= 1e-14 * scale
             assert abs(report.ns_residual_norms[k] - fd.l2_norm(f - c.kv)) <= \
                 1e-14 * (fd.l2_norm(f) + fd.l2_norm(c.kv))
-            u_ref = solve_k(f, mu).data
-            assert np.abs(u.data[k] - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+            assert blk.residual[k].tobytes() == (c.f_raw - c.kv).data.tobytes()
+            k_inv_r_ref = solve_k(f - c.kv, mu).data
+            assert np.abs(k_inv_r[k] - k_inv_r_ref).max() <= 1e-13 * np.abs(k_inv_r_ref).max()
             if kind == "incompressible":
                 q = leray_project(c.f_raw - c.kv)[1].data
                 q -= q.mean()

@@ -18,6 +18,13 @@ spread (the IQR) and a verdict:
               run of the change reads better than every run of the parent
   flat        otherwise
 
+Then, as diagnostics with no verdict, each side's medians over the pairs
+of the raw pass_s and kernel_s that a run's record
+(perfbench/out/results-W-seed<seed>-trace0.json) keeps: the pass's and the
+calibration kernel's own times, whose ratio pass_rel is.  A pass_rel that
+moves while pass_s stays is a move of the kernel's time (or of the heap
+layout), not of the pass's work.  Each pair's line carries them too.
+
 Whether a metric is better lower or higher, and its bound, are read from
 PARENT's BENCHMARK.json (lower and no bound if it does not name the metric;
 without a bound a metric is a gain or flat).  It exits 1 if a run fails or
@@ -49,6 +56,22 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{root}: the run is not correct ({result['failed']} of "
                            f"{result['attempted']} commands failed)")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+RAW = ("pass_s", "kernel_s")     # the run record's timings printed without a verdict
+
+
+def raw_medians(root: str, workload: str, seed: int) -> dict:
+    """name -> the median the run record of the untraced run with this seed in
+    the checkout root keeps, for each raw timing in RAW."""
+    record = os.path.join(root, "perfbench", "out",
+                          f"results-{workload}-seed{seed}-trace0.json")
+    try:
+        with open(record) as f:
+            stats = json.load(f)["stats"]
+    except FileNotFoundError:
+        raise RuntimeError(f"{root}: no run record {record}") from None
+    return {name: stats[name]["median"] for name in RAW}
 
 
 def declared(root: str) -> dict:
@@ -87,6 +110,14 @@ def summary(name: str, parent: list, change: list, lower: bool,
             f"{q1:.6g} .. {q3:.6g} (spread {iqr:.3g}); {verdict}")
 
 
+def diagnostic(name: str, parent: list, change: list) -> str:
+    """Both sides' medians of a raw timing, with no verdict."""
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    rel = (med_c - med_p) / med_p * 100.0 if med_p else float("nan")
+    return (f"{name} (raw, no verdict): median parent {med_p:.6g} -> change {med_c:.6g} "
+            f"({rel:+.1f} %)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -101,15 +132,20 @@ def main(argv=None) -> int:
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     values: dict = {"parent": [], "change": []}
+    raws: dict = {"parent": [], "change": []}
     try:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            got = {side: run_once(sides[side], args.workload, args.seed + i, args.seconds)
-                   for side in order}
+            got, raw = {}, {}
             for side in order:
+                got[side] = run_once(sides[side], args.workload, args.seed + i, args.seconds)
+                raw[side] = raw_medians(sides[side], args.workload, args.seed + i)
                 values[side].append(got[side])
+                raws[side].append(raw[side])
             cells = "  ".join(f"{name} {got['parent'][name]:.6g} -> {got['change'][name]:.6g}"
                               for name in got["parent"])
+            cells += "  " + "  ".join(f"raw {name} {raw['parent'][name]:.6g} -> "
+                                      f"{raw['change'][name]:.6g}" for name in RAW)
             print(f"pair {i + 1} (seed {args.seed + i}, {order[0]} first): {cells}", flush=True)
     except RuntimeError as exc:
         print(f"ab_pairs: {exc}", file=sys.stderr)
@@ -120,6 +156,9 @@ def main(argv=None) -> int:
         parent = [v[name] for v in values["parent"]]
         change = [v[name] for v in values["change"]]
         print(summary(name, parent, change, *metrics.get(name, (True, None))))
+    for name in RAW:
+        print(diagnostic(name, [r[name] for r in raws["parent"]],
+                         [r[name] for r in raws["change"]]))
     return 0
 
 
