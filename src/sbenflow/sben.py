@@ -33,13 +33,13 @@ the adjoint gradient and the descent work on blocks of as many consecutive
 intervals as fit in _BLOCK_BYTES, every operator applied once to a block's
 stacked slices (a field's data may carry leading axes); every entry is a
 per-slice reduction, with the bits of the interval computed alone.
-evaluate_path and gradient_pi hold one block's temporaries at a time; the
-descent keeps every block of a path, for its gradient and pressures.  A block
-keeps R = f_raw - K v_mid, which the gradient reads: since pi_I = -f_raw,
-K v_mid + rho (accel - g) + grad p = -R - 2 rho Omega x v_mid, so the first
-variation <E, d v_mid> + <F, d (time difference)> of an interval's term has
-F = w = rho (v_mid - K^(-1) f) = rho (N v_mid - K^(-1) r) and
-E = (grad v_mid)^T w - div(v_mid (x) w) - 2 Omega x w - R: pi_I's forces
+_assemble, the one block loop, frees each block once its report rows and
+pressures are written, unless the descent keeps it until the path's gradient
+is taken.  A block holds R = f_raw - K v_mid, which the gradient reads: since
+pi_I = -f_raw, K v_mid + rho (accel - g) + grad p = -R - 2 rho Omega x v_mid,
+so the first variation <E, d v_mid> + <F, d (time difference)> of an
+interval's term has F = w = rho (v_mid - K^(-1) f) = rho (N v_mid - K^(-1) r)
+and E = (grad v_mid)^T w - div(v_mid (x) w) - 2 Omega x w - R: pi_I's forces
 are written only in Midpoint.residual.
 
 One matrix-free nonlinear conjugate gradient (Polak-Ribiere+) with Armijo
@@ -330,8 +330,8 @@ class SbenReport:
 # core, the gradient or the free-slice projection works on: c = 16 slices at
 # 16^2, 4 at 32^2 and one from 64^2 up.  A core's temporaries, about ten
 # fields of the block's size, bound the memory of evaluate_path and
-# gradient_pi; the descent keeps each path's blocks, whatever the budget:
-# about three fields per interval (v_mid, R and the spectrum of K^(-1) r).
+# gradient_pi; the descent keeps a path's blocks, whatever the budget, until its
+# gradient is taken: three fields per interval (v_mid, R, K^(-1) r's spectrum).
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -345,14 +345,13 @@ def _blocks(path: Path) -> list[slice]:
 @dataclass
 class _Block:
     """The residual of consecutive intervals, stacked in time, with its
-    midpoint and spectra: what the pressures and the gradient read."""
+    midpoint and spectrum: what the gradient reads."""
 
     intervals: slice
     mid: Midpoint
     residual: np.ndarray        # R = f_raw - K(v_mid)
     uh: np.ndarray              # rfft2 of K^(-1) r
     v_null: np.ndarray          # fd.null_coefficients of v_mid
-    qh: Optional[np.ndarray]    # rfft2 of the multiplier (incompressible kind)
 
 
 def _differentiate_midpoint(v_mid: VectorField, mu: float
@@ -373,10 +372,11 @@ def _differentiate_midpoint(v_mid: VectorField, mu: float
 
 
 def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
-                ) -> tuple[_Block, np.ndarray]:
+                ) -> tuple[_Block, np.ndarray, Optional[np.ndarray]]:
     """The block's terms in the residual form, for both kinds (see the module
-    docstring), and its report rows (phi, phi_star, pairing, gap, discarded
-    mean, NS residual), one entry per interval.  v_mid is differenced once
+    docstring), its report rows (phi, phi_star, pairing, gap, discarded
+    mean, NS residual), one entry per interval, and the spectrum of its
+    multipliers (None for the compressible kind).  v_mid is differenced once
     (see _differentiate_midpoint); one rfft2 of R = f_raw - K(v_mid) gives the
     rest.  The incompressible multiplier is left out of pi_I, and P removes
     from the spectrum its potential part q_hat = -i (s . R_hat) / |s|^2."""
@@ -403,21 +403,27 @@ def _block_core(path: Path, intervals: slice, mu: float, grav: Gravitation
     gap = 0.5 * fd.spectral_inner(grid, uh, rh) - null_pairing * (grid.lx * grid.ly)
     ns_residual = np.sqrt(np.maximum(fd.spectral_inner(grid, rh, rh), 0.0))
     terms = np.array([phi_v, gap - phi_v - pairing, pairing, gap, discarded, ns_residual])
-    return _Block(intervals, mid, residual, uh, v_null, qh), terms
+    return _Block(intervals, mid, residual, uh, v_null), terms, qh
 
 
-def _assemble(path: Path, mu: float, grav: Gravitation,
-              take: Callable[[_Block], object]) -> SbenReport:
-    """The functional's one block loop: build each block's core, keep its
-    report rows and hand the block to take, which keeps it (the descent) or
-    reduces it (evaluate_path), before the next block is built."""
+def _assemble(path: Path, mu: float, grav: Gravitation, keep: Optional[list] = None
+              ) -> tuple[SbenReport, Optional[np.ndarray]]:
+    """The functional's one block loop: a path's report and, for the
+    incompressible kind, its zero-mean multiplier pressures (T, nx, ny), else
+    None.  A block is freed once its rows and pressures are written, unless
+    keep, a list, takes it for the gradient."""
     start = time.perf_counter()
+    pressures = (np.empty((path.n_intervals, *path.grid.shape))
+                 if path.kind == "incompressible" else None)
     terms = []
     for b in _blocks(path):
-        blk, rows = _block_core(path, b, mu, grav)
+        blk, rows, qh = _block_core(path, b, mu, grav)
         terms.append(rows)
-        take(blk)
-        del blk     # unless take kept it, the block is freed here
+        if pressures is not None:
+            _recover_pressures(qh, pressures[b])
+        if keep is not None:
+            keep.append(blk)
+        del blk, qh
     phi_v, phi_star_f, pairing, gap, discarded, ns_residual = np.concatenate(terms, axis=1)
     return SbenReport(
         kind=path.kind,
@@ -426,16 +432,15 @@ def _assemble(path: Path, mu: float, grav: Gravitation,
         ns_residual_norms=ns_residual, discarded_mean_norms=discarded,
         dt=path.dt,
         wall_time=time.perf_counter() - start,
-    )
+    ), pressures
 
 
-def _recover_pressures(blocks: list[_Block], out: np.ndarray) -> np.ndarray:
-    """Zero-mean multiplier pressure per interval, the potential part of
-    f_raw - K(v_mid), from each block's spectrum, into its rows of out (T, nx, ny)."""
-    for blk in blocks:
-        q = np.fft.irfft2(blk.qh, s=blk.mid.grid.shape)
-        np.subtract(q, q.mean(axis=(-2, -1), keepdims=True), out=out[blk.intervals])
-    return out
+def _recover_pressures(qh: np.ndarray, out: np.ndarray) -> None:
+    """Zero-mean multiplier pressure of each interval of a block, the
+    potential part of f_raw - K(v_mid), from its spectrum qh into out, the
+    block's rows of the (T, nx, ny) pressures."""
+    q = np.fft.irfft2(qh, s=out.shape[-2:])
+    np.subtract(q, q.mean(axis=(-2, -1), keepdims=True), out=out)
 
 
 def multiplier_pressures(path: Path, mu: float, grav: Gravitation) -> np.ndarray:
@@ -449,12 +454,8 @@ def evaluate_path(path: Path, mu: float, grav: Gravitation
                   ) -> tuple[SbenReport, Optional[np.ndarray]]:
     """The functional's report on a path of either kind and, for the
     incompressible kind, its zero-mean multiplier pressures (T, nx, ny), else
-    None; each block is reduced as soon as it is built.  A report entry that
-    is not finite (an overflow) is a FloatingPointError."""
-    pressures = (np.empty((path.n_intervals, *path.grid.shape))
-                 if path.kind == "incompressible" else None)
-    report = _assemble(path, mu, grav, lambda blk: None if pressures is None else
-                       _recover_pressures([blk], pressures))
+    None; a report entry that is not finite (an overflow) is a FloatingPointError."""
+    report, pressures = _assemble(path, mu, grav)
     if not _finite(report):
         raise FloatingPointError("the functional is not finite on this path")
     return report, pressures
@@ -472,7 +473,7 @@ def assemble_pi_incompressible(path: Path, mu: float, grav: Gravitation,
     (the benchmark's workloads call it with this signature)."""
     if path.kind != "incompressible":
         raise ValueError("path carries a compressible EOS")
-    return _assemble(path, mu, grav, lambda blk: None)
+    return _assemble(path, mu, grav)[0]
 
 
 # --- gradient -----------------------------------------------------------------
@@ -514,8 +515,9 @@ def gradient_pi(path: Path, mu: float, grav: Gravitation,
     directions), for the compressible kind with the density response frozen.
 
     Slice k + 1 collects dt E / 2 + F of interval k and dt E / 2 - F of
-    interval k + 1; the blocks run last to first (without blocks, each core
-    is built in that order and freed once its slices are done)."""
+    interval k + 1; the blocks (the path's, kept by _assemble) run last to
+    first; without them each core is built in that order and freed once its
+    slices are done."""
     if blocks is None:
         blocks = (_block_core(path, b, mu, grav)[0] for b in reversed(_blocks(path)))
     else:
@@ -630,7 +632,7 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
              grav: Gravitation, opts: MinimizeConfig,
              on_iteration: Optional[Callable[[int, float, float], None]] = None,
              precondition: Optional[Preconditioner] = None
-             ) -> tuple[Path, list[_Block], SbenReport, bool, str]:
+             ) -> tuple[Path, SbenReport, bool, str]:
     """Nonlinear conjugate gradient (Polak-Ribiere+, periodic restart) with
     Armijo backtracking over the free slices of a feasible start path.
 
@@ -643,7 +645,8 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
     unit step, and the gradient norm leaves out the null modes, which P never
     moves.  Without one the first step is half the path's velocity scale
     along the direction and each later one twice the last accepted step.
-    Returns the last accepted path, its blocks and report (with the gradient
+    A path's blocks live until its gradient is taken.  Returns the last
+    accepted path, with its pressures, and its report (with the gradient
     norm history and iteration count), and the convergence flag and message.
     """
     def norm(grads: VectorField) -> float:
@@ -651,11 +654,11 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             grads = fd.remove_stencil_null(grads)
         return np.sqrt(max(path_dot(grads, grads), 0.0))
 
-    blocks = []
-    report = _assemble(path, mu, grav, blocks.append)
+    report, path.pressures = _assemble(path, mu, grav, blocks := [])
     pi_val = report.total_pi
     tol_pi = opts.tol_pi_rel * report.dissipation_integral
     grad = gradient_pi(path, mu, grav, blocks=blocks)
+    del blocks
     pgrad = grad if precondition is None else precondition(grad)
     gnorm0 = norm(grad)
     if not (_finite(report) and np.isfinite(gnorm0)):
@@ -702,28 +705,28 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             except DensityError:
                 alpha *= _BACKTRACK_FACTOR
                 continue
-            trial_blocks = []
-            trial_report = _assemble(trial, mu, grav, trial_blocks.append)
+            trial_report, trial.pressures = _assemble(trial, mu, grav, blocks := [])
             armijo = trial_report.total_pi <= pi_val + _ARMIJO_C * alpha * slope
             if armijo and _finite(trial_report):
                 accepted = True
                 break
+            del trial, blocks       # before the next trial is built
             alpha *= _BACKTRACK_FACTOR
         if not accepted:
             message = "line search failed; returning last accepted path"
             break
 
         alpha_prev = alpha
-        new_grad = gradient_pi(trial, mu, grav, blocks=trial_blocks)
+        path, report = trial, trial_report     # the last path is freed before the gradient
+        pi_val = report.total_pi
+        new_grad = gradient_pi(path, mu, grav, blocks=blocks)
+        del blocks
         new_pgrad = new_grad if precondition is None else precondition(new_grad)
         beta = max(0.0, (path_dot(new_grad, new_pgrad) - path_dot(new_grad, pgrad))
                    / max(path_dot(grad, pgrad), 1e-300))
         if (it + 1) % _RESTART_EVERY == 0:
             beta = 0.0
         direction = -new_pgrad + beta * direction
-
-        path, blocks, report = trial, trial_blocks, trial_report
-        pi_val = report.total_pi
         grad, pgrad = new_grad, new_pgrad
         history.append(norm(grad))
         iters = it + 1
@@ -734,7 +737,7 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
 
     report.grad_norm_history = [float(g) for g in history]
     report.iterations = iters
-    return path, blocks, report, converged, message
+    return path, report, converged, message
 
 
 def minimize(path0: Path, mu: float, grav: Gravitation,
@@ -770,7 +773,7 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
                         slave_density(rho_initial, V, path0.times))
 
         path, precondition = build(path0.V[1:]), None
-    path, blocks, report, converged, message = _descend(
+    path, report, converged, message = _descend(
         path, build, mu, grav, opts, on_iteration, precondition)
     pi, mean = report.total_pi, report.discarded_mean_norms.max()
     if converged and pi < -_PI_FLOOR * report.dissipation_integral:
@@ -779,9 +782,6 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
     elif converged and mean > _MEAN_TOL:
         converged, message = False, (f"{message}, but a discarded mean of {mean:.3e} is above "
                                      f"{_MEAN_TOL:g}: not a flow")
-    if path.kind == "incompressible":
-        path.pressures = _recover_pressures(
-            blocks, np.empty((path.n_intervals, *path.grid.shape)))
     report.wall_time = time.perf_counter() - start
     return MinimizeResult(path, report, converged, message)
 
