@@ -210,12 +210,12 @@ class Tensor33Field(_FieldOps):
 # array: one subtraction at offset +-ny (x) or +-1 (y) covers every interior
 # row or column of every leading block, then the two wrap rows or columns,
 # where the flat offset runs into the neighbouring row or block, are
-# overwritten.  Each output is a[i+1] - a[i-1] over 2h, the operands and
-# order of (roll(a, -1) - roll(a, 1)) / 2h, so results match it bit for bit.
-# Differences binds a difference to its arrays once (the views of _x_views
-# and _y_views, and _out_for's checks) and _apply applies it: three
-# subtractions and one division.  A given out must be C-contiguous, of a's
-# shape, and must not overlap a.
+# overwritten.  Each output is a[i+1] - a[i-1] times 1/(2h), the operands
+# and order of (roll(a, -1) - roll(a, 1)) * (1 / 2h), so results match it
+# bit for bit.  Differences binds a difference to its arrays once (the views
+# of _x_views and _y_views, _out_for's checks and the reciprocal 1/(2h)) and
+# _apply applies it: three subtractions and one multiplication.  A given out
+# must be C-contiguous, of a's shape, and must not overlap a.
 
 def _out_for(a: np.ndarray, out: Optional[np.ndarray], *apart) -> np.ndarray:
     """out checked against a, and against the arrays apart; a new one if None."""
@@ -246,25 +246,25 @@ def _y_views(a: np.ndarray, out: np.ndarray) -> tuple:
             (a[..., 0], a[..., -2], out[..., -1]))
 
 
-def _apply(subtractions: tuple, out: np.ndarray, h2: float) -> np.ndarray:
+def _apply(subtractions: tuple, out: np.ndarray, inv_h2: float) -> np.ndarray:
     for a, b, o in subtractions:
         np.subtract(a, b, out=o)
-    out /= h2
+    out *= inv_h2
     return out
 
 
 class Differences:
     """central_differences bound to its arrays, for a caller that takes the
-    same differences many times: the views and the checks are made once, and
-    each call writes (d/dx ax, d/dy ay), of what ax and ay hold then, into
-    out and returns that pair.
+    same differences many times: the views, the checks and the reciprocals
+    1/(2h) are made once, and each call writes (d/dx ax, d/dy ay), of what
+    ax and ay hold then, into out and returns that pair.
 
     ax and ay (ay defaults to ax) must be C-contiguous arrays (..., nx, ny);
     out is a pair of C-contiguous arrays of their shapes, apart from both
     inputs and from each other (new arrays if None).
     """
 
-    __slots__ = ("out", "_x", "_y", "_hx", "_hy")
+    __slots__ = ("out", "_x", "_y", "_inv_hx", "_inv_hy")
 
     def __init__(self, grid: Grid2P, ax: np.ndarray, ay: Optional[np.ndarray] = None,
                  out: Optional[tuple[np.ndarray, np.ndarray]] = None):
@@ -276,12 +276,12 @@ class Differences:
         oy = _out_for(ay, oy, ax, ox)
         self.out = (ox, oy)
         self._x, self._y = _x_views(ax, ox), _y_views(ay, oy)
-        self._hx, self._hy = 2.0 * grid.dx, 2.0 * grid.dy
+        self._inv_hx, self._inv_hy = 1.0 / (2.0 * grid.dx), 1.0 / (2.0 * grid.dy)
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
         ox, oy = self.out
-        _apply(self._x, ox, self._hx)
-        _apply(self._y, oy, self._hy)
+        _apply(self._x, ox, self._inv_hx)
+        _apply(self._y, oy, self._inv_hy)
         return self.out
 
 

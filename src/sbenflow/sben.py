@@ -245,14 +245,15 @@ def slave_density(rho_initial: ScalarField, velocities, times) -> np.ndarray:
     fixed-point iteration).  Conservative form: total mass is exact.
 
     velocities is a list of VectorFields or a (T+1, 3, nx, ny) array; the
-    densities come back as a (T+1, nx, ny) array.  Raises DensityError when
-    the fixed point stalls or a density comes out non-positive."""
+    densities come back as a (T+1, nx, ny) array.  dt is the path's one
+    clock, times[1] - times[0], as in Path.  Raises DensityError when the
+    fixed point stalls or a density comes out non-positive."""
     grid = rho_initial.grid
     V = _stacked(velocities)
     densities = np.empty((len(V), *grid.shape))
     densities[0] = rho_initial.data
+    dt = float(times[1] - times[0])
     for k in range(len(V) - 1):
-        dt = float(times[k + 1] - times[k])
         v_mid = 0.5 * VectorField(grid, V[k] + V[k + 1])
         rho_prev = ScalarField(grid, densities[k])
         rho_next = rho_prev.copy()
@@ -695,6 +696,7 @@ def _descend(path: Path, build: Callable[[np.ndarray], Path], mu: float,
             velocities = VectorField(path.grid, path.V)
             vel_scale = max(np.sqrt(path_dot(velocities, velocities) / len(path.V)), 1e-12)
             alpha = 0.5 * vel_scale / dnorm
+            del velocities          # the start path's V: freed with it once a step is taken
         else:
             alpha = 2.0 * alpha_prev
 
@@ -761,9 +763,11 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
     one under g0 = 0.5 and 0.45-0.65 on paths that do not fall under it.
     """
     start = time.perf_counter()
-    if path0.kind == "incompressible":
-        path = _project_free_slices(path0)
-        build, precondition = path.with_velocities, _stokes_preconditioner(path, mu)
+    # build reads only path0's pinned slice and shared arrays, and the start
+    # path is handed on, so that it is freed once the descent leaves it
+    incompressible = path0.kind == "incompressible"
+    if incompressible:
+        build, precondition = path0.with_velocities, _stokes_preconditioner(path0, mu)
     else:
         rho_initial = ScalarField(path0.grid, path0.rho[0])
 
@@ -772,9 +776,10 @@ def minimize(path0: Path, mu: float, grav: Gravitation,
             return Path(path0.grid, path0.eos, path0.times, V,
                         slave_density(rho_initial, V, path0.times))
 
-        path, precondition = build(path0.V[1:]), None
+        precondition = None
     path, report, converged, message = _descend(
-        path, build, mu, grav, opts, on_iteration, precondition)
+        _project_free_slices(path0) if incompressible else build(path0.V[1:]),
+        build, mu, grav, opts, on_iteration, precondition)
     pi, mean = report.total_pi, report.discarded_mean_norms.max()
     if converged and pi < -_PI_FLOOR * report.dissipation_integral:
         converged, message = False, (f"{message}, but the functional {pi:.3e} is below "

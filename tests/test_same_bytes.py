@@ -122,10 +122,28 @@ def test_against_names_each_files_largest_change(tmp_path):
         "case/p.csv.f8: the binary copy of p.csv",
         "case/report.json: 1.00e-14 of the dissipation integral (phi[1])",
         f"only in {new}: extra",
-        f"only in {old}: gone"]
+        f"only in {old}: gone",
+        "summary: 3 of 4 files moved; largest CSV change 1.11e-16 of the field's max "
+        "|value| (case/p.csv); largest report change 1.00e-14 of the dissipation integral "
+        "(case/report.json); iterations differ in no report"]
     report["iterations"], report["converged"] = 4, False
     (new / "case" / "report.json").write_text(json.dumps(report))
-    assert tool.compare(str(new), str(old))[2] == (
+    lines = tool.compare(str(new), str(old))
+    assert lines[2] == (
         "case/report.json: 1.00e-14 of the dissipation integral (phi[1]); "
         "converged is False, not True; iterations is 4, not 3")
+    assert lines[-1].endswith("iterations differ in case/report.json")
+    # a second report whose iterations differ, and a CSV whose cells differ
+    os.makedirs(new / "more"), os.makedirs(old / "more")
+    for root, n in ((new, 5), (old, 6)):
+        (root / "more" / "report.json").write_text(
+            json.dumps({"dissipation_integral": 2.0, "iterations": n}))
+        grid = Grid2P(4 if n == 5 else 5, 4, 1.0, 1.0)
+        save_scalar(str(root / "more" / "q.csv"), ScalarField(grid, np.zeros(grid.shape)))
+    lines = tool.compare(str(new), str(old))
+    assert "more/q.csv: its cells differ" in lines
+    assert lines[-1] == (
+        "summary: 5 of 6 files moved; largest CSV change inf of the field's max |value| "
+        "(more/q.csv); largest report change 1.00e-14 of the dissipation integral "
+        "(case/report.json); iterations differ in case/report.json, more/report.json")
     assert tool.compare(str(old), str(old)) == []

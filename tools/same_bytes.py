@@ -36,11 +36,14 @@ same diff.
 
 runs the matrix into OUT and compares it with OTHER, the OUT of another
 checkout or setup: it prints one line per file that differs, with its
-largest change, then the files found on one side only, and exits 1 if the
-trees differ.  A report value (report.json, report.txt, a log line) moves
-relative to that report's dissipation integral (a log without one: relative
-to the value itself), a CSV value relative to the field's max |value| in
-OTHER; integers, flags and words must be equal.  A binary copy is named
+largest change, then the files found on one side only, then one summary
+line: how many files moved, the largest CSV change and the largest report
+change with their files, and every report.json whose iterations differ.
+It exits 1 if the trees differ.  A report value (report.json, report.txt, a
+log line) moves relative to that report's dissipation integral (a log
+without one: relative to the value itself), a CSV value relative to the
+field's max |value| in OTHER (inf in the summary when its cells differ);
+integers, flags and words must be equal.  A binary copy is named
 with its CSV.
 """
 
@@ -55,6 +58,7 @@ import os
 import platform
 import re
 import sys
+from typing import Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
@@ -192,9 +196,9 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 DISSIPATION = re.compile(r"dissipation integral\s*:?\s*(" + NUMBER.pattern + ")")
 
 
-def _report_change(new: bytes, old: bytes) -> str:
-    """The largest move of a report.json value, then every unequal integer,
-    flag or word."""
+def _report_change(new: bytes, old: bytes) -> tuple[float, str]:
+    """The largest move of a report.json value, relative to the dissipation
+    integral, and a line naming it, then every unequal integer, flag or word."""
     a, b = json.loads(new), json.loads(old)
     scale = abs(b["dissipation_integral"]) or 1.0
     words, worst, name = [], 0.0, None
@@ -212,7 +216,7 @@ def _report_change(new: bytes, old: bytes) -> str:
             elif u != v or type(u) is not type(v):
                 words.append(f"{label} is {u!r}, not {v!r}")
     moved = f"{worst:.2e} of the dissipation integral ({name})" if name else "no value moved"
-    return "; ".join([moved] + words)
+    return worst, "; ".join([moved] + words)
 
 
 def _text_change(new: bytes, old: bytes) -> str:
@@ -230,35 +234,51 @@ def _text_change(new: bytes, old: bytes) -> str:
     return f"{worst:.2e} of the value itself"
 
 
-def _csv_change(new: bytes, old: bytes) -> str:
-    """The largest move of a CSV value, relative to the field's max |value|."""
+def _csv_change(new: bytes, old: bytes) -> Optional[float]:
+    """The largest move of a CSV value, relative to the field's max |value|;
+    None if the cells differ."""
     a, b = (np.loadtxt(io.StringIO(t.decode()), delimiter=",", skiprows=1, ndmin=2)
             for t in (new, old))
     if a.shape != b.shape or not np.array_equal(a[:, :2], b[:, :2]):
-        return "its cells differ"
+        return None
     scale = np.abs(b[:, 2:]).max() or 1.0
-    return f"{np.abs(a[:, 2:] - b[:, 2:]).max() / scale:.2e} of the field's max |value|"
+    return float(np.abs(a[:, 2:] - b[:, 2:]).max() / scale)
 
 
 def compare(out: str, other: str) -> list[str]:
     """One line per file that differs between the trees OUT and OTHER (see
-    the module docstring), then one per file found on one side only."""
+    the module docstring), then one per file found on one side only, then,
+    if any line came before, the summary: how many files moved, the largest
+    CSV and report changes, and every report.json whose iterations differ."""
     a, b = _tree(out), _tree(other)
-    lines = []
-    for path in sorted(set(a) & set(b)):
-        if a[path] == b[path]:
-            continue
+    common = sorted(set(a) & set(b))
+    moved = [p for p in common if a[p] != b[p]]
+    lines, csv, report, iterations = [], (0.0, "none"), (0.0, "none"), []
+    for path in moved:
         if path.endswith(".csv.f8"):
             change = "the binary copy of " + os.path.basename(path)[:-3]
         elif path.endswith(".csv"):
-            change = _csv_change(a[path], b[path])
+            worst = _csv_change(a[path], b[path])
+            if worst is None:
+                change, worst = "its cells differ", math.inf
+            else:
+                change = f"{worst:.2e} of the field's max |value|"
+            csv = max(csv, (worst, path))
         elif path.endswith("report.json"):
-            change = _report_change(a[path], b[path])
+            worst, change = _report_change(a[path], b[path])
+            report = max(report, (worst, path))
+            if json.loads(a[path]).get("iterations") != json.loads(b[path]).get("iterations"):
+                iterations.append(path)
         else:
             change = _text_change(a[path], b[path])
         lines.append(f"{path}: {change}")
     lines += [f"only in {out}: {p}" for p in sorted(set(a) - set(b))]
     lines += [f"only in {other}: {p}" for p in sorted(set(b) - set(a))]
+    if lines:
+        lines.append(f"summary: {len(moved)} of {len(common)} files moved; largest CSV "
+                     f"change {csv[0]:.2e} of the field's max |value| ({csv[1]}); largest "
+                     f"report change {report[0]:.2e} of the dissipation integral ({report[1]}); "
+                     f"iterations differ in {', '.join(iterations) or 'no report'}")
     return lines
 
 
